@@ -2,18 +2,33 @@
 
 P_n counts permutations of [n] whose every cycle length lies in a fixed set
 A, and a_n = P_n/n! is the probability a uniform permutation qualifies.  The
-coefficients satisfy n*a_n = sum over k in A, k <= n of a_{n-k}, which in
-integer form reads
+coefficients satisfy n*a_n = sum over k in A, k <= n of a_{n-k}.
 
-    P_n = sum_{k in A, k <= n} (n-1)(n-2)...(n-k+1) * P_{n-k}.
+count_exact_upto picks one of two exact routes from the spec's kind:
 
-Three independent routes to the same numbers live here: the recurrence
-(exact big-int and double), a partition-type sum n!/prod(l^m_l * m_l!), and
-a full enumeration of S_n for tiny n.  They deliberately never share code.
+* periodic (residue classes mod m, and all lengths as m = 1): with the
+  residues R' taken in [1, m] (0 stands for m),
+
+      P_n = sum_{r in R', r <= n} (n-1)...(n-r+1) * P_{n-r}
+            + [n > m] (n-1)(n-2)...(n-m) * P_{n-m},
+
+  which follows from (1 - x^m) f' = N(x) f for f = exp(sum_{k in A} x^k/k).
+  Each term costs O(m) small-by-big multiplies.
+* scaled integers (primes, explicit sets, singletons): with N = n_max and
+  B_n = P_n * N!/n!, n*B_n = sum_{k in A, k <= n} B_{n-k}, so each term
+  costs |A(n)| big additions and one division by n; P_n = B_n / (N!/n!)
+  at the end.  Every division is checked and a remainder raises.
+
+The float tables run the a_n recurrence in doubles.  Two independent oracles
+check the exact routes: a partition-type sum n!/prod(l^m_l * m_l!) and a
+full enumeration of S_n for tiny n.  They share no code with the routes or
+with each other.  The general recurrence P_n = sum_{k in A, k <= n}
+(n-1)...(n-k+1) * P_{n-k}, at |A(n)| big multiplies per term, lives only in
+the tests, as a third cross-check.
 """
 
+import decimal
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.cycle_classes import CycleClassSpec
+from primecycles.cycle_classes import KIND_ALL, KIND_RESIDUES, CycleClassSpec
 from primecycles.errors import (
+    InternalConsistencyError,
     InvalidArgumentError,
     OutOfRangeError,
     ResourceLimitError,
@@ -40,27 +56,29 @@ FAST_PATH_LEAF = 64
 class CountTable:
     """Immutable coefficient table for one cycle-length set.
 
-    p_exact[n] is the integer count P_n, a_exact[n] the exact rational
-    P_n/n!, a_float the double-precision coefficients from the same
-    recurrence run in floating point.  mode records which are present.
+    p_exact[n] is the integer count P_n (so a_n = P_n/n! exactly), a_float
+    the double-precision coefficients from the recurrence run in floating
+    point.  mode records which are present.
     """
 
     spec: CycleClassSpec
     n_max: int
     mode: str
-    a_exact: Optional[list]
     p_exact: Optional[list]
     a_float: Optional[np.ndarray]
 
 
 def big_str(x: int) -> str:
-    """Decimal form of a big integer, raising the interpreter's print cap as needed."""
+    """Decimal form of an integer of any size.
+
+    Past the interpreter's int-to-str digit cap it goes through Decimal,
+    which the cap does not apply to, so the cap is left as it is.  Below
+    the cap str() is the faster of the two.
+    """
     try:
         return str(x)
     except ValueError:
-        digits = int(x.bit_length() * 0.30103) + 16
-        sys.set_int_max_str_digits(max(digits, sys.get_int_max_str_digits()))
-        return str(x)
+        return format(decimal.Decimal(x), "f")
 
 
 def int_log(x: int) -> float:
@@ -77,32 +95,87 @@ def int_log(x: int) -> float:
 # -- recurrence routes --------------------------------------------------------
 
 
+def _count_periodic(modulus: int, residues, n_max: int) -> list:
+    """P_0..P_{n_max} for A = {k >= 1 : k mod m in R}, by the order-m recurrence.
+
+    Residue 0 stands for m itself, so the steps r lie in [1, m].  Each term
+    takes O(m) small-by-big multiplies.
+    """
+    steps = sorted(r if r else modulus for r in residues)
+    P = [0] * (n_max + 1)
+    P[0] = 1
+    for n in range(1, n_max + 1):
+        total = 0
+        ff = 1  # (n-1)(n-2)...(n-j+1), extended as j grows
+        j = 1
+        for r in steps:
+            if r > n:
+                break
+            while j < r:
+                ff *= n - j
+                j += 1
+            total += ff * P[n - r]
+        if n > modulus:
+            while j <= modulus:
+                ff *= n - j
+                j += 1
+            total += ff * P[n - modulus]
+        P[n] = total
+    return P
+
+
+def _count_scaled(members: list, n_max: int) -> list:
+    """P_0..P_{n_max} through B_n = P_n * N!/n!, which needs only additions.
+
+    With N = n_max, n*B_n = sum of B_{n-k} over members k <= n.  Both
+    divisions are exact in exact arithmetic, so a remainder can only mean
+    a fault in this code, and it is raised rather than rounded away.
+    """
+    B = [0] * (n_max + 1)
+    B[0] = math.factorial(n_max)
+    count = 0
+    for n in range(1, n_max + 1):
+        while count < len(members) and members[count] <= n:
+            count += 1
+        total = 0
+        for k in members[:count]:
+            total += B[n - k]
+        B[n], rem = divmod(total, n)
+        if rem:
+            raise InternalConsistencyError(
+                f"scaled count at n={n} is not a multiple of {n}"
+            )
+    P = [0] * (n_max + 1)
+    scale = 1  # N!/n!
+    for n in range(n_max, -1, -1):
+        P[n], rem = divmod(B[n], scale)
+        if rem:
+            raise InternalConsistencyError(
+                f"scaled count at n={n} is not a multiple of {n_max}!/{n}!"
+            )
+        scale *= n or 1
+    return P
+
+
 def count_exact_upto(spec: CycleClassSpec, n_max: int,
                      exact_cap: int = EXACT_CAP_DEFAULT) -> list:
-    """P_0..P_{n_max} by the integer recurrence, falling factorials incremental."""
+    """P_0..P_{n_max} as exact integers, by the route that suits spec.kind.
+
+    Residue classes and all lengths take the order-m periodic recurrence;
+    primes and finite sets take the scaled-integer recurrence.
+    """
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
     if n_max > exact_cap:
         raise ResourceLimitError(
             f"exact enumeration capped at n <= {exact_cap}, got {n_max}"
         )
+    if spec.kind == KIND_ALL:
+        return _count_periodic(1, (0,), n_max)
+    if spec.kind == KIND_RESIDUES:
+        return _count_periodic(spec.modulus, spec.residues, n_max)
     members = [int(k) for k in spec.members_upto(n_max)]
-    P = [0] * (n_max + 1)
-    P[0] = 1
-    for n in range(1, n_max + 1):
-        total = 0
-        ff = 1
-        prev = 1
-        for k in members:
-            if k > n:
-                break
-            for j in range(prev, k):
-                ff *= n - j
-            prev = k
-            if P[n - k]:
-                total += ff * P[n - k]
-        P[n] = total
-    return P
+    return _count_scaled(members, n_max)
 
 
 def count_exact(spec: CycleClassSpec, n: int,
@@ -179,15 +252,9 @@ def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
     members = spec.members_upto(n_max)  # raises if support too small
-    a_exact = p_exact = a_float = None
+    p_exact = a_float = None
     if mode in ("exact", "both"):
         p_exact = count_exact_upto(spec, n_max, exact_cap=exact_cap)
-        a_exact = []
-        fact = 1
-        for n, p in enumerate(p_exact):
-            if n:
-                fact *= n
-            a_exact.append(Fraction(p, fact))
     if mode in ("float", "both"):
         if n_max > float_cap:
             raise ResourceLimitError(
@@ -197,7 +264,7 @@ def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
         a_float = build(members, n_max)
         a_float.flags.writeable = False
     return CountTable(spec=spec, n_max=n_max, mode=mode,
-                      a_exact=a_exact, p_exact=p_exact, a_float=a_float)
+                      p_exact=p_exact, a_float=a_float)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -280,7 +347,8 @@ def count_brute_force(spec: CycleClassSpec, n: int) -> int:
 # -- partial sums and table output ---------------------------------------------
 
 
-def kahan_sum(values) -> float:
+def kahan_running_sums(values):
+    """Yield the compensated (Kahan) running sums of values, in order."""
     total = 0.0
     comp = 0.0
     for x in values:
@@ -288,6 +356,13 @@ def kahan_sum(values) -> float:
         s = total + y
         comp = (s - total) - y
         total = s
+        yield total
+
+
+def kahan_sum(values) -> float:
+    total = 0.0
+    for total in kahan_running_sums(values):
+        pass
     return total
 
 
@@ -323,17 +398,16 @@ def dump_table(table: CountTable, dest) -> None:
         exact = table.p_exact is not None
         if exact:
             dest.write("n,P_n,a_n,T_n\n")
-            a_vals = [float(x) for x in table.a_exact]
+            # int / int is correctly rounded, whatever the operands' size
+            a_vals = []
+            fact = 1
+            for n, p in enumerate(table.p_exact):
+                fact *= n or 1
+                a_vals.append(p / fact)
         else:
             dest.write("n,a_n,T_n\n")
             a_vals = table.a_float.tolist()
-        total = 0.0
-        comp = 0.0
-        for n, a in enumerate(a_vals):
-            y = a - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
+        for n, (a, total) in enumerate(zip(a_vals, kahan_running_sums(a_vals))):
             if exact:
                 dest.write(f"{n},{big_str(table.p_exact[n])},{a:.17g},{total:.17g}\n")
             else:

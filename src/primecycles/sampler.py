@@ -48,17 +48,22 @@ def first_cycle_distribution(table: CountTable, n: int):
     if n > table.n_max:
         raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
     ks = [int(k) for k in table.spec.members_upto(n)]
-    if table.a_exact is not None:
-        a = table.a_exact
-        if a[n] == 0:
+    if table.p_exact is not None:
+        # a_{n-k} / (n a_n) = P_{n-k} (n-1)!/(n-k)! / P_n
+        P = table.p_exact
+        if P[n] == 0:
             raise EmptySupportError(
                 f"no permutation of [{n}] has all cycle lengths allowed"
             )
         pairs = []
+        ff = 1  # (n-1)(n-2)...(n-j+1)
+        j = 1
         for k in ks:
-            p = a[n - k] / (n * a[n])
-            if p:
-                pairs.append((k, p))
+            while j < k:
+                ff *= n - j
+                j += 1
+            if P[n - k]:
+                pairs.append((k, Fraction(P[n - k] * ff, P[n])))
         return pairs
     a = table.a_float
     if a[n] <= 0.0:
@@ -130,7 +135,7 @@ def expand_type_distribution(table: CountTable, n: int):
     feasible (the number of types is the number of partitions into allowed
     parts).
     """
-    if table.a_exact is None:
+    if table.p_exact is None:
         raise InvalidArgumentError("expansion requires an exact-mode table")
     if n < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")

@@ -1,11 +1,12 @@
-"""End-to-end acceptance checklist: ten numbered criteria, one test each.
+"""End-to-end acceptance checklist: ten numbered criteria, one test each,
+plus the bit-identical check of the prime counts to n = 2000.
 
 Run with `pytest -v tests/test_acceptance.py` to get one line per criterion;
 each test also prints its own pass/fail line (visible with -s or -rA).
 Tolerances here are contractual; nothing is tuned to force a pass.  Several
-criteria are deliberately heavy (prime streaming to 5e9, exact recurrences
-to n = 2000, a fast-path table to 1e6) and the whole module takes a few
-minutes.
+criteria are deliberately heavy (prime streaming to 5e9, the general
+recurrence to n = 2000, a fast-path table to 1e6) and the whole module
+takes a few minutes.
 """
 
 import math
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from general_recurrence import count_general_upto
 from primecycles.analytic import (
     mertens_direct,
     phi_deriv,
@@ -163,6 +165,14 @@ def test_criterion_08_positive_density_model(constants):
             assert abs(ratio[2000] - 1.0) < abs(ratio[500] - 1.0), spec
 
 
+def test_prime_counts_match_general_recurrence_to_2000(primes_spec):
+    # the route count_exact_upto takes for primes against the general
+    # recurrence, which costs about ten seconds at this size
+    with criterion("prime counts to n = 2000 match the general recurrence"):
+        assert count_exact_upto(primes_spec, 2000) == \
+            count_general_upto(primes_spec, 2000)
+
+
 def test_criterion_09_sampler_exactness(table300, primes_spec):
     with criterion("criterion 09 (sampler matches the exact distribution)"):
         for n in (0, 2, 3, 4, 5, 6, 7):
@@ -185,7 +195,7 @@ def test_criterion_10_float_exact_agreement(table300, float_table_1e5,
                                             fast_table_1e5):
     with criterion("criterion 10 (float recurrence and fast path agree)"):
         for n in range(301):
-            exact = table300.a_exact[n]
+            exact = Fraction(table300.p_exact[n], math.factorial(n))
             got = float(table300.a_float[n])
             if exact == 0:
                 assert got == 0.0

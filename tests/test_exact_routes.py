@@ -1,0 +1,80 @@
+"""Differential tests: the two exact routes of count_exact_upto against the
+general recurrence (test-only), the partition oracle and brute force."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from general_recurrence import count_general_upto
+from primecycles.cycle_classes import CycleClassSpec
+from primecycles.errors import InternalConsistencyError
+from primecycles.exact_enum import (
+    count_brute_force,
+    count_by_cycle_types,
+    count_exact_upto,
+)
+
+ROUTE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                          database=None)
+
+
+@st.composite
+def residue_specs(draw):
+    m = draw(st.integers(1, 7))
+    residues = draw(st.sets(st.integers(0, m - 1), min_size=1))
+    return CycleClassSpec.residue_classes(m, residues)
+
+
+periodic_specs = st.one_of(residue_specs(), st.just(CycleClassSpec.all_lengths()))
+
+
+finite_specs = st.one_of(
+    st.sets(st.integers(1, 30), max_size=8).map(CycleClassSpec.explicit),
+    st.integers(1, 30).map(CycleClassSpec.singleton),
+)
+
+
+def check_against_oracles(spec, n_max, n_partition, n_brute):
+    counts = count_exact_upto(spec, n_max)
+    assert type(counts) is list
+    assert all(type(p) is int for p in counts)
+    assert counts == count_general_upto(spec, n_max), spec
+    n_partition = min(n_partition, n_max)
+    assert counts[n_partition] == count_by_cycle_types(spec, n_partition), spec
+    for n in range(min(n_brute, n_max) + 1):
+        assert counts[n] == count_brute_force(spec, n), (spec, n)
+
+
+@ROUTE_SETTINGS
+@given(spec=periodic_specs, n_max=st.integers(0, 120),
+       n_partition=st.integers(0, 40), n_brute=st.integers(0, 8))
+def test_periodic_route_matches_oracles(spec, n_max, n_partition, n_brute):
+    check_against_oracles(spec, n_max, n_partition, n_brute)
+
+
+@ROUTE_SETTINGS
+@given(spec=finite_specs, n_max=st.integers(0, 120),
+       n_partition=st.integers(0, 40), n_brute=st.integers(0, 8))
+def test_scaled_route_matches_oracles(spec, n_max, n_partition, n_brute):
+    check_against_oracles(spec, n_max, n_partition, n_brute)
+
+
+def test_primes_route_matches_general(primes_spec):
+    for n_max in (0, 1, 2, 5, 300):
+        assert count_exact_upto(primes_spec, n_max) == \
+            count_general_upto(primes_spec, n_max)
+
+
+@pytest.mark.parametrize("length, b0, message", [
+    # 2*B_2 = B_0 = 1 leaves a remainder
+    (2, 1, r"multiple of 2$"),
+    # 3*B_3 = B_0 = 3 divides, but P_0 = B_0 / 3! does not
+    (3, 3, r"multiple of 3!/0!$"),
+], ids=["forward-division", "back-division"])
+def test_scaled_route_refuses_a_remainder(length, b0, message, monkeypatch):
+    # B_0 = N! is the scale; a wrong one must not come out as a count
+    monkeypatch.setattr(math, "factorial", lambda n: b0)
+    with pytest.raises(InternalConsistencyError, match=message):
+        count_exact_upto(CycleClassSpec.singleton(length), length)
