@@ -177,6 +177,15 @@ def _check_z(z: float) -> None:
         )
 
 
+def _phi_limit(z: float) -> int:
+    return max(100, int(40.0 / (1.0 - z)) + 1)
+
+
+def _phi_block(pf: np.ndarray, lnz: float) -> float:
+    """sum of z^p / p over one block of primes (as floats), z = e^lnz."""
+    return float(np.sum(np.exp(pf * lnz) / pf))
+
+
 def phi_eval(z: float) -> float:
     """sum over primes of z^p / p, truncated with tail below 1e-15.
 
@@ -186,12 +195,10 @@ def phi_eval(z: float) -> float:
     _check_z(z)
     if z == 0.0:
         return 0.0
-    p_lim = max(100, int(40.0 / (1.0 - z)) + 1)
     lnz = math.log(z)
     total = 0.0
-    for block in iter_prime_blocks(p_lim):
-        pf = block.astype(np.float64)
-        total += float(np.sum(np.exp(pf * lnz) / pf))
+    for block in iter_prime_blocks(_phi_limit(z)):
+        total += _phi_block(block.astype(np.float64), lnz)
     return total
 
 
@@ -239,6 +246,36 @@ class PhiSplit:
     phi3: float
 
 
+def _check_t(t: float) -> None:
+    if not (0.0 < t < T_DOMAIN_CAP):
+        raise OutOfDomainError(
+            f"t must lie in (0, e^-e = {T_DOMAIN_CAP:.6f}), got {t}"
+        )
+
+
+def _split_cutoff(t: float) -> float:
+    log_inv = math.log(1.0 / t)
+    return (1.0 / t) * log_inv / math.log(log_inv)
+
+
+def _split_limit(t: float) -> int:
+    return int(50.0 / t) + 1
+
+
+def _split_block(pf: np.ndarray, t: float, y: float):
+    """(phi1, phi2, phi3) terms of one block of primes (as floats)."""
+    cut = int(np.searchsorted(pf, y, side="right"))
+    head = pf[:cut]
+    tail = pf[cut:]
+    phi1 = phi2 = phi3 = 0.0
+    if head.size:
+        phi1 = float(np.sum(1.0 / head))
+        phi2 = float(np.sum(np.expm1(-head * t) / head))
+    if tail.size:
+        phi3 = float(np.sum(np.exp(-tail * t) / tail))
+    return phi1, phi2, phi3
+
+
 def phi_split(t: float) -> PhiSplit:
     """Split phi(e^-t) = phi1 + phi2 + phi3 at y = ((1/t)ln(1/t))/lnln(1/t).
 
@@ -246,25 +283,49 @@ def phi_split(t: float) -> PhiSplit:
     phi3 = sum_{p>y} e^{-pt}/p, the last truncated at 50/t where the
     remaining tail is below e^-50/50.
     """
-    if not (0.0 < t < T_DOMAIN_CAP):
-        raise OutOfDomainError(
-            f"t must lie in (0, e^-e = {T_DOMAIN_CAP:.6f}), got {t}"
-        )
-    log_inv = math.log(1.0 / t)
-    y = (1.0 / t) * log_inv / math.log(log_inv)
-    p_stop = int(50.0 / t) + 1
+    _check_t(t)
+    y = _split_cutoff(t)
     phi1 = phi2 = phi3 = 0.0
-    for block in iter_prime_blocks(p_stop):
-        pf = block.astype(np.float64)
-        cut = int(np.searchsorted(pf, y, side="right"))
-        head = pf[:cut]
-        tail = pf[cut:]
-        if head.size:
-            phi1 += float(np.sum(1.0 / head))
-            phi2 += float(np.sum(np.expm1(-head * t) / head))
-        if tail.size:
-            phi3 += float(np.sum(np.exp(-tail * t) / tail))
+    for block in iter_prime_blocks(_split_limit(t)):
+        d1, d2, d3 = _split_block(block.astype(np.float64), t, y)
+        phi1 += d1
+        phi2 += d2
+        phi3 += d3
     return PhiSplit(t=t, cutoff=y, phi1=phi1, phi2=phi2, phi3=phi3)
+
+
+def phi_split_grid(t_grid):
+    """[(phi_split(t), phi_eval(e^-t)) for t in t_grid] from one prime stream.
+
+    Every t is checked before any prime is streamed.  The stream runs to the
+    largest truncation limit on the grid; each t takes from every block only
+    the primes below its own limits, so the sums cover the same primes as
+    the per-t calls and differ from them only in summation order.  The
+    direct sum keeps phi_eval's own terms z^p/p, so comparing it with the
+    recombined split still checks two different computations.
+    """
+    ts = list(t_grid)
+    for t in ts:
+        _check_t(t)
+        _check_z(math.exp(-t))
+    if not ts:
+        return []
+    # per t: cutoff, split limit, phi limit, and ln z taken from z = e^-t as
+    # phi_eval(e^-t) takes it (not -t, which differs in the last bits)
+    points = [(t, _split_cutoff(t), _split_limit(t), _phi_limit(math.exp(-t)),
+               math.log(math.exp(-t))) for t in ts]
+    sums = [[0.0, 0.0, 0.0, 0.0] for _ in ts]  # phi1, phi2, phi3, direct
+    limit = max(max(split_lim, phi_lim) for _, _, split_lim, phi_lim, _ in points)
+    for block in iter_prime_blocks(limit):
+        pf = block.astype(np.float64)
+        for (t, y, split_lim, phi_lim, lnz), acc in zip(points, sums):
+            cut = int(np.searchsorted(block, split_lim, side="right"))
+            for k, d in enumerate(_split_block(pf[:cut], t, y)):
+                acc[k] += d
+            cut = int(np.searchsorted(block, phi_lim, side="right"))
+            acc[3] += _phi_block(pf[:cut], lnz)
+    return [(PhiSplit(t=t, cutoff=y, phi1=acc[0], phi2=acc[1], phi3=acc[2]),
+             acc[3]) for (t, y, *_), acc in zip(points, sums)]
 
 
 # -- closed-form asymptotic models -----------------------------------------------
@@ -286,10 +347,7 @@ def partial_sum_log_model(n: int, constants: Constants) -> float:
 
 def model_f_asym(t: float, constants: Constants) -> float:
     """Model for f(e^-t) as t -> 0+: e^c ln(1/t)."""
-    if not (0.0 < t < T_DOMAIN_CAP):
-        raise OutOfDomainError(
-            f"t must lie in (0, e^-e = {T_DOMAIN_CAP:.6f}), got {t}"
-        )
+    _check_t(t)
     return constants.e_to_c * math.log(1.0 / t)
 
 

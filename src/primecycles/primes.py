@@ -1,10 +1,17 @@
 """Prime membership, counting and indexing via a sieve of Eratosthenes.
 
 Tables are immutable after construction and safe to share across threads.
-Construction is segmented above ``SEGMENT_THRESHOLD`` so the only large
-allocation is the membership array itself.  For prime sums far beyond what a
-table should hold in memory, :func:`iter_prime_blocks` streams primes in
-numpy blocks without materializing a table.
+There is one segmented sieve, :func:`iter_prime_blocks`, an odd-only sieve
+that streams primes in numpy blocks without materializing a table; prime
+sums with limits in the billions go through it.  Above ``SEGMENT_THRESHOLD``
+:func:`build_sieve` fills its membership array from the same stream, so the
+only large allocation is the array itself.
+
+A segment spans ``SEGMENT_SIZE`` = 2^21 integers, whose odd-only mask is
+1 MB: it stays in a 2 MB per-core L2 cache while every base prime strikes
+it, where a 2^24 segment (an 8 MB mask) spills to L3 on each pass.  Smaller
+segments lose again, because each one costs a Python-level pass over the
+base primes.
 """
 
 import math
@@ -19,7 +26,7 @@ from primecycles.errors import (
 
 DEFAULT_MEMORY_CAP = 2**31
 SEGMENT_THRESHOLD = 10_000_000
-SEGMENT_SIZE = 1 << 24
+SEGMENT_SIZE = 1 << 21
 
 
 def _simple_mask(limit: int) -> np.ndarray:
@@ -29,24 +36,6 @@ def _simple_mask(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return mask
-
-
-def _segmented_mask(limit: int) -> np.ndarray:
-    base_lim = math.isqrt(limit)
-    base_mask = _simple_mask(base_lim)
-    base = np.flatnonzero(base_mask)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[: base_lim + 1] = base_mask
-    lo = base_lim + 1
-    while lo <= limit:
-        hi = min(lo + SEGMENT_SIZE, limit + 1)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                mask[start:hi:p] = False
-        lo = hi
     return mask
 
 
@@ -111,7 +100,9 @@ def build_sieve(limit: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> PrimeTable:
     if limit <= SEGMENT_THRESHOLD:
         mask = _simple_mask(limit)
     else:
-        mask = _segmented_mask(limit)
+        mask = np.zeros(limit + 1, dtype=bool)
+        for block in iter_prime_blocks(limit):
+            mask[block] = True
     return PrimeTable(limit, mask)
 
 
@@ -129,7 +120,9 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
     head = base[base <= limit].astype(np.int64)
     if head.size:
         yield head
-    odd_base = base[1:]  # 2 never strikes in odd-only segments
+    # 2 never strikes in odd-only segments
+    odd_base = base[1:].astype(np.int64)
+    squares = odd_base * odd_base
     lo = base_lim + 1
     while lo <= limit:
         hi = min(lo + segment, limit + 1)
@@ -139,16 +132,13 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
             continue
         n_odd = (hi - start + 1) // 2
         mask = np.ones(n_odd, dtype=bool)
-        for p in odd_base:
-            p = int(p)
-            if p * p >= hi:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first % 2 == 0:
-                first += p
-            if first < hi:
-                mask[(first - start) // 2 :: p] = False
+        # first odd multiple of each striking prime at or past max(p^2, start)
+        ps = odd_base[: int(np.searchsorted(squares, hi))]
+        first = np.maximum(squares[: ps.size], (start + ps - 1) // ps * ps)
+        first += (first & 1 == 0) * ps
+        for i, p in zip(((first - start) // 2).tolist(), ps.tolist()):
+            mask[i::p] = False
         block = start + 2 * np.flatnonzero(mask)
         if block.size:
-            yield block.astype(np.int64)
+            yield block.astype(np.int64, copy=False)
         lo = hi

@@ -18,8 +18,7 @@ from primecycles.analytic import (
     f_eval,
     odlyzko_sum_model,
     partial_sum_log_model,
-    phi_eval,
-    phi_split,
+    phi_split_grid,
 )
 from primecycles.cycle_classes import KIND_PRIMES
 from primecycles.primes import PrimeTable
@@ -133,14 +132,16 @@ def phi_estimate_table(t_grid, constants: Constants):
     """Per t: the split, its recombination against phi_eval(e^-t), and the
     three residuals on their natural scales.
 
+    The whole grid shares one prime stream (analytic.phi_split_grid), run to
+    the largest truncation limit on the grid.
+
     phi1_scaled = (phi1 - lnln(1/t) - c) * ln(1/t)/lnln(1/t)
     phi2_scaled = phi2 * lnln(1/t)
     phi3_scaled = phi3 / (e^{-yt}/(yt))   (geometric-tail envelope)
     """
     rows = []
-    for t in t_grid:
-        split = phi_split(t)
-        direct = phi_eval(math.exp(-t))
+    for split, direct in phi_split_grid(t_grid):
+        t = split.t
         log_inv = math.log(1.0 / t)
         loglog = math.log(log_inv)
         envelope = math.exp(-split.cutoff * t) / (split.cutoff * t)
@@ -215,12 +216,16 @@ def emit_report(rows, format: str, destination) -> None:
 
 
 def parse_report(source, format: str):
-    """Inverse of emit_report; source is a path, file object, or text."""
+    """Inverse of emit_report; source is a path, file object, or text.
+
+    A str is read as text when it holds a newline (emit_report always ends
+    with one) or starts with "["; any other str is a path, commas included.
+    """
     if format not in ("csv", "json"):
         raise InvalidArgumentError(f"unknown format {format!r}")
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, str) and ("\n" in source or "," in source
+    elif isinstance(source, str) and ("\n" in source
                                       or source.lstrip().startswith("[")):
         text = source
     else:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from primecycles import analytic
 from primecycles.analytic import (
     EULER_GAMMA,
     T_DOMAIN_CAP,
@@ -18,6 +19,7 @@ from primecycles.analytic import (
     phi_deriv,
     phi_eval,
     phi_split,
+    phi_split_grid,
     prime_zeta,
     yakimiv_log_model,
     zeta,
@@ -31,6 +33,7 @@ from primecycles.errors import (
     UnsupportedSpecError,
 )
 from primecycles.exact_enum import count_exact, int_log
+from primecycles.primes import iter_prime_blocks
 
 ODD = CycleClassSpec.residue_classes(2, (1,))
 ALL = CycleClassSpec.all_lengths()
@@ -195,6 +198,40 @@ def test_phi_split_domain():
             phi_split(t)
     # just inside the cap is fine
     assert phi_split(T_DOMAIN_CAP * 0.999).phi1 > 0
+
+
+def test_phi_split_grid_matches_per_t_calls():
+    # Same terms, other blocks: each sum adds same-sign terms in at most
+    # ~25 block sums of pairwise-summed blocks, so the two orders differ by
+    # under 2 * (25 + 20) eps < 1e-14 relative.  Taking ln z as -t instead
+    # of ln(e^-t) would move the direct sum by 4e-13 at t = 1e-6.
+    grid = (1e-3, 1e-4, 1e-5, 1e-6)
+    results = phi_split_grid(grid)
+    assert len(results) == len(grid)
+    for t, (sp, direct) in zip(grid, results):
+        one = phi_split(t)
+        assert sp.t == t and sp.cutoff == one.cutoff
+        for got, want in ((sp.phi1, one.phi1), (sp.phi2, one.phi2),
+                          (sp.phi3, one.phi3)):
+            assert got == pytest.approx(want, rel=1e-14)
+        assert direct == pytest.approx(phi_eval(math.exp(-t)), rel=1e-14)
+
+
+def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
+    calls = []
+
+    def counting(limit, *args, **kwargs):
+        calls.append(limit)
+        return iter_prime_blocks(limit, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "iter_prime_blocks", counting)
+    # out of (0, e^-e) last in the grid; below the z cap of phi_eval
+    for grid in ((1e-3, 1e-4, T_DOMAIN_CAP), (1e-3, 0.0), (1e-4, 1e-10)):
+        with pytest.raises(OutOfDomainError):
+            phi_split_grid(grid)
+    assert calls == []
+    assert phi_split_grid(()) == []
+    assert calls == []
 
 
 def test_log_gamma():

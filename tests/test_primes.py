@@ -9,7 +9,8 @@ from primecycles.errors import (
     ResourceLimitError,
 )
 from primecycles.primes import (
-    _segmented_mask,
+    SEGMENT_SIZE,
+    SEGMENT_THRESHOLD,
     _simple_mask,
     build_sieve,
     iter_prime_blocks,
@@ -108,10 +109,12 @@ def test_pnt_trend(sieve_big):
 
 def test_segmented_construction_matches_simple():
     n = 10_000_019  # just over the segmentation threshold
-    assert np.array_equal(_segmented_mask(n), _simple_mask(n))
+    assert n > SEGMENT_THRESHOLD
+    assert np.array_equal(build_sieve(n)._mask, _simple_mask(n))
 
 
-@pytest.mark.parametrize("limit", [2, 3, 10, 97, 10_000, 1_000_000])
+@pytest.mark.parametrize("limit", [2, 3, 10, 97, 10_000, 1_000_000,
+                                   3 * SEGMENT_SIZE + 5])
 def test_iter_prime_blocks_matches_table(limit):
     streamed = np.concatenate(list(iter_prime_blocks(limit)))
     assert np.array_equal(streamed, build_sieve(limit).primes())

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from primecycles import analytic
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import build_table, partial_sum
+from primecycles.primes import iter_prime_blocks
 from primecycles.verify import (
     PARTIAL_SUM_RESIDUAL_BOUND,
     PHI_SAFETY_FACTOR,
@@ -124,6 +126,19 @@ def test_phi_estimate_rows(constants):
         assert row.phi3_scaled == pytest.approx(row.phi3 / envelope, rel=1e-12)
 
 
+def test_phi_estimate_table_streams_once(constants, monkeypatch):
+    limits = []
+
+    def counting(limit, *args, **kwargs):
+        limits.append(limit)
+        return iter_prime_blocks(limit, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "iter_prime_blocks", counting)
+    rows = phi_estimate_table((1e-3, 1e-4, 1e-5), constants)
+    assert len(rows) == 3
+    assert limits == [int(50.0 / 1e-5) + 1]
+
+
 def test_pnt_rows(sieve_small):
     rows = pnt_table(sieve_small, (25, 100, 1000))
     assert rows[0].exact == 97.0
@@ -165,6 +180,17 @@ def test_report_file_paths(tmp_path, float_table_1e5, constants):
         dest = tmp_path / name
         emit_report(rows, fmt, str(dest))
         assert parse_report(str(dest), fmt) == rows
+
+
+def test_report_paths_with_commas(tmp_path, float_table_1e5, constants):
+    rows = _sample_rows(float_table_1e5, constants)
+    folder = tmp_path / "d,1"
+    folder.mkdir()
+    for fmt, name in (("csv", "r.csv"), ("json", "r.json")):
+        dest = str(folder / name)
+        assert "," in dest
+        emit_report(rows, fmt, dest)
+        assert parse_report(dest, fmt) == rows
 
 
 def test_report_validation(float_table_1e5, constants):
