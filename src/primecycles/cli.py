@@ -77,8 +77,6 @@ def parse_spec(text: str, table=None) -> CycleClassSpec:
             ks = tuple(int(k) for k in text[4:].split(","))
         except ValueError as exc:
             raise InvalidArgumentError(f"bad explicit spec {text!r}") from exc
-        if len(ks) == 1:
-            return CycleClassSpec.singleton(ks[0])
         return CycleClassSpec.explicit(ks)
     raise InvalidArgumentError(f"unknown spec {text!r}")
 
@@ -117,16 +115,12 @@ def _print_float_count(n: int, a: float) -> None:
         print(f"{mant:.17g}e+{exp10}")
 
 
-def _float_table(spec, n_max, fast):
-    return build_table(spec, n_max, mode="float", use_fast_path=fast)
-
-
 def cmd_count(args) -> int:
     spec = _make_spec(args, args.n)
     if args.mode == "exact":
         print(big_str(count_exact(spec, args.n, exact_cap=args.exact_cap)))
     else:
-        table = _float_table(spec, args.n, args.fast)
+        table = build_table(spec, args.n, mode="float")
         _print_float_count(args.n, float(table.a_float[args.n]))
     return 0
 
@@ -134,7 +128,7 @@ def cmd_count(args) -> int:
 def cmd_table(args) -> int:
     spec = _make_spec(args, args.n_max)
     table = build_table(spec, args.n_max, mode=args.mode,
-                        use_fast_path=args.fast, exact_cap=args.exact_cap)
+                        exact_cap=args.exact_cap)
     if args.out:
         dump_table(table, args.out)
     else:
@@ -148,7 +142,7 @@ def cmd_sum(args) -> int:
         table = build_table(spec, args.n, mode="exact", exact_cap=args.exact_cap)
         print(partial_sum(table, args.n))
     else:
-        table = _float_table(spec, args.n, args.fast)
+        table = build_table(spec, args.n, mode="float")
         print(f"{partial_sum(table, args.n):.17g}")
     return 0
 
@@ -186,11 +180,8 @@ def cmd_phi(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _make_spec(args, args.n)
-    if args.n <= 200:
-        table = build_table(spec, args.n, mode="exact")
-    else:
-        table = _float_table(spec, args.n, args.n > 20000)
-    sampler = Sampler(table, args.seed)
+    mode = "exact" if args.n <= 200 else "float"
+    sampler = Sampler(build_table(spec, args.n, mode=mode), args.seed)
     for _ in range(args.count):
         sample = sampler.sample(args.n)
         print(",".join(str(k) for k in sample.lengths))
@@ -251,8 +242,7 @@ def cmd_verify(args) -> int:
         needed = 30 * max(n_grid)
         table = build_sieve(_sieve_limit(args, needed))
         spec = CycleClassSpec.primes(table)
-        count_table = build_table(spec, max(n_grid), mode="float",
-                                  use_fast_path=args.fast)
+        count_table = build_table(spec, max(n_grid), mode="float")
     if "partial-sum" in selected:
         rows = partial_sum_table(count_table, n_grid, constants)
         emitted["partial-sum"] = rows
@@ -322,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"prime table limit (or ${SIEVE_ENV_VAR})")
         p.add_argument("--exact-cap", type=int, default=2000,
                        help="largest n allowed in exact mode")
-        p.add_argument("--fast", action="store_true",
-                       help="use the convolution fast path for float tables")
 
     p = sub.add_parser("count", help="exact or estimated count of valid permutations")
     add_spec(p)
@@ -368,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="prefix for emitted per-check tables")
     p.add_argument("--sieve-limit", type=int, default=None)
-    p.add_argument("--fast", action="store_true")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("sample", help="sample cycle types, one per line")

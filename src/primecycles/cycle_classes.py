@@ -4,8 +4,8 @@ A cycle-length set selects which cycle lengths a permutation may use.  Kinds
 are enumerated rather than accepting arbitrary predicates, so every kind
 carries an exact density: the primes (density 0, backed by a sieve table),
 all positive integers (density 1), a finite explicit set (density 0), a
-union of residue classes mod m (density |R|/m), and a single fixed length
-(density 0).  Specs are immutable values and safe to share.
+union of residue classes mod m (density |R|/m).  A single fixed length is
+an explicit set of one.  Specs are immutable values and safe to share.
 """
 
 import math
@@ -24,7 +24,6 @@ KIND_PRIMES = "primes"
 KIND_ALL = "all"
 KIND_EXPLICIT = "explicit"
 KIND_RESIDUES = "residues"
-KIND_SINGLETON = "singleton"
 
 
 class CycleClassSpec:
@@ -72,7 +71,7 @@ class CycleClassSpec:
     def singleton(cls, k: int) -> "CycleClassSpec":
         if k < 1:
             raise InvalidArgumentError(f"singleton length must be >= 1, got {k}")
-        return cls(KIND_SINGLETON, values=(int(k),))
+        return cls.explicit((k,))
 
     # -- membership ---------------------------------------------------------
 
@@ -127,7 +126,7 @@ class CycleClassSpec:
             return Fraction(1)
         if self.kind == KIND_RESIDUES:
             return Fraction(len(self.residues), self.modulus)
-        if self.kind in (KIND_PRIMES, KIND_EXPLICIT, KIND_SINGLETON):
+        if self.kind in (KIND_PRIMES, KIND_EXPLICIT):
             return Fraction(0)
         return None
 

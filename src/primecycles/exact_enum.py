@@ -14,12 +14,25 @@ count_exact_upto picks one of two exact routes from the spec's kind:
 
   which follows from (1 - x^m) f' = N(x) f for f = exp(sum_{k in A} x^k/k).
   Each term costs O(m) small-by-big multiplies.
-* scaled integers (primes, explicit sets, singletons): with N = n_max and
+* scaled integers (primes and explicit sets): with N = n_max and
   B_n = P_n * N!/n!, n*B_n = sum_{k in A, k <= n} B_{n-k}, so each term
   costs |A(n)| big additions and one division by n; P_n = B_n / (N!/n!)
   at the end.  Every division is checked and a remainder raises.
 
-The float tables run the a_n recurrence in doubles.  Two independent oracles
+build_table picks the float route from the spec's kind in the same way:
+
+* periodic: the same order-m recurrence on a_n in doubles,
+  n*a_n = (n-m)*a_{n-m} + sum_{r in R', r <= n} a_{n-r}.  Every term is
+  nonnegative, so a structural zero comes out as exactly 0.0.
+* primes: a divide-and-conquer FFT online convolution of the a_n
+  recurrence.  Its absolute error is about eps times a block's largest
+  coefficient, which is harmless only because prime coefficients decay
+  slowly and never vanish past n = 1; a negative coefficient is refused.
+* explicit sets: the a_n recurrence by direct summation, whose values may
+  fall to any size; the FFT would bury them in roundoff.
+
+A float table whose coefficients reach the subnormal range is refused
+rather than rounded to a false zero.  Two independent oracles
 check the exact routes: a partition-type sum n!/prod(l^m_l * m_l!) and a
 full enumeration of S_n for tiny n.  They share no code with the routes or
 with each other.  The general recurrence P_n = sum_{k in A, k <= n}
@@ -27,6 +40,7 @@ with each other.  The general recurrence P_n = sum_{k in A, k <= n}
 the tests, as a third cross-check.
 """
 
+import array
 import decimal
 import math
 from dataclasses import dataclass
@@ -37,7 +51,12 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.cycle_classes import KIND_ALL, KIND_RESIDUES, CycleClassSpec
+from primecycles.cycle_classes import (
+    KIND_ALL,
+    KIND_PRIMES,
+    KIND_RESIDUES,
+    CycleClassSpec,
+)
 from primecycles.errors import (
     InternalConsistencyError,
     InvalidArgumentError,
@@ -184,6 +203,28 @@ def count_exact(spec: CycleClassSpec, n: int,
     return count_exact_upto(spec, n, exact_cap=exact_cap)[n]
 
 
+def _build_float_periodic(modulus: int, residues, n_max: int) -> np.ndarray:
+    """a_0..a_{n_max} for A = {k >= 1 : k mod m in R}, by the order-m recurrence.
+
+    The float form of _count_periodic: n*a_n = (n-m)*a_{n-m} plus a_{n-r}
+    for each step r <= n, residue 0 standing for m.  A flat array of
+    doubles rather than a list keeps the table at 8 bytes per coefficient.
+    """
+    steps = sorted(r if r else modulus for r in residues)
+    a = array.array("d", bytes(8 * (n_max + 1)))
+    a[0] = 1.0
+    for n in range(1, n_max + 1):
+        total = 0.0
+        for r in steps:
+            if r > n:
+                break
+            total += a[n - r]
+        if n > modulus:
+            total += (n - modulus) * a[n - modulus]
+        a[n] = total / n
+    return np.frombuffer(a, dtype=np.float64)
+
+
 def _build_float_baseline(members: np.ndarray, n_max: int) -> np.ndarray:
     a = np.zeros(n_max + 1)
     a[0] = 1.0
@@ -196,9 +237,14 @@ def _build_float_baseline(members: np.ndarray, n_max: int) -> np.ndarray:
     return a
 
 
-def _build_float_fast(members: np.ndarray, n_max: int,
-                      leaf: int = FAST_PATH_LEAF) -> np.ndarray:
-    """Divide-and-conquer online convolution; matches the baseline to ~1e-15."""
+def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
+    """Divide-and-conquer online convolution; matches the baseline to ~1e-15
+    for the primes.
+
+    Its absolute error is about eps times the largest coefficient of a
+    block, so a coefficient that is zero or far below its neighbours comes
+    out as roundoff.  A negative one proves that, and is refused.
+    """
     g = np.zeros(n_max + 1)
     g[members[members <= n_max]] = 1.0
     a = np.zeros(n_max + 1)
@@ -207,7 +253,7 @@ def _build_float_fast(members: np.ndarray, n_max: int,
     mem_list = [int(k) for k in members]
 
     def solve(lo, hi):
-        if hi - lo <= leaf:
+        if hi - lo <= FAST_PATH_LEAF:
             # direct recurrence; only contributions from inside [lo, n) remain
             for n in range(max(lo, 1), hi):
                 s = pending[n]
@@ -230,22 +276,41 @@ def _build_float_fast(members: np.ndarray, n_max: int,
         solve(mid, hi)
 
     solve(0, n_max + 1)
-    # FFT crumbs can land at coefficients that are exactly zero; the true
-    # values are probabilities, so anything negative is pure roundoff
-    np.maximum(a, 0.0, out=a)
+    negative = np.flatnonzero(a < 0.0)
+    if negative.size:
+        n = int(negative[0])
+        raise InternalConsistencyError(
+            f"FFT float table has a negative coefficient a_{n} = {float(a[n])!r}"
+        )
     return a
 
 
+def _build_float(spec: CycleClassSpec, members: np.ndarray,
+                 n_max: int) -> np.ndarray:
+    if spec.kind == KIND_ALL:
+        return _build_float_periodic(1, (0,), n_max)
+    if spec.kind == KIND_RESIDUES:
+        return _build_float_periodic(spec.modulus, spec.residues, n_max)
+    if spec.kind == KIND_PRIMES:
+        return _build_float_fast(members, n_max)
+    return _build_float_baseline(members, n_max)
+
+
 def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
-                use_fast_path: bool = False,
                 exact_cap: int = EXACT_CAP_DEFAULT,
                 float_cap: int = FLOAT_CAP_DEFAULT) -> CountTable:
     """Coefficient table a_0..a_{n_max} in the requested mode.
 
-    mode is one of "exact", "float", "both".  The float path runs the
-    recurrence in doubles, by direct summation or (use_fast_path) by a
-    divide-and-conquer FFT convolution that must agree with the baseline
-    to 1e-9 relative.
+    mode is one of "exact", "float", "both".  The float route follows
+    spec.kind, as the module docstring explains: the order-m recurrence for
+    residue classes and all lengths, the FFT convolution for the primes,
+    direct summation for explicit sets.
+
+    A float coefficient in the subnormal range raises OutOfRangeError.  A
+    nonzero a_n is at least a_{n-k}/n for some nonzero a_{n-k}, and up to
+    the float cap that factor is far inside the 2^52 span of the
+    subnormals, so a coefficient on its way to underflow is caught there
+    before it could round to a false 0.
     """
     if mode not in ("exact", "float", "both"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
@@ -260,8 +325,13 @@ def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
             raise ResourceLimitError(
                 f"float enumeration capped at n <= {float_cap}, got {n_max}"
             )
-        build = _build_float_fast if use_fast_path else _build_float_baseline
-        a_float = build(members, n_max)
+        a_float = _build_float(spec, members, n_max)
+        tiny = np.flatnonzero((a_float > 0.0) & (a_float < np.finfo(float).tiny))
+        if tiny.size:
+            raise OutOfRangeError(
+                f"float coefficient a_{int(tiny[0])} of {spec.describe()} "
+                "underflows; use exact mode"
+            )
         a_float.flags.writeable = False
     return CountTable(spec=spec, n_max=n_max, mode=mode,
                       p_exact=p_exact, a_float=a_float)

@@ -40,9 +40,3 @@ def table300(primes_spec):
 @pytest.fixture(scope="session")
 def float_table_1e5(primes_spec_big):
     return build_table(primes_spec_big, 100_000, mode="float")
-
-
-@pytest.fixture(scope="session")
-def fast_table_1e5(primes_spec_big):
-    return build_table(primes_spec_big, 100_000, mode="float",
-                       use_fast_path=True)

@@ -28,7 +28,7 @@ def test_parse_spec_forms(sieve_small):
     assert parse_spec("mod:5:1,4").describe() == "mod:5:1,4"
     assert parse_spec("set:2,3,10").describe() == "set:2,3,10"
     single = parse_spec("set:7")
-    assert single.kind == "singleton" and single.contains(7)
+    assert single.kind == "explicit" and single.contains(7)
     for bad in ("primes",):
         with pytest.raises(InvalidArgumentError):
             parse_spec(bad)  # no sieve table supplied
@@ -51,8 +51,7 @@ def test_count_exact(capsys):
 def test_count_float(capsys):
     rc, out, _ = run(capsys, "count", "--mode", "float", "--n", "5")
     assert rc == 0 and out == "44\n"
-    rc, out, _ = run(capsys, "count", "--mode", "float", "--n", "2000",
-                     "--fast")
+    rc, out, _ = run(capsys, "count", "--mode", "float", "--n", "2000")
     assert rc == 0
     mant, _, exp = out.strip().partition("e+")
     assert 1.0 <= float(mant) < 10.0 and int(exp) > 300
@@ -64,10 +63,29 @@ def test_count_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_sample_large_n_keeps_structural_zeros(capsys):
+    # 20002 is not a multiple of 3, so no such permutation exists
+    rc, out, err = run(capsys, "sample", "--spec", "mod:3:0", "--n", "20002",
+                       "--seed", "1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "no permutation" in err
+
+
+def test_float_underflow_is_refused(capsys):
+    # a_400 = 1/(2^200 200!) for set:2 is below the smallest double
+    rc, out, err = run(capsys, "count", "--spec", "set:2", "--mode", "float",
+                       "--n", "400")
+    assert rc == 1 and out == "" and err.startswith("error:")
+    rc, out, err = run(capsys, "sample", "--spec", "set:2", "--n", "400",
+                       "--seed", "1")
+    assert rc == 1 and out == "" and "underflow" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "count")[0] == 2
     assert run(capsys, "count", "--n", "-3")[0] == 2
+    assert run(capsys, "count", "--fast", "--n", "5")[0] == 2
     assert run(capsys, "count", "--spec", "bogus", "--n", "5")[0] == 2
     assert run(capsys, "count", "--spec", "mod:a:1", "--n", "5")[0] == 2
     assert run(capsys, "sample", "--n", "0", "--seed", "1")[0] == 2

@@ -9,11 +9,14 @@ import pytest
 
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import (
+    InternalConsistencyError,
     InvalidArgumentError,
     OutOfRangeError,
     ResourceLimitError,
 )
 from primecycles.exact_enum import (
+    _build_float_baseline,
+    _build_float_fast,
     big_str,
     build_table,
     count_brute_force,
@@ -186,19 +189,27 @@ def test_even_spec_parity_zeros():
 
 
 def test_fast_path_matches_baseline(primes_spec):
-    base = build_table(primes_spec, 500, "float")
-    fast = build_table(primes_spec, 500, "float", use_fast_path=True)
-    nz = base.a_float != 0.0
-    rel = np.abs(fast.a_float[nz] - base.a_float[nz]) / base.a_float[nz]
+    base = _build_float_baseline(primes_spec.members_upto(500), 500)
+    fast = build_table(primes_spec, 500, "float")
+    nz = base != 0.0
+    rel = np.abs(fast.a_float[nz] - base[nz]) / base[nz]
     assert rel.max() <= 1e-9
     assert (fast.a_float >= 0.0).all()
 
 
 def test_fast_path_even_spec_stays_clean():
-    fast = build_table(EVEN, 300, "float", use_fast_path=True)
+    fast = build_table(EVEN, 300, "float")
     assert (fast.a_float >= 0.0).all()
     odd_entries = fast.a_float[1::2]
-    assert odd_entries.max() <= 1e-12
+    assert (odd_entries == 0.0).all()
+
+
+def test_fast_path_refuses_negative_coefficients():
+    # the FFT's roundoff is absolute, so mod:3:0's structural zeros go
+    # negative (first at n = 85); that must raise, not be clamped away
+    members = CycleClassSpec.residue_classes(3, (0,)).members_upto(2000)
+    with pytest.raises(InternalConsistencyError, match="negative"):
+        _build_float_fast(members, 2000)
 
 
 def test_dump_golden(primes_spec):

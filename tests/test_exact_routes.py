@@ -1,5 +1,6 @@
 """Differential tests: the two exact routes of count_exact_upto against the
-general recurrence (test-only), the partition oracle and brute force."""
+general recurrence (test-only), the partition oracle and brute force, and
+the float routes of build_table against the exact counts."""
 
 import math
 
@@ -11,6 +12,7 @@ from general_recurrence import count_general_upto
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InternalConsistencyError
 from primecycles.exact_enum import (
+    build_table,
     count_brute_force,
     count_by_cycle_types,
     count_exact_upto,
@@ -45,6 +47,13 @@ def check_against_oracles(spec, n_max, n_partition, n_brute):
     assert counts[n_partition] == count_by_cycle_types(spec, n_partition), spec
     for n in range(min(n_brute, n_max) + 1):
         assert counts[n] == count_brute_force(spec, n), (spec, n)
+    a_float = build_table(spec, n_max, "float").a_float
+    for n, p in enumerate(counts):
+        exact = p / math.factorial(n)
+        if p == 0:
+            assert a_float[n] == 0.0, (spec, n)
+        else:
+            assert abs(a_float[n] - exact) <= 1e-10 * exact, (spec, n)
 
 
 @ROUTE_SETTINGS
