@@ -19,9 +19,10 @@ from primecycles.analytic import (
     phi_eval,
     phi_split,
 )
-from primecycles.cycle_classes import CycleClassSpec
+from primecycles.cycle_classes import KIND_EXPLICIT, CycleClassSpec
 from primecycles.errors import InvalidArgumentError, PrimecyclesError
 from primecycles.exact_enum import (
+    EXACT_CAP_DEFAULT,
     big_str,
     build_table,
     count_exact,
@@ -44,6 +45,8 @@ from primecycles.verify import (
 )
 
 SIEVE_ENV_VAR = "PRIMECYCLES_SIEVE_LIMIT"
+# sample draws from exact tables up to this n, from float tables above
+SAMPLE_EXACT_MAX = 200
 
 PNT_GRID_DEFAULT = (1000, 10_000, 100_000, 1_000_000)
 SLOWVAR_U_DEFAULT = (0.1, 0.5, 1.0, 2.0, 10.0)
@@ -180,7 +183,10 @@ def cmd_phi(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _make_spec(args, args.n)
-    mode = "exact" if args.n <= 200 else "float"
+    # float tables of explicit sets underflow early (a_400 for set:2), so
+    # those take exact tables up to the exact cap
+    cap = EXACT_CAP_DEFAULT if spec.kind == KIND_EXPLICIT else SAMPLE_EXACT_MAX
+    mode = "exact" if args.n <= cap else "float"
     sampler = Sampler(build_table(spec, args.n, mode=mode), args.seed)
     for _ in range(args.count):
         sample = sampler.sample(args.n)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,6 +73,17 @@ def test_prime_zeta_against_direct_sum(sieve_big):
     for s, tol in ((2.0, 1e-7), (3.0, 1e-12), (4.5, 1e-13)):
         direct = float(np.sum(ps ** -s))
         assert abs(prime_zeta(s) - direct) <= tol
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0, 5.0, 10.0, 20.0])
+def test_prime_zeta_against_mpmath(s):
+    # mpmath is an independent high-precision oracle; the bound is the
+    # docstring's 1e-13 absolute error
+    assert abs(prime_zeta(s) - float(mpmath.primezeta(s))) <= 1e-13
+
+
+def test_mertens_constant_against_mpmath():
+    assert abs(make_constants().mertens_c - float(mpmath.mertens)) <= 1e-13
 
 
 def test_mertens_constant_via_zeta():

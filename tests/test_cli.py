@@ -76,9 +76,17 @@ def test_float_underflow_is_refused(capsys):
     rc, out, err = run(capsys, "count", "--spec", "set:2", "--mode", "float",
                        "--n", "400")
     assert rc == 1 and out == "" and err.startswith("error:")
-    rc, out, err = run(capsys, "sample", "--spec", "set:2", "--n", "400",
+    # beyond the exact cap, sample has only the float table to draw from
+    rc, out, err = run(capsys, "sample", "--spec", "set:2", "--n", "2002",
                        "--seed", "1")
     assert rc == 1 and out == "" and "underflow" in err
+
+
+def test_sample_explicit_set_uses_exact_table(capsys):
+    rc, out, err = run(capsys, "sample", "--spec", "set:2", "--n", "400",
+                       "--seed", "1")
+    assert rc == 0 and err == ""
+    assert out == ",".join(["2"] * 200) + "\n"
 
 
 def test_usage_errors(capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from primecycles.errors import (
     InvalidArgumentError,
     OutOfRangeError,
 )
+from primecycles import sampler as sampler_module
 from primecycles.exact_enum import CountTable, build_table
 from primecycles.sampler import (
     CycleTypeSample,
@@ -164,3 +166,156 @@ def test_sample_record_is_frozen(table300):
     with pytest.raises(FrozenInstanceError):
         s.n = 7
     assert isinstance(s, CycleTypeSample)
+
+
+# First 20 draws of Sampler(table, seed=7).sample(n_max) for each table,
+# each draw written as its (length, multiplicity) pairs.  Recorded from the
+# per-coefficient Python sampler that the numpy tables replaced, so they pin
+# the draw streams bit for bit.
+PINNED_STREAMS = {
+    ("primes", 2000, "float"): [
+        [(2, 2), (7, 1), (31, 1), (97, 1), (1861, 1)], [(619, 1), (1381, 1)],
+        [(2, 1), (3, 1), (7, 2), (13, 1), (419, 1), (1549, 1)],
+        [(379, 1), (1621, 1)], [(3, 1), (1997, 1)], [(67, 1), (1933, 1)],
+        [(2, 1), (3, 2), (503, 1), (1489, 1)], [(2, 1), (167, 1), (1831, 1)],
+        [(13, 1), (1987, 1)], [(3, 2), (5, 1), (11, 1), (71, 1), (1907, 1)],
+        [(2, 1), (5, 1), (11, 1), (31, 1), (1951, 1)], [(3, 1), (1997, 1)],
+        [(11, 1), (29, 1), (263, 1), (1697, 1)], [(2, 1), (5, 1), (1993, 1)],
+        [(2, 1), (3, 1), (13, 1), (859, 1), (1123, 1)],
+        [(2, 1), (431, 1), (1567, 1)], [(13, 1), (1987, 1)],
+        [(2, 1), (151, 1), (1847, 1)], [(2, 1), (11, 1), (1987, 1)],
+        [(3, 1), (1997, 1)],
+    ],
+    ("odd", 2000, "float"): [
+        [(1, 1), (5, 1), (9, 1), (11, 1), (55, 1), (255, 1), (579, 1),
+         (1085, 1)],
+        [(1, 4), (81, 1), (89, 1), (137, 1), (147, 1), (283, 1), (1259, 1)],
+        [(1, 1), (129, 1), (229, 1), (1641, 1)],
+        [(3, 1), (5, 2), (7, 1), (21, 1), (1959, 1)],
+        [(1, 3), (9, 1), (19, 1), (203, 1), (657, 1), (1109, 1)],
+        [(1, 1), (3, 1), (27, 1), (35, 1), (139, 1), (1795, 1)],
+        [(3, 1), (5, 1), (77, 1), (1915, 1)], [(1, 1), (5, 1), (445, 1), (1549, 1)],
+        [(1, 1), (1999, 1)], [(1, 1), (7, 1), (11, 1), (21, 1), (637, 1), (1323, 1)],
+        [(1, 1), (19, 1), (91, 1), (1889, 1)],
+        [(1, 2), (3, 1), (25, 1), (157, 1), (1813, 1)],
+        [(1, 1), (3, 1), (7, 1), (51, 1), (491, 1), (1447, 1)],
+        [(13, 1), (19, 1), (31, 1), (1937, 1)],
+        [(3, 3), (5, 1), (35, 1), (85, 1), (89, 1), (171, 1), (249, 1),
+         (1357, 1)],
+        [(105, 1), (309, 1), (407, 1), (1179, 1)], [(65, 1), (1935, 1)],
+        [(1, 2), (145, 1), (209, 1), (685, 1), (959, 1)],
+        [(1, 2), (3, 1), (7, 1), (9, 1), (103, 1), (329, 1), (347, 1), (557, 1),
+         (643, 1)],
+        [(5, 1), (1995, 1)],
+    ],
+    ("mod:3:0", 999, "float"): [
+        [(3, 2), (120, 1), (183, 1), (690, 1)],
+        [(3, 2), (18, 1), (42, 1), (189, 1), (744, 1)],
+        [(141, 1), (249, 1), (609, 1)], [(15, 1), (300, 1), (327, 1), (357, 1)],
+        [(15, 1), (60, 1), (924, 1)], [(3, 1), (135, 1), (861, 1)],
+        [(141, 1), (198, 1), (285, 1), (375, 1)], [(39, 1), (450, 1), (510, 1)],
+        [(3, 1), (6, 3), (225, 1), (753, 1)], [(3, 1), (57, 1), (126, 1), (813, 1)],
+        [(3, 1), (339, 1), (657, 1)], [(3, 1), (30, 1), (399, 1), (567, 1)],
+        [(6, 1), (12, 1), (981, 1)], [(135, 1), (315, 1), (549, 1)],
+        [(3, 1), (12, 1), (66, 1), (390, 1), (528, 1)], [(78, 1), (921, 1)],
+        [(9, 1), (312, 1), (678, 1)], [(12, 1), (60, 1), (927, 1)], [(999, 1)],
+        [(3, 2), (138, 1), (855, 1)],
+    ],
+    ("set:2,3,10", 300, "float"): [
+        [(10, 30)], [(2, 2), (3, 2), (10, 29)], [(2, 1), (3, 6), (10, 28)],
+        [(2, 7), (3, 2), (10, 28)], [(2, 2), (3, 2), (10, 29)],
+        [(2, 2), (3, 2), (10, 29)], [(2, 2), (3, 2), (10, 29)],
+        [(2, 2), (3, 2), (10, 29)], [(10, 30)], [(2, 5), (10, 29)], [(10, 30)],
+        [(2, 2), (3, 2), (10, 29)], [(2, 2), (3, 2), (10, 29)],
+        [(2, 2), (3, 2), (10, 29)], [(2, 2), (3, 2), (10, 29)],
+        [(2, 2), (3, 2), (10, 29)], [(2, 2), (3, 2), (10, 29)],
+        [(2, 2), (3, 2), (10, 29)], [(10, 30)], [(2, 2), (3, 2), (10, 29)],
+    ],
+    ("primes", 300, "exact"): [
+        [(2, 2), (7, 1), (19, 1), (43, 1), (227, 1)], [(43, 1), (257, 1)],
+        [(2, 1), (29, 1), (269, 1)], [(2, 1), (71, 1), (227, 1)],
+        [(2, 1), (7, 1), (31, 1), (103, 1), (157, 1)], [(61, 1), (239, 1)],
+        [(37, 1), (263, 1)], [(3, 1), (5, 1), (11, 1), (29, 1), (53, 1), (199, 1)],
+        [(29, 1), (271, 1)], [(61, 1), (239, 1)],
+        [(43, 1), (47, 1), (101, 1), (109, 1)],
+        [(2, 1), (5, 1), (11, 1), (31, 1), (251, 1)], [(7, 1), (293, 1)],
+        [(109, 1), (191, 1)], [(31, 1), (269, 1)], [(2, 2), (13, 1), (283, 1)],
+        [(2, 1), (47, 1), (251, 1)], [(3, 1), (5, 1), (29, 1), (263, 1)],
+        [(29, 1), (271, 1)], [(73, 1), (227, 1)],
+    ],
+}
+
+
+def _spec(name, primes_spec):
+    if name == "primes":
+        return primes_spec
+    if name == "odd":
+        return ODD
+    if name == "mod:3:0":
+        return CycleClassSpec.residue_classes(3, (0,))
+    return CycleClassSpec.explicit([int(v) for v in name[4:].split(",")])
+
+
+@pytest.mark.parametrize("name,n,mode", sorted(PINNED_STREAMS))
+def test_pinned_draw_streams(name, n, mode, primes_spec):
+    sam = Sampler(build_table(_spec(name, primes_spec), n, mode), seed=7)
+    draws = [sorted(Counter(sam.sample(n).lengths).items()) for _ in range(20)]
+    assert draws == PINNED_STREAMS[(name, n, mode)]
+
+
+class _FixedRng:
+    """Stands in for random.Random: random() returns the given values, then 0."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0) if self.values else 0.0
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_draw_at_the_last_edge_takes_the_last_length(mode, primes_spec):
+    # u = 1.0 * cum[-1] lies below no edge, so the largest surviving length
+    # is chosen: 53 at n = 60 (a_1 = 0 rules out 59), then 7
+    sam = Sampler(build_table(primes_spec, 60, mode), seed=0)
+    sam._rng = _FixedRng(1.0, 1.0)
+    assert sam.sample(60).lengths == (7, 53)
+
+
+def test_draw_on_an_edge_takes_the_next_length(table300):
+    # at n = 7 the lengths are 2, 3, 5, 7; u equal to the second edge picks 5,
+    # after which u = 0 picks 2 (the next length down, 3, would give 2+2+3)
+    (_, p2), (_, p3), _, _ = first_cycle_distribution(table300, 7)
+    sam = Sampler(table300, seed=0)
+    sam._rng = _FixedRng(float(p2) + float(p3))
+    assert sam.sample(7).lengths == (2, 5)
+
+
+def _cached_size(sam):
+    return sum(len(entry[0]) for entry in sam._cum.values())
+
+
+def test_cache_bound_keeps_draws(primes_spec, monkeypatch):
+    table = build_table(primes_spec, 2000, "float")
+    free = Sampler(table, seed=3)
+    expected = [free.sample(2000) for _ in range(200)]
+    cap = 1000
+    assert _cached_size(free) > 5 * cap  # so the bound below bites
+    monkeypatch.setattr(sampler_module, "CACHE_MAX_COEFFS", cap)
+    bounded = Sampler(table, seed=3)
+    for want in expected:
+        assert bounded.sample(2000) == want
+        assert _cached_size(bounded) <= cap
+        assert bounded._cached == _cached_size(bounded)
+
+
+def test_cache_evicts_least_recently_used(table300, monkeypatch):
+    # |A(m)| for m = 10, 11, 13 is 4, 5, 6; a cap of 11 holds two of them
+    monkeypatch.setattr(sampler_module, "CACHE_MAX_COEFFS", 11)
+    sam = Sampler(table300, seed=0)
+    for m in (10, 11, 10, 13):
+        sam._cumulative(m)
+    assert list(sam._cum) == [10, 13]
+    # an entry above the cap alone is used but not kept
+    sam._cumulative(300)
+    assert list(sam._cum) == [10, 13]
