@@ -331,13 +331,6 @@ def phi_split_grid(t_grid):
 # -- closed-form asymptotic models -----------------------------------------------
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise OutOfDomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def partial_sum_log_model(n: int, constants: Constants) -> float:
     """Model for T_n = sum_{k<=n} P_k/k! with prime cycle lengths: e^c ln n."""
     if n < 2:
@@ -367,8 +360,8 @@ def yakimiv_log_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
         )
     r = float(rho)
     offset = spec.harmonic_offset(n)
-    return (log_gamma(n + 1.0) + (r - 1.0) * math.log(n) + offset
-            - constants.euler_gamma * r - log_gamma(r))
+    return (math.lgamma(n + 1.0) + (r - 1.0) * math.log(n) + offset
+            - constants.euler_gamma * r - math.lgamma(r))
 
 
 def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants) -> float:
@@ -391,4 +384,4 @@ def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
         kf = members.astype(np.float64)
         lnz = math.log(z)
         f_val = math.exp(float(np.sum(np.exp(kf * lnz) / kf)))
-    return f_val / math.exp(log_gamma(float(rho) + 1.0))
+    return f_val / math.exp(math.lgamma(float(rho) + 1.0))

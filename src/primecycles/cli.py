@@ -13,7 +13,6 @@ import sys
 
 from primecycles.analytic import (
     f_eval,
-    log_gamma,
     make_constants,
     phi_deriv,
     phi_eval,
@@ -109,7 +108,7 @@ def _print_float_count(n: int, a: float) -> None:
     if a <= 0.0:
         print("0")
         return
-    log10v = (log_gamma(n + 1.0) + math.log(a)) / math.log(10.0)
+    log10v = (math.lgamma(n + 1.0) + math.log(a)) / math.log(10.0)
     if log10v < 300.0:
         print(f"{a * math.factorial(n):.17g}")
     else:

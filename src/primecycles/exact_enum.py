@@ -24,8 +24,12 @@ build_table picks the float route from the spec's kind in the same way:
 * periodic: the same order-m recurrence on a_n in doubles,
   n*a_n = (n-m)*a_{n-m} + sum_{r in R', r <= n} a_{n-r}.  Every term is
   nonnegative, so a structural zero comes out as exactly 0.0.
-* primes: a divide-and-conquer FFT online convolution of the a_n
-  recurrence.  Its absolute error is about eps times a block's largest
+* primes: a divide-and-conquer online convolution of the a_n recurrence.
+  Each node adds its finished left half's share to the right half: by a
+  middle-product FFT of size next_pow2(width) with the spectra of g
+  cached per width, by a product with a block of g's Toeplitz matrix for
+  widths up to 512, and leaves of 32 finish the recurrence on Python
+  floats.  Its absolute error is about eps times a block's largest
   coefficient, which is harmless only because prime coefficients decay
   slowly and never vanish past n = 1; a negative coefficient is refused.
 * explicit sets: the a_n recurrence by direct summation, whose values may
@@ -68,7 +72,8 @@ EXACT_CAP_DEFAULT = 2000
 FLOAT_CAP_DEFAULT = 10_000_000
 PARTITION_CAP = 80
 BRUTE_FORCE_CAP = 9
-FAST_PATH_LEAF = 64
+FAST_PATH_LEAF = 32
+FAST_PATH_DIRECT = 512
 
 
 @dataclass(frozen=True)
@@ -241,6 +246,23 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
     """Divide-and-conquer online convolution; matches the baseline to ~1e-15
     for the primes.
 
+    The range [0, n_max] is halved down to leaves of at most FAST_PATH_LEAF
+    coefficients, walked left to right on an explicit stack.  Once a
+    node's left half [lo, mid) is final, its contribution to the right
+    half is added to ``pending[mid:hi]``: with h = mid - lo and w = hi - lo
+    that is outputs [h, w) of the convolution of a[lo:mid] with g[:w].
+
+    * w <= FAST_PATH_DIRECT: a matrix-vector product with a block of the
+      strictly lower Toeplitz matrix of g, built once per call.
+    * larger w: a middle product.  A cyclic transform of size
+      next_pow2(w) >= w wraps only linear indices >= size, onto indices
+      <= h + w - 2 - size < h, so outputs [h, w) come out clean at about
+      half the usual size next_pow2(h + w - 1).  The spectrum of g[:w] is
+      cached per w, since the size follows from w and each level has at
+      most two widths.
+    * a leaf finishes each coefficient from its pending sum and the
+      members below the leaf width, on Python floats.
+
     Its absolute error is about eps times the largest coefficient of a
     block, so a coefficient that is zero or far below its neighbours comes
     out as roundoff.  A negative one proves that, and is refused.
@@ -250,32 +272,48 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
     a = np.zeros(n_max + 1)
     a[0] = 1.0
     pending = np.zeros(n_max + 1)
-    mem_list = [int(k) for k in members]
+    small = members[members < FAST_PATH_LEAF].tolist()
+    # toeplitz[i, j] = g[i - j] for i > j, else 0: row i of the sliding
+    # windows over [0]*(d-1) + g[:d], read backwards
+    d = min(FAST_PATH_DIRECT, n_max + 1)
+    padded = np.concatenate((np.zeros(d - 1), g[:d]))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, d)
+    toeplitz = np.ascontiguousarray(windows[:, ::-1])
+    spectra = {}
 
-    def solve(lo, hi):
-        if hi - lo <= FAST_PATH_LEAF:
-            # direct recurrence; only contributions from inside [lo, n) remain
-            for n in range(max(lo, 1), hi):
-                s = pending[n]
-                for k in mem_list:
-                    if k > n - lo:
+    stack = [(0, n_max + 1, False)]
+    while stack:
+        lo, hi, left_done = stack.pop()
+        w = hi - lo
+        if w <= FAST_PATH_LEAF:
+            blk = a[lo:hi].tolist()
+            pend = pending[lo:hi].tolist()
+            for i in range(1 if lo == 0 else 0, w):
+                s = pend[i]
+                for k in small:
+                    if k > i:
                         break
-                    s += a[n - k]
-                a[n] = s / n
-            return
+                    s += blk[i - k]
+                blk[i] = s / (lo + i)
+            a[lo:hi] = blk
+            continue
         mid = (lo + hi) // 2
-        solve(lo, mid)
-        block = a[lo:mid]
-        gwin = g[: hi - lo]
-        size = 1
-        need = (mid - lo) + (hi - lo) - 1
-        while size < need:
-            size <<= 1
-        conv = np.fft.irfft(np.fft.rfft(block, size) * np.fft.rfft(gwin, size), size)
-        pending[mid:hi] += conv[mid - lo : hi - lo]
-        solve(mid, hi)
+        if not left_done:
+            stack.append((lo, hi, True))
+            stack.append((lo, mid, False))
+            continue
+        h = mid - lo
+        if w <= FAST_PATH_DIRECT:
+            pending[mid:hi] += toeplitz[h:w, :h] @ a[lo:mid]
+        else:
+            size = 1 << (w - 1).bit_length()
+            g_hat = spectra.get(w)
+            if g_hat is None:
+                g_hat = spectra[w] = np.fft.rfft(g[:w], size)
+            conv = np.fft.irfft(np.fft.rfft(a[lo:mid], size) * g_hat, size)
+            pending[mid:hi] += conv[h:w]
+        stack.append((mid, hi, False))
 
-    solve(0, n_max + 1)
     negative = np.flatnonzero(a < 0.0)
     if negative.size:
         n = int(negative[0])

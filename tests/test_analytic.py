@@ -10,7 +10,6 @@ from primecycles.analytic import (
     T_DOMAIN_CAP,
     Constants,
     f_eval,
-    log_gamma,
     make_constants,
     mertens_direct,
     mertens_zeta,
@@ -244,16 +243,6 @@ def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
     assert calls == []
     assert phi_split_grid(()) == []
     assert calls == []
-
-
-def test_log_gamma():
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-15)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-    assert log_gamma(1.0) == 0.0
-    with pytest.raises(OutOfDomainError):
-        log_gamma(0.0)
-    with pytest.raises(OutOfDomainError):
-        log_gamma(-1.0)
 
 
 def test_partial_sum_log_model(constants):

@@ -1,6 +1,8 @@
+import gc
 import io
 import math
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from primecycles.exact_enum import (
     kahan_sum,
     partial_sum,
 )
+from primecycles.primes import build_sieve
 
 ODD = CycleClassSpec.residue_classes(2, (1,))
 EVEN = CycleClassSpec.residue_classes(2, (0,))
@@ -197,6 +200,43 @@ def test_fast_path_matches_baseline(primes_spec):
     assert (fast.a_float >= 0.0).all()
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 33, 63, 64, 65, 511, 512,
+                                   513, 1023, 1024, 1025, 4097, 30000])
+def test_fast_path_matches_baseline_at_switch_over_sizes(n_max):
+    # leaf, matrix-vector and middle-product nodes each meet their
+    # neighbours around these sizes
+    members = CycleClassSpec.primes(build_sieve(30_000)).members_upto(n_max)
+    base = _build_float_baseline(members, n_max)
+    fast = _build_float_fast(members, n_max)
+    assert fast.shape == base.shape
+    nz = base != 0.0
+    rel = np.abs(fast[nz] - base[nz]) / base[nz]
+    assert rel.size == 0 or rel.max() <= 1e-9
+    if n_max >= 1:
+        assert fast[1] == 0.0
+    assert (fast >= 0.0).all()
+
+
+def test_fast_path_leaves_no_garbage_for_the_cycle_collector():
+    n = 200_000
+    spec = CycleClassSpec.primes(build_sieve(n))
+    build_table(spec, n, "float")  # warm the members and numpy's caches
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = build_table(spec, n, "float")
+        del table
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert after - before <= 8 * (n + 1)
+
+
 def test_fast_path_even_spec_stays_clean():
     fast = build_table(EVEN, 300, "float")
     assert (fast.a_float >= 0.0).all()
@@ -206,7 +246,7 @@ def test_fast_path_even_spec_stays_clean():
 
 def test_fast_path_refuses_negative_coefficients():
     # the FFT's roundoff is absolute, so mod:3:0's structural zeros go
-    # negative (first at n = 85); that must raise, not be clamped away
+    # negative (first at n = 500); that must raise, not be clamped away
     members = CycleClassSpec.residue_classes(3, (0,)).members_upto(2000)
     with pytest.raises(InternalConsistencyError, match="negative"):
         _build_float_fast(members, 2000)
