@@ -354,7 +354,7 @@ def yakimiv_log_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
     if n < 2:
         raise InvalidArgumentError(f"n must be >= 2, got {n}")
     rho = spec.density()
-    if rho is None or rho == 0:
+    if rho == 0:
         raise UnsupportedSpecError(
             "model requires a spec with strictly positive density"
         )
@@ -373,9 +373,6 @@ def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
     """
     if n < 2:
         raise InvalidArgumentError(f"n must be >= 2, got {n}")
-    rho = spec.density()
-    if rho is None:
-        raise UnsupportedSpecError("model requires a spec with known density")
     if spec.kind == KIND_ALL:
         f_val = float(n)
     else:
@@ -384,4 +381,4 @@ def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
         kf = members.astype(np.float64)
         lnz = math.log(z)
         f_val = math.exp(float(np.sum(np.exp(kf * lnz) / kf)))
-    return f_val / math.exp(math.lgamma(float(rho) + 1.0))
+    return f_val / math.exp(math.lgamma(float(spec.density()) + 1.0))

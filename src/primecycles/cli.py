@@ -244,8 +244,8 @@ def cmd_verify(args) -> int:
     emitted = {}
 
     if "partial-sum" in selected or "hlk" in selected:
-        needed = 30 * max(n_grid)
-        table = build_sieve(_sieve_limit(args, needed))
+        # the table reads members up to max(n_grid); f_eval streams its own
+        table = build_sieve(_sieve_limit(args, max(n_grid)))
         spec = CycleClassSpec.primes(table)
         count_table = build_table(spec, max(n_grid), mode="float")
     if "partial-sum" in selected:
@@ -260,10 +260,7 @@ def cmd_verify(args) -> int:
         rows = phi_estimate_table(t_grid, constants)
         _report_check("phi", _check_phi(rows), failures)
     if "pnt" in selected:
-        kmax = max(PNT_GRID_DEFAULT)
-        # p_k < k(ln k + ln ln k) for k >= 6; 1.2 covers the slack
-        table = build_sieve(int(1.2 * kmax * math.log(kmax)))
-        rows = pnt_table(table, PNT_GRID_DEFAULT)
+        rows = pnt_table(PNT_GRID_DEFAULT)
         emitted["pnt"] = rows
         _report_check("pnt", _check_pnt(rows), failures)
     if "slowvar" in selected:

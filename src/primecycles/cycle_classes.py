@@ -13,11 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from primecycles.errors import (
-    InvalidArgumentError,
-    OutOfRangeError,
-    UnsupportedSpecError,
-)
+from primecycles.errors import InvalidArgumentError, OutOfRangeError
 from primecycles.primes import PrimeTable
 
 KIND_PRIMES = "primes"
@@ -121,14 +117,13 @@ class CycleClassSpec:
     # -- density and harmonic sums -------------------------------------------
 
     def density(self):
-        """Limit of |members <= n| / n as an exact Fraction, or None if unknown."""
+        """Limit of |members <= n| / n as an exact Fraction."""
         if self.kind == KIND_ALL:
             return Fraction(1)
         if self.kind == KIND_RESIDUES:
             return Fraction(len(self.residues), self.modulus)
-        if self.kind in (KIND_PRIMES, KIND_EXPLICIT):
-            return Fraction(0)
-        return None
+        # the primes and finite sets
+        return Fraction(0)
 
     def harmonic_offset(self, n: int) -> float:
         """Sum of 1/k over members k <= n, minus density * ln(n).
@@ -139,10 +134,6 @@ class CycleClassSpec:
         if n < 1:
             raise InvalidArgumentError(f"n must be >= 1, got {n}")
         rho = self.density()
-        if rho is None:
-            raise UnsupportedSpecError(
-                f"density of kind {self.kind!r} is undefined"
-            )
         members = self.members_upto(n)
         total = 0.0
         for term in (1.0 / members).tolist():

@@ -47,10 +47,11 @@ the tests, as a third cross-check.
 import array
 import decimal
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Optional
 
 import numpy as np
@@ -474,22 +475,47 @@ def kahan_sum(values) -> float:
     return total
 
 
+def partial_sums(table: CountTable, ns) -> list:
+    """[T_n for n in ns], T_n = a_0 + ... + a_n, in the caller's order.
+
+    Exact tables give Fractions; float tables give doubles read off one
+    ascending Kahan pass to max(ns), so each T_n is the same double a pass
+    stopping at n would give.
+    """
+    ns = list(ns)
+    for n in ns:
+        if n < 0:
+            raise InvalidArgumentError(f"n must be >= 0, got {n}")
+        if n > table.n_max:
+            raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
+    if table.p_exact is not None:
+        return [_exact_partial_sum(table.p_exact, n) for n in ns]
+    if not ns:
+        return []
+    running = kahan_running_sums(table.a_float[: max(ns) + 1].tolist())
+    found = {}
+    done = 0  # running sums consumed so far
+    for n in sorted(set(ns)):
+        # deque(islice) drains the stretch at C speed and keeps its last sum
+        found[n] = deque(islice(running, n + 1 - done), maxlen=1)[0]
+        done = n + 1
+    return [found[n] for n in ns]
+
+
+def _exact_partial_sum(p_exact: list, n: int) -> Fraction:
+    # sum P_k * n!/k! over k, then divide once by n!
+    num = 0
+    mult = 1
+    for k in range(n, -1, -1):
+        num += p_exact[k] * mult
+        mult *= k if k else 1
+    return Fraction(num, math.factorial(n))
+
+
 def partial_sum(table: CountTable, n: int):
     """T_n = a_0 + ... + a_n; exact Fraction when the table has exact values,
     otherwise a double via ascending Kahan summation."""
-    if n < 0:
-        raise InvalidArgumentError(f"n must be >= 0, got {n}")
-    if n > table.n_max:
-        raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
-    if table.p_exact is not None:
-        # sum P_k * n!/k! over k, then divide once by n!
-        num = 0
-        mult = 1
-        for k in range(n, -1, -1):
-            num += table.p_exact[k] * mult
-            mult *= k if k else 1
-        return Fraction(num, math.factorial(n))
-    return kahan_sum(table.a_float[: n + 1].tolist())
+    return partial_sums(table, (n,))[0]
 
 
 def dump_table(table: CountTable, dest) -> None:

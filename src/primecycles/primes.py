@@ -5,7 +5,9 @@ There is one segmented sieve, :func:`iter_prime_blocks`, an odd-only sieve
 that streams primes in numpy blocks without materializing a table; prime
 sums with limits in the billions go through it.  Above ``SEGMENT_THRESHOLD``
 :func:`build_sieve` fills its membership array from the same stream, so the
-only large allocation is the array itself.
+only large allocation is the array itself.  :func:`nth_primes` is another
+consumer of the stream: it counts block sizes to find p_k, so its working
+memory is one segment however large k is.
 
 A segment spans ``SEGMENT_SIZE`` = 2^21 integers, whose odd-only mask is
 1 MB: it stays in a 2 MB per-core L2 cache while every base prime strikes
@@ -19,6 +21,7 @@ import math
 import numpy as np
 
 from primecycles.errors import (
+    InternalConsistencyError,
     InvalidArgumentError,
     OutOfRangeError,
     ResourceLimitError,
@@ -60,7 +63,7 @@ class PrimeTable:
     def primes(self) -> np.ndarray:
         """All primes <= limit as a read-only int64 array (materialized lazily)."""
         if self._index is None:
-            index = np.flatnonzero(self._mask).astype(np.int64)
+            index = np.flatnonzero(self._mask).astype(np.int64, copy=False)
             index.flags.writeable = False
             self._index = index
         return self._index
@@ -142,3 +145,40 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
         if block.size:
             yield block.astype(np.int64, copy=False)
         lo = hi
+
+
+def nth_primes(ks) -> list:
+    """[p_k for k in ks], in the caller's order, from the prime stream.
+
+    Streams to Rosser's bound p_k < k(ln k + ln ln k), which holds for
+    k >= 6, and stops at the block that holds the largest k.  No table is
+    built, so memory stays at one segment.
+    """
+    ks = list(ks)
+    for k in ks:
+        if k < 1:
+            raise InvalidArgumentError(f"k must be a positive integer, got {k}")
+    if not ks:
+        return []
+    kmax = max(ks)
+    limit = 11  # p_5
+    if kmax >= 6:
+        # +1 absorbs rounding in the float bound
+        limit = int(kmax * (math.log(kmax) + math.log(math.log(kmax)))) + 1
+    pending = sorted(set(ks), reverse=True)
+    found = {}
+    count = 0
+    for block in iter_prime_blocks(limit):
+        end = count + block.size
+        while pending and pending[-1] <= end:
+            k = pending.pop()
+            found[k] = int(block[k - count - 1])
+        if not pending:
+            break
+        count = end
+    if pending:
+        raise InternalConsistencyError(
+            f"prime stream to {limit} ended after {count} primes, "
+            f"short of k={pending[-1]}"
+        )
+    return [found[k] for k in ks]

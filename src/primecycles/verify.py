@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from primecycles.errors import InvalidArgumentError
-from primecycles.exact_enum import CountTable, partial_sum
+from primecycles.exact_enum import CountTable, partial_sums
 from primecycles.analytic import (
     Constants,
     f_eval,
@@ -21,7 +21,7 @@ from primecycles.analytic import (
     phi_split_grid,
 )
 from primecycles.cycle_classes import KIND_PRIMES
-from primecycles.primes import PrimeTable
+from primecycles.primes import nth_primes
 
 N_GRID_DEFAULT = (100, 1000, 10_000, 100_000)
 T_GRID_DEFAULT = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -46,6 +46,14 @@ def make_row(x: float, exact: float, model: float,
                           scaled_residual=float(scaled_residual))
 
 
+def _checked_grid(grid) -> list:
+    grid = list(grid)
+    for x in grid:
+        if x < 2:
+            raise InvalidArgumentError(f"grid entries must be >= 2, got {x}")
+    return grid
+
+
 def partial_sum_table(table: CountTable, n_grid, constants: Constants):
     """Rows comparing T_n against e^c ln n over the grid.
 
@@ -54,11 +62,10 @@ def partial_sum_table(table: CountTable, n_grid, constants: Constants):
     """
     if table.spec.kind != KIND_PRIMES:
         raise InvalidArgumentError("partial-sum table is defined for the primes spec")
+    n_grid = _checked_grid(n_grid)
     rows = []
-    for n in n_grid:
-        if n < 2:
-            raise InvalidArgumentError(f"grid entries must be >= 2, got {n}")
-        exact = float(partial_sum(table, n))
+    for n, total in zip(n_grid, partial_sums(table, n_grid)):
+        exact = float(total)
         model = partial_sum_log_model(n, constants)
         resid = (exact / math.log(n) - constants.e_to_c) * math.log(math.log(n))
         rows.append(make_row(n, exact, model, resid))
@@ -72,11 +79,10 @@ def hlk_comparison_table(table: CountTable, n_grid, constants: Constants):
     Gamma(1) = 1); other specs go through odlyzko_sum_model.
     scaled_residual = (ratio - 1) * ln ln n.
     """
+    n_grid = _checked_grid(n_grid)
     rows = []
-    for n in n_grid:
-        if n < 2:
-            raise InvalidArgumentError(f"grid entries must be >= 2, got {n}")
-        exact = float(partial_sum(table, n))
+    for n, total in zip(n_grid, partial_sums(table, n_grid)):
+        exact = float(total)
         if table.spec.kind == KIND_PRIMES:
             model = f_eval(1.0 - 1.0 / n)
         else:
@@ -161,13 +167,15 @@ def phi_estimate_table(t_grid, constants: Constants):
     return rows
 
 
-def pnt_table(table: PrimeTable, k_grid):
-    """Rows of (k, p_k) against the model k ln k; scaled_residual = ratio - 1."""
+def pnt_table(k_grid):
+    """Rows of (k, p_k) against the model k ln k; scaled_residual = ratio - 1.
+
+    The primes come from one stream (primes.nth_primes) that stops at the
+    largest k on the grid.
+    """
+    k_grid = _checked_grid(k_grid)
     rows = []
-    for k in k_grid:
-        if k < 2:
-            raise InvalidArgumentError(f"grid entries must be >= 2, got {k}")
-        pk = table.nth_prime(k)
+    for k, pk in zip(k_grid, nth_primes(k_grid)):
         model = k * math.log(k)
         ratio = pk / model
         rows.append(make_row(k, pk, model, ratio - 1.0))

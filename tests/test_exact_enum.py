@@ -29,6 +29,7 @@ from primecycles.exact_enum import (
     int_log,
     kahan_sum,
     partial_sum,
+    partial_sums,
 )
 from primecycles.primes import build_sieve
 
@@ -175,6 +176,22 @@ def test_partial_sum_float_matches_exact(table300):
         exact = float(partial_sum(table300, n))
         got = partial_sum(ftab, n)
         assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_partial_sums_one_pass_matches_each_n(table300, float_table_1e5):
+    ns = [50_000, 7, 100_000, 0, 7, 1000]
+    a = float_table_1e5.a_float
+    # bit-identical to a separate Kahan pass stopping at each n
+    assert partial_sums(float_table_1e5, ns) == \
+        [kahan_sum(a[: n + 1].tolist()) for n in ns]
+    assert partial_sums(table300, [300, 5, 0, 5]) == \
+        [partial_sum(table300, n) for n in (300, 5, 0, 5)]
+    assert partial_sums(float_table_1e5, []) == []
+    assert partial_sums(table300, iter([5, 1])) == [Fraction(93, 40), 1]
+    with pytest.raises(OutOfRangeError):
+        partial_sums(float_table_1e5, [10, 100_001])
+    with pytest.raises(InvalidArgumentError):
+        partial_sums(table300, [5, -1])
 
 
 def test_partial_sum_domain(table300):

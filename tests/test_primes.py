@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from primecycles import primes
 from primecycles.errors import (
+    InternalConsistencyError,
     InvalidArgumentError,
     OutOfRangeError,
     ResourceLimitError,
@@ -14,6 +16,7 @@ from primecycles.primes import (
     _simple_mask,
     build_sieve,
     iter_prime_blocks,
+    nth_primes,
 )
 
 
@@ -133,3 +136,60 @@ def test_iter_prime_blocks_empty_below_two():
 def test_table_immutable(sieve_small):
     with pytest.raises(ValueError):
         sieve_small.primes()[0] = 4
+
+
+def test_nth_primes_matches_table_to_2000():
+    table = build_sieve(20_000)  # p_2000 = 17389
+    ks = list(range(1, 2001))
+    assert nth_primes(ks) == [table.nth_prime(k) for k in ks]
+    # each k alone, so every small-k stream limit is exercised too
+    assert [nth_primes([k])[0] for k in range(1, 40)] == \
+        [table.nth_prime(k) for k in range(1, 40)]
+
+
+@pytest.mark.parametrize("segment, kmax", [(256, 1200),
+                                            (SEGMENT_SIZE, 400_000)])
+def test_nth_primes_at_segment_edges(monkeypatch, segment, kmax):
+    # 256-integer segments put many block boundaries below p_1200 = 9733;
+    # full segments give three below p_400000 = 5800079
+    seen = []
+
+    def recording(limit):
+        for block in iter_prime_blocks(limit, segment=segment):
+            seen.append(block[-1])
+            yield block
+
+    monkeypatch.setattr(primes, "iter_prime_blocks", recording)
+    nth_primes([kmax])
+    assert len(seen) > 3
+    table = build_sieve(int(seen[-1]))
+    edges = []
+    for last in seen:
+        count = table.prime_count(int(last))
+        edges += [count, count + 1]  # last prime of a block, first of the next
+    edges = [k for k in edges if k <= kmax] + [1, kmax]
+    assert nth_primes(edges) == [table.nth_prime(k) for k in edges]
+
+
+def test_nth_primes_order_and_duplicates(sieve_small):
+    ks = [1000, 3, 1000, 1, 250, 3, 2]
+    assert nth_primes(ks) == [sieve_small.nth_prime(k) for k in ks]
+    assert nth_primes(iter(ks)) == nth_primes(ks)
+    assert nth_primes([10**6, 10**3]) == [15_485_863, 7919]
+
+
+def test_nth_primes_domain():
+    assert nth_primes([]) == []
+    for bad in ([0], [5, -1], [3, 0, 7]):
+        with pytest.raises(InvalidArgumentError):
+            nth_primes(bad)
+
+
+def test_nth_primes_refuses_a_short_stream(monkeypatch):
+    def first_block_only(limit):
+        yield next(iter_prime_blocks(limit))
+
+    monkeypatch.setattr(primes, "iter_prime_blocks", first_block_only)
+    assert nth_primes([1, 2]) == [2, 3]
+    with pytest.raises(InternalConsistencyError):
+        nth_primes([10_000])

@@ -139,8 +139,8 @@ def test_phi_estimate_table_streams_once(constants, monkeypatch):
     assert limits == [int(50.0 / 1e-5) + 1]
 
 
-def test_pnt_rows(sieve_small):
-    rows = pnt_table(sieve_small, (25, 100, 1000))
+def test_pnt_rows():
+    rows = pnt_table((25, 100, 1000))
     assert rows[0].exact == 97.0
     assert rows[0].ratio == pytest.approx(1.2053897730456469, rel=1e-12)
     assert rows[0].scaled_residual == rows[0].ratio - 1.0
@@ -148,7 +148,7 @@ def test_pnt_rows(sieve_small):
     assert all(q > 1.0 for q in ratios)
     assert ratios == sorted(ratios, reverse=True)
     with pytest.raises(InvalidArgumentError):
-        pnt_table(sieve_small, (1,))
+        pnt_table((1,))
 
 
 def _sample_rows(float_table_1e5, constants):
