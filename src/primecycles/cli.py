@@ -27,6 +27,7 @@ from primecycles.exact_enum import (
     count_exact,
     dump_table,
     partial_sum,
+    partial_sums,
 )
 from primecycles.primes import build_sieve
 from primecycles.sampler import Sampler
@@ -248,12 +249,13 @@ def cmd_verify(args) -> int:
         table = build_sieve(_sieve_limit(args, max(n_grid)))
         spec = CycleClassSpec.primes(table)
         count_table = build_table(spec, max(n_grid), mode="float")
+        sums = partial_sums(count_table, n_grid)
     if "partial-sum" in selected:
-        rows = partial_sum_table(count_table, n_grid, constants)
+        rows = partial_sum_table(count_table, n_grid, constants, sums)
         emitted["partial-sum"] = rows
         _report_check("partial-sum", _check_partial_sum(rows), failures)
     if "hlk" in selected:
-        rows = hlk_comparison_table(count_table, n_grid, constants)
+        rows = hlk_comparison_table(count_table, n_grid, constants, sums)
         emitted["hlk"] = rows
         _report_check("hlk", _check_hlk(rows), failures)
     if "phi" in selected:

@@ -27,7 +27,7 @@ build_table picks the float route from the spec's kind in the same way:
 * primes: a divide-and-conquer online convolution of the a_n recurrence.
   Each node adds its finished left half's share to the right half: by a
   middle-product FFT of size next_pow2(width) with the spectra of g
-  cached per width, by a product with a block of g's Toeplitz matrix for
+  cached per size, by a product with a block of g's Toeplitz matrix for
   widths up to 512, and leaves of 32 finish the recurrence on Python
   floats.  Its absolute error is about eps times a block's largest
   coefficient, which is harmless only because prime coefficients decay
@@ -255,12 +255,13 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
 
     * w <= FAST_PATH_DIRECT: a matrix-vector product with a block of the
       strictly lower Toeplitz matrix of g, built once per call.
-    * larger w: a middle product.  A cyclic transform of size
-      next_pow2(w) >= w wraps only linear indices >= size, onto indices
-      <= h + w - 2 - size < h, so outputs [h, w) come out clean at about
-      half the usual size next_pow2(h + w - 1).  The spectrum of g[:w] is
-      cached per w, since the size follows from w and each level has at
-      most two widths.
+    * larger w: a middle product of a[lo:mid] with all of g[:size], by a
+      cyclic transform of size next_pow2(w) >= w, about half the usual
+      next_pow2(h + w - 1).  Output j in [h, w) gets g[k] only for
+      k = j - i <= j < w, as it should; terms with k >= w land at w or
+      above, and linear indices >= size wrap onto indices <= h - 2, so
+      outputs [h, w) come out clean.  The spectrum of g is cached per
+      size, which the two widths of a level nearly always share.
     * a leaf finishes each coefficient from its pending sum and the
       members below the leaf width, on Python floats.
 
@@ -308,9 +309,9 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
             pending[mid:hi] += toeplitz[h:w, :h] @ a[lo:mid]
         else:
             size = 1 << (w - 1).bit_length()
-            g_hat = spectra.get(w)
+            g_hat = spectra.get(size)
             if g_hat is None:
-                g_hat = spectra[w] = np.fft.rfft(g[:w], size)
+                g_hat = spectra[size] = np.fft.rfft(g[:size], size)
             conv = np.fft.irfft(np.fft.rfft(a[lo:mid], size) * g_hat, size)
             pending[mid:hi] += conv[h:w]
         stack.append((mid, hi, False))
@@ -492,7 +493,7 @@ def partial_sums(table: CountTable, ns) -> list:
         return [_exact_partial_sum(table.p_exact, n) for n in ns]
     if not ns:
         return []
-    running = kahan_running_sums(table.a_float[: max(ns) + 1].tolist())
+    running = kahan_running_sums(memoryview(table.a_float[: max(ns) + 1]))
     found = {}
     done = 0  # running sums consumed so far
     for n in sorted(set(ns)):

@@ -6,12 +6,17 @@ probability a_{n-k} / (n * a_n), after which the remaining n-k elements pose
 the same problem again.  Only the cycle type (the multiset of lengths) is
 emitted here; the method is rejection-free and exact.
 
-A Sampler caches, for each remaining size m it meets, the allowed lengths
-and their cumulative first-cycle probabilities as an int64 and a float64
-array, built in numpy from the float table (or from the exact table's
-Fractions), and draws each cycle by bisection on the cumulative array.  The
-cache is least-recently-used and holds at most CACHE_MAX_COEFFS lengths in
-total, so a long stream of draws runs in bounded memory.
+A Sampler reads the lengths it can draw from one member array, every
+member up to the table's n_max; for the primes that array is a view of the
+sieve's index.  For each remaining size m it meets it caches one float64
+array: the cumulative first-cycle probabilities over all members <= m,
+built in numpy from the float table (or from the exact table's Fractions).
+A length k with a_{m-k} = 0 stays in the array as a zero-width step, which
+bisection never lands on.  A draw bisects a memoryview of the cumulative
+array and reads the length at that index from a memoryview of the member
+array, so it makes no numpy scalars.  The cache is least-recently-used and
+holds at most CACHE_MAX_COEFFS lengths in total, so a long stream of draws
+runs in bounded memory.
 
 The RNG is the standard library's Mersenne Twister (random.Random), seeded
 explicitly; identical seeds give identical samples.
@@ -35,8 +40,8 @@ from primecycles.errors import (
 from primecycles.exact_enum import CountTable
 
 RENORM_TOLERANCE = 1e-9
-# most (k, cumulative probability) pairs one Sampler caches: 32 MB as two
-# 8-byte arrays, above the 0.8M a run of 600 draws at n = 10^5 holds
+# most lengths one Sampler caches, summed over its sizes: 16 MB as one
+# 8-byte array, above the 0.7M-0.8M a run of 600 draws at n = 10^5 holds
 CACHE_MAX_COEFFS = 1 << 21
 
 
@@ -62,23 +67,23 @@ def _empty_support(n: int) -> EmptySupportError:
     )
 
 
-def _float_first_cycle(table: CountTable, n: int):
-    """Arrays (ks, p) of the lengths k in A with a_{n-k} > 0, ascending, and
-    their first-cycle probabilities a_{n-k} / (n * a_n) from a float table,
-    renormalized by their sum."""
+def _float_first_cycle(table: CountTable, n: int, ks: np.ndarray) -> np.ndarray:
+    """First-cycle probabilities a_{n-k} / (n * a_n) from a float table for
+    the members ks, all k in A with k <= n, ascending, renormalized by their
+    sum; 0.0 where a_{n-k} = 0."""
     _check_n(table, n)
     a = table.a_float
     if a[n] <= 0.0:
         raise _empty_support(n)
-    ks = table.spec.members_upto(n)
-    raw = a[n - ks] / (n * a[n])
-    total = math.fsum(raw.tolist())
+    p = a[n - ks]
+    p /= n * a[n]
+    total = math.fsum(memoryview(p))
     if abs(total - 1.0) > RENORM_TOLERANCE:
         raise InternalConsistencyError(
             f"first-cycle probabilities at n={n} sum to {total!r}"
         )
-    keep = raw > 0.0
-    return ks[keep], raw[keep] / total
+    p /= total
+    return p
 
 
 def first_cycle_distribution(table: CountTable, n: int):
@@ -89,8 +94,10 @@ def first_cycle_distribution(table: CountTable, n: int):
     are omitted.
     """
     if table.p_exact is None:
-        ks, p = _float_first_cycle(table, n)
-        return list(zip(ks.tolist(), p.tolist()))
+        ks = table.spec.members_upto(n)
+        p = _float_first_cycle(table, n, ks)
+        keep = p > 0.0
+        return list(zip(ks[keep].tolist(), p[keep].tolist()))
     _check_n(table, n)
     # a_{n-k} / (n a_n) = P_{n-k} (n-1)!/(n-k)! / P_n
     P = table.p_exact
@@ -115,24 +122,30 @@ class Sampler:
         self.table = table
         self.seed = seed
         self._rng = random.Random(seed)
-        self._cum = {}  # m -> (ks, cum, total), least recently used first
-        self._cached = 0  # total len(ks) over the cache
+        self._ks = table.spec.members_upto(table.n_max)
+        self._ks_view = memoryview(self._ks)
+        self._cum = {}  # m -> (cum, cum[-1]), least recently used first
+        self._cached = 0  # total len(cum) over the cache
 
     def _cumulative(self, m: int):
-        """(ks, cum, cum[-1] as a float) for size m, most recently used last."""
+        """(cum, cum[-1]) for size m, most recently used last; cum[i] is the
+        probability that the first cycle is no longer than the i-th member."""
         cache = self._cum
         entry = cache.pop(m, None)
         if entry is None:
+            ks = self._ks[: bisect.bisect_right(self._ks_view, m)]
             if self.table.p_exact is None:
-                ks, p = _float_first_cycle(self.table, m)
+                p = _float_first_cycle(self.table, m, ks)
             else:
                 pairs = first_cycle_distribution(self.table, m)
-                ks = np.array([k for k, _ in pairs], dtype=np.int64)
-                p = np.array([float(q) for _, q in pairs])
-            # cumsum adds left to right, as a running sum would
-            cum = np.cumsum(p)
-            entry = (ks, cum, cum.item(-1))
-            size = len(ks)
+                p = np.zeros(len(ks))
+                p[np.searchsorted(ks, [k for k, _ in pairs])] = \
+                    [float(q) for _, q in pairs]
+            # cumsum adds left to right, as a running sum would, and adding
+            # a zero step changes no sum
+            cum = memoryview(np.cumsum(p, out=p))
+            entry = (cum, cum[-1])
+            size = len(cum)
             if size > CACHE_MAX_COEFFS:
                 return entry
             while self._cached + size > CACHE_MAX_COEFFS:
@@ -144,14 +157,25 @@ class Sampler:
     def sample(self, n: int) -> CycleTypeSample:
         if n < 1:
             raise InvalidArgumentError(f"n must be >= 1, got {n}")
+        cache = self._cum
+        ks = self._ks_view
+        draw = self._rng.random
         lengths = []
         m = n
         while m > 0:
-            ks, cum, total = self._cumulative(m)
-            # the first edge above u; bisect_right beats searchsorted's call
-            # overhead on short arrays.  u can round up to cum[-1], hence min
-            i = bisect.bisect_right(cum, self._rng.random() * total)
-            chosen = ks.item(min(i, len(ks) - 1))
+            entry = cache.pop(m, None)
+            if entry is None:
+                entry = self._cumulative(m)
+            else:
+                cache[m] = entry
+            cum, total = entry
+            # the first edge above u, which is never a zero-width step.  u
+            # can round up to total; then the first edge to reach total is
+            # the last length with mass
+            i = bisect.bisect_right(cum, draw() * total)
+            if i == len(cum):
+                i = bisect.bisect_left(cum, total)
+            chosen = ks[i]
             lengths.append(chosen)
             m -= chosen
         lengths.sort()

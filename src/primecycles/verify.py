@@ -54,17 +54,22 @@ def _checked_grid(grid) -> list:
     return grid
 
 
-def partial_sum_table(table: CountTable, n_grid, constants: Constants):
+def partial_sum_table(table: CountTable, n_grid, constants: Constants,
+                      sums=None):
     """Rows comparing T_n against e^c ln n over the grid.
 
     scaled_residual = (T_n/ln n - e^c) * ln ln n, the natural scale of the
-    model's error term.
+    model's error term.  sums, if given, are the grid's T_n as
+    partial_sums(table, n_grid) returns them, so a caller that needs them
+    for more than one table sums the table once.
     """
     if table.spec.kind != KIND_PRIMES:
         raise InvalidArgumentError("partial-sum table is defined for the primes spec")
     n_grid = _checked_grid(n_grid)
     rows = []
-    for n, total in zip(n_grid, partial_sums(table, n_grid)):
+    if sums is None:
+        sums = partial_sums(table, n_grid)
+    for n, total in zip(n_grid, sums, strict=True):
         exact = float(total)
         model = partial_sum_log_model(n, constants)
         resid = (exact / math.log(n) - constants.e_to_c) * math.log(math.log(n))
@@ -72,16 +77,20 @@ def partial_sum_table(table: CountTable, n_grid, constants: Constants):
     return rows
 
 
-def hlk_comparison_table(table: CountTable, n_grid, constants: Constants):
+def hlk_comparison_table(table: CountTable, n_grid, constants: Constants,
+                         sums=None):
     """Rows comparing T_n against f_A(1 - 1/n) / Gamma(rho + 1).
 
     For the primes spec the model is f_eval(1 - 1/n) directly (density 0,
     Gamma(1) = 1); other specs go through odlyzko_sum_model.
-    scaled_residual = (ratio - 1) * ln ln n.
+    scaled_residual = (ratio - 1) * ln ln n.  sums is as for
+    partial_sum_table.
     """
     n_grid = _checked_grid(n_grid)
     rows = []
-    for n, total in zip(n_grid, partial_sums(table, n_grid)):
+    if sums is None:
+        sums = partial_sums(table, n_grid)
+    for n, total in zip(n_grid, sums, strict=True):
         exact = float(total)
         if table.spec.kind == KIND_PRIMES:
             model = f_eval(1.0 - 1.0 / n)

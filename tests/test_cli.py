@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from primecycles import cli, exact_enum, verify
 from primecycles.cli import main, parse_spec
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError
@@ -236,6 +237,21 @@ def test_verify_pnt_builds_no_prime_table(capsys):
         tracemalloc.stop()
     assert rc == 0 and out == "pnt: ok\n"
     assert peak < 10 * 2**20
+
+
+def test_verify_sums_the_count_table_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(table, ns):
+        calls.append(list(ns))
+        return exact_enum.partial_sums(table, ns)
+
+    monkeypatch.setattr(cli, "partial_sums", counted)
+    monkeypatch.setattr(verify, "partial_sums", counted)
+    rc, out, _ = run(capsys, "verify", "--n-grid", "100,1000",
+                     "--t-grid", "0.001,0.0001")
+    assert rc == 0 and "partial-sum: ok" in out and "hlk: ok" in out
+    assert calls == [[100, 1000]]
 
 
 def test_verify_detects_departure(capsys):

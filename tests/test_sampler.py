@@ -1,10 +1,16 @@
+import bisect
+import functools
 import math
+import random
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import (
@@ -15,6 +21,7 @@ from primecycles.errors import (
 )
 from primecycles import sampler as sampler_module
 from primecycles.exact_enum import CountTable, build_table
+from primecycles.primes import build_sieve
 from primecycles.sampler import (
     CycleTypeSample,
     Sampler,
@@ -319,3 +326,103 @@ def test_cache_evicts_least_recently_used(table300, monkeypatch):
     # an entry above the cap alone is used but not kept
     sam._cumulative(300)
     assert list(sam._cum) == [10, 13]
+
+
+def test_sampler_cache_memory_at_1e5():
+    # one 8-byte cumulative array per cached size: a traced peak of 6.1 MB
+    # for these draws, where a lengths array beside each took 11.6 MB
+    n = 100_000
+    table = build_table(CycleClassSpec.primes(build_sieve(n)), n, "float")
+    tracemalloc.start()
+    try:
+        sam = Sampler(table, seed=1)
+        for _ in range(600):
+            sam.sample(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+class _ScriptedRng:
+    """random() returns the given values first, then those of Random(seed)."""
+
+    def __init__(self, values, seed):
+        self.values = list(values)
+        self.rest = random.Random(seed)
+
+    def random(self):
+        return self.values.pop(0) if self.values else self.rest.random()
+
+
+def _filtered_array_draws(table, n, rng, count):
+    """Reference sampler that keeps, for each size m, only the lengths with
+    a_{m-k} > 0 and their cumulative probabilities, and clamps a u that
+    rounds up to the total onto the last of them."""
+    arrays = {}
+    draws = []
+    for _ in range(count):
+        lengths = []
+        m = n
+        while m > 0:
+            if m not in arrays:
+                if table.p_exact is None:
+                    a = table.a_float
+                    if a[m] <= 0.0:
+                        raise EmptySupportError(m)
+                    ks = table.spec.members_upto(m)
+                    raw = a[m - ks] / (m * a[m])
+                    total = math.fsum(raw.tolist())
+                    keep = raw > 0.0
+                    ks, p = ks[keep], raw[keep] / total
+                else:
+                    pairs = first_cycle_distribution(table, m)
+                    ks = np.array([k for k, _ in pairs], dtype=np.int64)
+                    p = np.array([float(q) for _, q in pairs])
+                cum = np.cumsum(p)
+                arrays[m] = (ks.tolist(), cum.tolist())
+            ks, cum = arrays[m]
+            i = bisect.bisect_right(cum, rng.random() * cum[-1])
+            lengths.append(ks[min(i, len(ks) - 1)])
+            m -= lengths[-1]
+        draws.append(tuple(sorted(lengths)))
+    return draws
+
+
+_PROPERTY_SPECS = {
+    "primes": CycleClassSpec.primes(build_sieve(1000)),
+    "odd": ODD,
+    "mod:3:0": CycleClassSpec.residue_classes(3, (0,)),
+    "set:2,3,10": CycleClassSpec.explicit((2, 3, 10)),
+}
+# below n = 1168, where the float table of set:2,3,10 underflows
+_PROPERTY_N_MAX = {"float": 1000, "exact": 300}
+
+
+@functools.lru_cache(maxsize=None)
+def _property_table(name, mode):
+    return build_table(_PROPERTY_SPECS[name], _PROPERTY_N_MAX[mode], mode)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(_PROPERTY_SPECS)),
+       mode=st.sampled_from(["float", "exact"]),
+       n=st.integers(1, 1000),
+       seed=st.integers(0, 2**32 - 1),
+       forced=st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+                       max_size=8))
+def test_draws_match_filtered_arrays(name, mode, n, seed, forced):
+    # the sampler's zero-width steps change no draw, not even at u = total,
+    # which a forced 1.0 reaches
+    table = _property_table(name, mode)
+    n = 1 + (n - 1) % table.n_max
+    sam = Sampler(table, seed=0)
+    sam._rng = _ScriptedRng(forced, seed)
+    ref_rng = _ScriptedRng(forced, seed)
+    try:
+        want = _filtered_array_draws(table, n, ref_rng, 3)
+    except EmptySupportError:
+        with pytest.raises(EmptySupportError):
+            sam.sample(n)
+        return
+    assert [sam.sample(n).lengths for _ in range(3)] == want

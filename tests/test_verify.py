@@ -7,7 +7,7 @@ import pytest
 from primecycles import analytic
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError
-from primecycles.exact_enum import build_table, partial_sum
+from primecycles.exact_enum import build_table, partial_sum, partial_sums
 from primecycles.primes import iter_prime_blocks
 from primecycles.verify import (
     PARTIAL_SUM_RESIDUAL_BOUND,
@@ -55,6 +55,17 @@ def test_partial_sum_table_validation(float_table_1e5, constants):
         partial_sum_table(all_tab, (10,), constants)
     with pytest.raises(InvalidArgumentError):
         partial_sum_table(float_table_1e5, (1, 10), constants)
+
+
+def test_tables_take_the_grid_sums(float_table_1e5, constants):
+    grid = (100, 1000, 10_000)
+    sums = partial_sums(float_table_1e5, grid)
+    assert partial_sum_table(float_table_1e5, grid, constants, sums) == \
+        partial_sum_table(float_table_1e5, grid, constants)
+    assert hlk_comparison_table(float_table_1e5, grid, constants, sums) == \
+        hlk_comparison_table(float_table_1e5, grid, constants)
+    with pytest.raises(ValueError):
+        partial_sum_table(float_table_1e5, grid, constants, sums[:2])
 
 
 def test_hlk_all_lengths_is_exact(constants):
