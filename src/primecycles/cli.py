@@ -8,7 +8,6 @@ stdout is deterministic for identical argv; errors go to stderr.
 import argparse
 import json
 import math
-import os
 import sys
 
 from primecycles.analytic import (
@@ -32,10 +31,13 @@ from primecycles.exact_enum import (
 from primecycles.primes import build_sieve
 from primecycles.sampler import Sampler
 from primecycles.verify import (
+    CHECK_NAMES,
     N_GRID_DEFAULT,
     T_GRID_DEFAULT,
-    PARTIAL_SUM_RESIDUAL_BOUND,
-    PHI_SAFETY_FACTOR,
+    check_hlk,
+    check_partial_sum,
+    check_phi,
+    check_pnt,
     emit_report,
     hlk_comparison_table,
     partial_sum_table,
@@ -44,7 +46,6 @@ from primecycles.verify import (
     slow_variation_check,
 )
 
-SIEVE_ENV_VAR = "PRIMECYCLES_SIEVE_LIMIT"
 # sample draws from exact tables up to this n, from float tables above
 SAMPLE_EXACT_MAX = 200
 
@@ -84,25 +85,10 @@ def parse_spec(text: str, table=None) -> CycleClassSpec:
     raise InvalidArgumentError(f"unknown spec {text!r}")
 
 
-def _sieve_limit(args, needed: int) -> int:
-    if getattr(args, "sieve_limit", None):
-        return args.sieve_limit
-    env = os.environ.get(SIEVE_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidArgumentError(
-                f"{SIEVE_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-    return max(needed, 1000)
-
-
-def _make_spec(args, needed: int) -> CycleClassSpec:
-    table = None
-    if args.spec == "primes":
-        table = build_sieve(_sieve_limit(args, needed))
-    return parse_spec(args.spec, table)
+def _make_spec(text: str, needed: int) -> CycleClassSpec:
+    """parse_spec, with a sieve to max(needed, 1000) for the primes."""
+    table = build_sieve(max(needed, 1000)) if text == "primes" else None
+    return parse_spec(text, table)
 
 
 def _print_float_count(n: int, a: float) -> None:
@@ -119,7 +105,7 @@ def _print_float_count(n: int, a: float) -> None:
 
 
 def cmd_count(args) -> int:
-    spec = _make_spec(args, args.n)
+    spec = _make_spec(args.spec, args.n)
     if args.mode == "exact":
         print(big_str(count_exact(spec, args.n, exact_cap=args.exact_cap)))
     else:
@@ -129,24 +115,18 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    spec = _make_spec(args, args.n_max)
+    spec = _make_spec(args.spec, args.n_max)
     table = build_table(spec, args.n_max, mode=args.mode,
                         exact_cap=args.exact_cap)
-    if args.out:
-        dump_table(table, args.out)
-    else:
-        dump_table(table, sys.stdout)
+    dump_table(table, args.out or sys.stdout)
     return 0
 
 
 def cmd_sum(args) -> int:
-    spec = _make_spec(args, args.n)
-    if args.mode == "exact":
-        table = build_table(spec, args.n, mode="exact", exact_cap=args.exact_cap)
-        print(partial_sum(table, args.n))
-    else:
-        table = build_table(spec, args.n, mode="float")
-        print(f"{partial_sum(table, args.n):.17g}")
+    spec = _make_spec(args.spec, args.n)
+    table = build_table(spec, args.n, mode=args.mode, exact_cap=args.exact_cap)
+    total = partial_sum(table, args.n)
+    print(total if args.mode == "exact" else f"{total:.17g}")
     return 0
 
 
@@ -182,62 +162,23 @@ def cmd_phi(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    spec = _make_spec(args, args.n)
+    spec = _make_spec(args.spec, args.n)
     # float tables of explicit sets underflow early (a_400 for set:2), so
     # those take exact tables up to the exact cap
-    cap = EXACT_CAP_DEFAULT if spec.kind == KIND_EXPLICIT else SAMPLE_EXACT_MAX
+    cap = args.exact_cap
+    if spec.kind != KIND_EXPLICIT:
+        cap = min(cap, SAMPLE_EXACT_MAX)
     mode = "exact" if args.n <= cap else "float"
-    sampler = Sampler(build_table(spec, args.n, mode=mode), args.seed)
+    sampler = Sampler(build_table(spec, args.n, mode=mode,
+                                  exact_cap=args.exact_cap), args.seed)
     for _ in range(args.count):
         sample = sampler.sample(args.n)
         print(",".join(str(k) for k in sample.lengths))
     return 0
 
 
-def _check_partial_sum(rows):
-    bad = [r for r in rows
-           if abs(r.scaled_residual) > PARTIAL_SUM_RESIDUAL_BOUND]
-    if bad:
-        return f"scaled residual beyond {PARTIAL_SUM_RESIDUAL_BOUND} at x={bad[0].x:g}"
-    if len(rows) > 1 and abs(rows[-1].ratio - 1.0) > abs(rows[0].ratio - 1.0):
-        return "ratio not converging toward 1 across the grid"
-    return None
-
-
-def _check_hlk(rows):
-    if abs(rows[-1].ratio - 1.0) > 0.1:
-        return f"|ratio-1| = {abs(rows[-1].ratio - 1.0):.3g} > 0.1 at the last row"
-    if len(rows) > 1 and abs(rows[-1].ratio - 1.0) > abs(rows[0].ratio - 1.0):
-        return "ratio not converging toward 1 across the grid"
-    return None
-
-
-def _check_phi(rows):
-    for r in rows:
-        if abs(r.recombined - r.direct) > 1e-9 * abs(r.direct):
-            return f"recombination off at t={r.t:g}"
-        if abs(r.phi1_scaled) > PHI_SAFETY_FACTOR:
-            return f"phi1 residual beyond safety factor at t={r.t:g}"
-        if abs(r.phi2_scaled) > PHI_SAFETY_FACTOR:
-            return f"phi2 beyond safety factor at t={r.t:g}"
-        if not 0.0 <= r.phi3_scaled <= PHI_SAFETY_FACTOR:
-            return f"phi3 beyond envelope safety factor at t={r.t:g}"
-    return None
-
-
-def _check_pnt(rows):
-    for r in rows:
-        if not (math.isfinite(r.ratio) and r.ratio > 1.0):
-            return f"ratio not in (1, inf) at k={r.x:g}"
-    for a, b in zip(rows, rows[1:]):
-        if not b.ratio < a.ratio:
-            return f"ratio not strictly decreasing at k={b.x:g}"
-    return None
-
-
 def cmd_verify(args) -> int:
-    names = ("partial-sum", "hlk", "phi", "pnt", "slowvar")
-    selected = names if args.which == "all" else (args.which,)
+    selected = CHECK_NAMES if args.which == "all" else (args.which,)
     n_grid = args.n_grid or N_GRID_DEFAULT
     t_grid = args.t_grid or T_GRID_DEFAULT
     constants = make_constants()
@@ -246,25 +187,24 @@ def cmd_verify(args) -> int:
 
     if "partial-sum" in selected or "hlk" in selected:
         # the table reads members up to max(n_grid); f_eval streams its own
-        table = build_sieve(_sieve_limit(args, max(n_grid)))
-        spec = CycleClassSpec.primes(table)
+        spec = _make_spec("primes", max(n_grid))
         count_table = build_table(spec, max(n_grid), mode="float")
         sums = partial_sums(count_table, n_grid)
     if "partial-sum" in selected:
         rows = partial_sum_table(count_table, n_grid, constants, sums)
         emitted["partial-sum"] = rows
-        _report_check("partial-sum", _check_partial_sum(rows), failures)
+        _report_check("partial-sum", check_partial_sum(rows), failures)
     if "hlk" in selected:
         rows = hlk_comparison_table(count_table, n_grid, constants, sums)
         emitted["hlk"] = rows
-        _report_check("hlk", _check_hlk(rows), failures)
+        _report_check("hlk", check_hlk(rows), failures)
     if "phi" in selected:
         rows = phi_estimate_table(t_grid, constants)
-        _report_check("phi", _check_phi(rows), failures)
+        _report_check("phi", check_phi(rows), failures)
     if "pnt" in selected:
         rows = pnt_table(PNT_GRID_DEFAULT)
         emitted["pnt"] = rows
-        _report_check("pnt", _check_pnt(rows), failures)
+        _report_check("pnt", check_pnt(rows), failures)
     if "slowvar" in selected:
         report = slow_variation_check(SLOWVAR_U_DEFAULT, SLOWVAR_T_DEFAULT)
         detail = None if report["ok"] else (
@@ -274,8 +214,7 @@ def cmd_verify(args) -> int:
 
     if args.out:
         for name, rows in emitted.items():
-            ext = "csv" if args.format == "csv" else "json"
-            emit_report(rows, args.format, f"{args.out}-{name}.{ext}")
+            emit_report(rows, args.format, f"{args.out}-{name}.{args.format}")
     if failures:
         print("failed checks: " + ", ".join(failures), file=sys.stderr)
         return 1
@@ -312,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_n:
             p.add_argument(n_flag, type=int, required=True,
                            help="permutation size")
-        p.add_argument("--sieve-limit", type=int, default=None,
-                       help=f"prime table limit (or ${SIEVE_ENV_VAR})")
-        p.add_argument("--exact-cap", type=int, default=2000,
+        p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
                        help="largest n allowed in exact mode")
 
     p = sub.add_parser("count", help="exact or estimated count of valid permutations")
@@ -350,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run convergence checks, exit 0 iff all hold")
     p.add_argument("--which",
-                   choices=("all", "partial-sum", "hlk", "phi", "pnt", "slowvar"),
+                   choices=("all",) + CHECK_NAMES,
                    default="all")
     p.add_argument("--n-grid", type=_csv_ints, default=None,
                    help="comma-separated n grid")
@@ -359,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None,
                    help="prefix for emitted per-check tables")
-    p.add_argument("--sieve-limit", type=int, default=None)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("sample", help="sample cycle types, one per line")

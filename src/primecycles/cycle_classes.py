@@ -41,7 +41,8 @@ class CycleClassSpec:
 
     @classmethod
     def all_lengths(cls) -> "CycleClassSpec":
-        return cls(KIND_ALL)
+        # the residue class 0 mod 1, for the routes that take residues
+        return cls(KIND_ALL, modulus=1, residues=(0,))
 
     @classmethod
     def explicit(cls, values) -> "CycleClassSpec":

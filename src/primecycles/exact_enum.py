@@ -37,8 +37,9 @@ build_table picks the float route from the spec's kind in the same way:
 
 A float table whose coefficients reach the subnormal range is refused
 rather than rounded to a false zero.  Two independent oracles
-check the exact routes: a partition-type sum n!/prod(l^m_l * m_l!) and a
-full enumeration of S_n for tiny n.  They share no code with the routes or
+check the exact routes: the exponential formula f_A = prod_{k in A}
+exp(x^k/k) expanded one part at a time (n <= 300), and a full enumeration
+of S_n for tiny n.  They share no code or identity with the routes or
 with each other.  The general recurrence P_n = sum_{k in A, k <= n}
 (n-1)...(n-k+1) * P_{n-k}, at |A(n)| big multiplies per term, lives only in
 the tests, as a third cross-check.
@@ -51,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -71,7 +72,7 @@ from primecycles.errors import (
 
 EXACT_CAP_DEFAULT = 2000
 FLOAT_CAP_DEFAULT = 10_000_000
-PARTITION_CAP = 80
+PARTITION_CAP = 300
 BRUTE_FORCE_CAP = 9
 FAST_PATH_LEAF = 32
 FAST_PATH_DIRECT = 512
@@ -83,12 +84,11 @@ class CountTable:
 
     p_exact[n] is the integer count P_n (so a_n = P_n/n! exactly), a_float
     the double-precision coefficients from the recurrence run in floating
-    point.  mode records which are present.
+    point; either is None when not built.
     """
 
     spec: CycleClassSpec
     n_max: int
-    mode: str
     p_exact: Optional[list]
     a_float: Optional[np.ndarray]
 
@@ -195,9 +195,7 @@ def count_exact_upto(spec: CycleClassSpec, n_max: int,
         raise ResourceLimitError(
             f"exact enumeration capped at n <= {exact_cap}, got {n_max}"
         )
-    if spec.kind == KIND_ALL:
-        return _count_periodic(1, (0,), n_max)
-    if spec.kind == KIND_RESIDUES:
+    if spec.kind in (KIND_ALL, KIND_RESIDUES):
         return _count_periodic(spec.modulus, spec.residues, n_max)
     members = [int(k) for k in spec.members_upto(n_max)]
     return _count_scaled(members, n_max)
@@ -327,9 +325,7 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
 
 def _build_float(spec: CycleClassSpec, members: np.ndarray,
                  n_max: int) -> np.ndarray:
-    if spec.kind == KIND_ALL:
-        return _build_float_periodic(1, (0,), n_max)
-    if spec.kind == KIND_RESIDUES:
+    if spec.kind in (KIND_ALL, KIND_RESIDUES):
         return _build_float_periodic(spec.modulus, spec.residues, n_max)
     if spec.kind == KIND_PRIMES:
         return _build_float_fast(members, n_max)
@@ -373,69 +369,75 @@ def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
                 "underflows; use exact mode"
             )
         a_float.flags.writeable = False
-    return CountTable(spec=spec, n_max=n_max, mode=mode,
-                      p_exact=p_exact, a_float=a_float)
+    return CountTable(spec=spec, n_max=n_max, p_exact=p_exact, a_float=a_float)
 
 
 # -- independent oracles ------------------------------------------------------
 
 
+def count_by_cycle_types_upto(spec: CycleClassSpec, n_max: int) -> list:
+    """P_0..P_{n_max} by the exponential formula, one factor of
+    f_A = prod_{k in A} exp(x^k/k) at a time.
+
+    The factor for k puts m k-cycles on j points in
+    w_m = j!/((j-km)! k^m m!) ways, beside a permutation of the other j-km
+    points by the members below k; j runs downward, so P[j-km] has no
+    k-cycle yet.  w_m is w_{m-1} times k falling factors over k*m, an exact
+    division, so a remainder can only mean a fault here and is raised.
+    """
+    if n_max < 0:
+        raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
+    if n_max > PARTITION_CAP:
+        raise ResourceLimitError(
+            f"partition enumeration capped at n <= {PARTITION_CAP}, got {n_max}"
+        )
+    P = [1] + [0] * n_max
+    for k in spec.members_upto(n_max).tolist():
+        for j in range(n_max, k - 1, -1):
+            w = 1
+            for m in range(1, j // k + 1):
+                w, rem = divmod(w * math.perm(j - k * (m - 1), k), k * m)
+                if rem:
+                    raise InternalConsistencyError(
+                        f"{k}-cycles on {j} points: not a multiple of {k * m}")
+                P[j] += w * P[j - k * m]
+    return P
+
+
 def count_by_cycle_types(spec: CycleClassSpec, n: int) -> int:
     """Sum of n!/prod(l^m_l * m_l!) over partitions of n with all parts in A."""
-    if n < 0:
-        raise InvalidArgumentError(f"n must be >= 0, got {n}")
-    if n > PARTITION_CAP:
-        raise ResourceLimitError(
-            f"partition enumeration capped at n <= {PARTITION_CAP}, got {n}"
-        )
-    parts = [int(k) for k in spec.members_upto(n)[::-1]]  # descending
-    nf = math.factorial(n)
-    total = 0
-
-    def rec(rem, i, denom):
-        nonlocal total
-        if rem == 0:
-            total += nf // denom
-            return
-        for j in range(i, len(parts)):
-            l = parts[j]
-            if l > rem:
-                continue
-            d = denom
-            r = rem
-            fm = 1
-            m = 0
-            while r >= l:
-                m += 1
-                fm *= m
-                r -= l
-                d *= l
-                rec(r, j + 1, d * fm)
-
-    rec(n, 0, 1)
-    return total
+    return count_by_cycle_types_upto(spec, n)[n]
 
 
 @lru_cache(maxsize=None)
 def _cycle_type_census(n: int) -> dict:
-    """Cycle-type multiplicities over all n! permutations, by full enumeration."""
+    """Cycle-type multiplicities over all n! permutations, by full enumeration.
+
+    perms holds each permutation of range(n) once, built by putting k in
+    each of the k + 1 places of each permutation of range(k).  A point's
+    cycle length is one more than the steps it stays away from home.
+    """
+    perms = np.zeros((1, 0), np.int8)
+    for k in range(n):
+        perms = np.concatenate([np.insert(perms, p, k, axis=1)
+                                for p in range(k + 1)])
+    length = np.ones_like(perms)
+    away = np.ones(perms.shape, bool)
+    image = perms
+    for _ in range(n - 1):
+        away &= image != np.arange(n, dtype=np.int8)
+        length += away
+        image = np.take_along_axis(perms, image, axis=1)
+    # digit l-1 of a row's key counts the points on l-cycles, l * m_l,
+    # which n <= BRUTE_FORCE_CAP keeps below 10
+    keys, mult = np.unique((np.int32(10) ** (length - 1)).sum(axis=1),
+                           return_counts=True)
     census = {}
-    for perm in permutations(range(n)):
-        seen = [False] * n
+    for key, c in zip(keys.tolist(), mult.tolist()):
         lengths = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ln += 1
-            lengths.append(ln)
-        lengths.sort()
-        key = tuple(lengths)
-        census[key] = census.get(key, 0) + 1
+        for l in range(1, n + 1):
+            lengths += [l] * (key // 10 ** (l - 1) % 10 // l)
+        census[tuple(lengths)] = c
     return census
 
 

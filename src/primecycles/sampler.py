@@ -10,7 +10,8 @@ A Sampler reads the lengths it can draw from one member array, every
 member up to the table's n_max; for the primes that array is a view of the
 sieve's index.  For each remaining size m it meets it caches one float64
 array: the cumulative first-cycle probabilities over all members <= m,
-built in numpy from the float table (or from the exact table's Fractions).
+built in numpy from the float table, or from the exact table's integers
+by correctly rounded int division.
 A length k with a_{m-k} = 0 stays in the array as a zero-width step, which
 bisection never lands on.  A draw bisects a memoryview of the cumulative
 array and reads the length at that index from a memoryview of the member
@@ -86,6 +87,24 @@ def _float_first_cycle(table: CountTable, n: int, ks: np.ndarray) -> np.ndarray:
     return p
 
 
+def _exact_first_cycle(table: CountTable, n: int, ks: np.ndarray):
+    """(numerators, P_n) for the members ks, as for _float_first_cycle: length
+    k has probability P_{n-k} (n-1)!/(n-k)! / P_n = a_{n-k} / (n * a_n)."""
+    _check_n(table, n)
+    P = table.p_exact
+    if P[n] == 0:
+        raise _empty_support(n)
+    nums = []
+    ff = 1  # (n-1)(n-2)...(n-j+1)
+    j = 1
+    for k in ks.tolist():
+        while j < k:
+            ff *= n - j
+            j += 1
+        nums.append(P[n - k] * ff)
+    return nums, P[n]
+
+
 def first_cycle_distribution(table: CountTable, n: int):
     """Pairs (k, Pr[cycle through element 1 has length k]) for k in A, ascending.
 
@@ -93,26 +112,13 @@ def first_cycle_distribution(table: CountTable, n: int):
     tables give doubles renormalized by their sum.  Zero-probability lengths
     are omitted.
     """
+    ks = table.spec.members_upto(n)
     if table.p_exact is None:
-        ks = table.spec.members_upto(n)
         p = _float_first_cycle(table, n, ks)
         keep = p > 0.0
         return list(zip(ks[keep].tolist(), p[keep].tolist()))
-    _check_n(table, n)
-    # a_{n-k} / (n a_n) = P_{n-k} (n-1)!/(n-k)! / P_n
-    P = table.p_exact
-    if P[n] == 0:
-        raise _empty_support(n)
-    pairs = []
-    ff = 1  # (n-1)(n-2)...(n-j+1)
-    j = 1
-    for k in table.spec.members_upto(n).tolist():
-        while j < k:
-            ff *= n - j
-            j += 1
-        if P[n - k]:
-            pairs.append((k, Fraction(P[n - k] * ff, P[n])))
-    return pairs
+    nums, total = _exact_first_cycle(table, n, ks)
+    return [(k, Fraction(q, total)) for k, q in zip(ks.tolist(), nums) if q]
 
 
 class Sampler:
@@ -137,10 +143,9 @@ class Sampler:
             if self.table.p_exact is None:
                 p = _float_first_cycle(self.table, m, ks)
             else:
-                pairs = first_cycle_distribution(self.table, m)
-                p = np.zeros(len(ks))
-                p[np.searchsorted(ks, [k for k, _ in pairs])] = \
-                    [float(q) for _, q in pairs]
+                # int / int is correctly rounded, as float(Fraction) is
+                nums, total = _exact_first_cycle(self.table, m, ks)
+                p = np.array([q / total for q in nums])
             # cumsum adds left to right, as a running sum would, and adding
             # a zero step changes no sum
             cum = memoryview(np.cumsum(p, out=p))

@@ -27,7 +27,12 @@ N_GRID_DEFAULT = (100, 1000, 10_000, 100_000)
 T_GRID_DEFAULT = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 PARTIAL_SUM_RESIDUAL_BOUND = 2.0
+HLK_RATIO_BOUND = 0.1
 PHI_SAFETY_FACTOR = 5.0
+PHI_RECOMBINATION_RTOL = 1e-9
+
+# the checks `primecycles verify` runs, in order
+CHECK_NAMES = ("partial-sum", "hlk", "phi", "pnt", "slowvar")
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,56 @@ def pnt_table(k_grid):
         ratio = pk / model
         rows.append(make_row(k, pk, model, ratio - 1.0))
     return rows
+
+
+# -- verdicts: None if a table's rows pass, else the first failure's reason ----
+
+
+def _not_converging(rows) -> bool:
+    """Whether the last ratio lies further from 1 than the first."""
+    return len(rows) > 1 and abs(rows[-1].ratio - 1.0) > abs(rows[0].ratio - 1.0)
+
+
+def check_partial_sum(rows):
+    bad = [r for r in rows
+           if abs(r.scaled_residual) > PARTIAL_SUM_RESIDUAL_BOUND]
+    if bad:
+        return f"scaled residual beyond {PARTIAL_SUM_RESIDUAL_BOUND} at x={bad[0].x:g}"
+    if _not_converging(rows):
+        return "ratio not converging toward 1 across the grid"
+    return None
+
+
+def check_hlk(rows):
+    off = abs(rows[-1].ratio - 1.0)
+    if off > HLK_RATIO_BOUND:
+        return f"|ratio-1| = {off:.3g} > {HLK_RATIO_BOUND} at the last row"
+    if _not_converging(rows):
+        return "ratio not converging toward 1 across the grid"
+    return None
+
+
+def check_phi(rows):
+    for r in rows:
+        if abs(r.recombined - r.direct) > PHI_RECOMBINATION_RTOL * abs(r.direct):
+            return f"recombination off at t={r.t:g}"
+        if abs(r.phi1_scaled) > PHI_SAFETY_FACTOR:
+            return f"phi1 residual beyond safety factor at t={r.t:g}"
+        if abs(r.phi2_scaled) > PHI_SAFETY_FACTOR:
+            return f"phi2 beyond safety factor at t={r.t:g}"
+        if not 0.0 <= r.phi3_scaled <= PHI_SAFETY_FACTOR:
+            return f"phi3 beyond envelope safety factor at t={r.t:g}"
+    return None
+
+
+def check_pnt(rows):
+    for r in rows:
+        if not (math.isfinite(r.ratio) and r.ratio > 1.0):
+            return f"ratio not in (1, inf) at k={r.x:g}"
+    for a, b in zip(rows, rows[1:]):
+        if not b.ratio < a.ratio:
+            return f"ratio not strictly decreasing at k={b.x:g}"
+    return None
 
 
 # -- report emission ---------------------------------------------------------

@@ -5,8 +5,8 @@ Run with `pytest -v tests/test_acceptance.py` to get one line per criterion;
 each test also prints its own pass/fail line (visible with -s or -rA).
 Tolerances here are contractual; nothing is tuned to force a pass.  Several
 criteria are deliberately heavy (prime streaming to 5e9, the general
-recurrence to n = 2000, an FFT table to 1e6) and the whole module
-takes a few minutes.
+recurrence to n = 2000, an FFT table to 1e6): the module takes about 45 s
+and the whole suite 50-60 s on a 2-vCPU Xeon.
 """
 
 import math

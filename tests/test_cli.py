@@ -91,11 +91,24 @@ def test_sample_explicit_set_uses_exact_table(capsys):
     assert out == ",".join(["2"] * 200) + "\n"
 
 
+def test_sample_honours_exact_cap(capsys):
+    # a raised --exact-cap gives set:2 an exact table past the default cap
+    rc, out, err = run(capsys, "sample", "--spec", "set:2", "--n", "2100",
+                       "--exact-cap", "3000", "--seed", "1")
+    assert rc == 0 and err == ""
+    assert out == ",".join(["2"] * 1050) + "\n"
+    # a lowered one leaves it the float table, which underflows at a_400
+    rc, out, err = run(capsys, "sample", "--spec", "set:2", "--n", "400",
+                       "--exact-cap", "100", "--seed", "1")
+    assert rc == 1 and out == "" and "underflow" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "count")[0] == 2
     assert run(capsys, "count", "--n", "-3")[0] == 2
     assert run(capsys, "count", "--fast", "--n", "5")[0] == 2
+    assert run(capsys, "count", "--sieve-limit", "200", "--n", "5")[0] == 2
     assert run(capsys, "count", "--spec", "bogus", "--n", "5")[0] == 2
     assert run(capsys, "count", "--spec", "mod:a:1", "--n", "5")[0] == 2
     assert run(capsys, "sample", "--n", "0", "--seed", "1")[0] == 2
@@ -276,18 +289,6 @@ def test_verify_emits_reports(tmp_path, capsys):
 def test_verify_bad_grid(capsys):
     rc, _, err = run(capsys, "verify", "--which", "partial-sum",
                      "--n-grid", "1,10")
-    assert rc == 1 and err.startswith("error:")
-
-
-def test_sieve_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("PRIMECYCLES_SIEVE_LIMIT", "50")
-    rc, _, err = run(capsys, "count", "--n", "100")
-    assert rc == 1 and err.startswith("error:")
-    # explicit flag wins over the environment
-    rc, out, _ = run(capsys, "count", "--n", "100", "--sieve-limit", "200")
-    assert rc == 0 and int(out) > 0
-    monkeypatch.setenv("PRIMECYCLES_SIEVE_LIMIT", "abc")
-    rc, _, err = run(capsys, "count", "--n", "100")
     assert rc == 1 and err.startswith("error:")
 
 

@@ -17,6 +17,7 @@ from primecycles.errors import (
     ResourceLimitError,
 )
 from primecycles.exact_enum import (
+    PARTITION_CAP,
     _build_float_baseline,
     _build_float_fast,
     big_str,
@@ -123,7 +124,7 @@ def test_caps(primes_spec):
     with pytest.raises(ResourceLimitError):
         count_exact(primes_spec, 2001)
     with pytest.raises(ResourceLimitError):
-        count_by_cycle_types(primes_spec, 81)
+        count_by_cycle_types(primes_spec, PARTITION_CAP + 1)
     with pytest.raises(ResourceLimitError):
         count_brute_force(primes_spec, 10)
     with pytest.raises(ResourceLimitError):

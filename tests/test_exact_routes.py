@@ -1,6 +1,6 @@
 """Differential tests: the two exact routes of count_exact_upto against the
-general recurrence (test-only), the partition oracle and brute force, and
-the float routes of build_table against the exact counts."""
+general recurrence (test-only), the partition oracle at every n and brute
+force, and the float routes of build_table against the exact counts."""
 
 import math
 
@@ -14,7 +14,7 @@ from primecycles.errors import InternalConsistencyError
 from primecycles.exact_enum import (
     build_table,
     count_brute_force,
-    count_by_cycle_types,
+    count_by_cycle_types_upto,
     count_exact_upto,
 )
 
@@ -38,13 +38,12 @@ finite_specs = st.one_of(
 )
 
 
-def check_against_oracles(spec, n_max, n_partition, n_brute):
+def check_against_oracles(spec, n_max, n_brute):
     counts = count_exact_upto(spec, n_max)
     assert type(counts) is list
     assert all(type(p) is int for p in counts)
     assert counts == count_general_upto(spec, n_max), spec
-    n_partition = min(n_partition, n_max)
-    assert counts[n_partition] == count_by_cycle_types(spec, n_partition), spec
+    assert counts == count_by_cycle_types_upto(spec, n_max), spec
     for n in range(min(n_brute, n_max) + 1):
         assert counts[n] == count_brute_force(spec, n), (spec, n)
     a_float = build_table(spec, n_max, "float").a_float
@@ -57,17 +56,15 @@ def check_against_oracles(spec, n_max, n_partition, n_brute):
 
 
 @ROUTE_SETTINGS
-@given(spec=periodic_specs, n_max=st.integers(0, 120),
-       n_partition=st.integers(0, 40), n_brute=st.integers(0, 8))
-def test_periodic_route_matches_oracles(spec, n_max, n_partition, n_brute):
-    check_against_oracles(spec, n_max, n_partition, n_brute)
+@given(spec=periodic_specs, n_max=st.integers(0, 120), n_brute=st.integers(0, 8))
+def test_periodic_route_matches_oracles(spec, n_max, n_brute):
+    check_against_oracles(spec, n_max, n_brute)
 
 
 @ROUTE_SETTINGS
-@given(spec=finite_specs, n_max=st.integers(0, 120),
-       n_partition=st.integers(0, 40), n_brute=st.integers(0, 8))
-def test_scaled_route_matches_oracles(spec, n_max, n_partition, n_brute):
-    check_against_oracles(spec, n_max, n_partition, n_brute)
+@given(spec=finite_specs, n_max=st.integers(0, 120), n_brute=st.integers(0, 8))
+def test_scaled_route_matches_oracles(spec, n_max, n_brute):
+    check_against_oracles(spec, n_max, n_brute)
 
 
 def test_primes_route_matches_general(primes_spec):
@@ -87,3 +84,11 @@ def test_scaled_route_refuses_a_remainder(length, b0, message, monkeypatch):
     monkeypatch.setattr(math, "factorial", lambda n: b0)
     with pytest.raises(InternalConsistencyError, match=message):
         count_exact_upto(CycleClassSpec.singleton(length), length)
+
+
+def test_partition_oracle_refuses_a_remainder(monkeypatch):
+    # one 2-cycle on 2 points is 2!/(0! 2^1 1!) = 1 way; a falling factor
+    # of 1 instead of 2 leaves 1/2, which must not come out as a count
+    monkeypatch.setattr(math, "perm", lambda n, k: 1)
+    with pytest.raises(InternalConsistencyError, match=r"not a multiple of 2$"):
+        count_by_cycle_types_upto(CycleClassSpec.singleton(2), 2)

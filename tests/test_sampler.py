@@ -74,8 +74,7 @@ def test_empty_support(table300, primes_spec):
 
 def test_inconsistent_float_table_detected():
     broken = CountTable(spec=CycleClassSpec.all_lengths(), n_max=1,
-                        mode="float", p_exact=None,
-                        a_float=np.array([1.0, 0.9]))
+                        p_exact=None, a_float=np.array([1.0, 0.9]))
     with pytest.raises(InternalConsistencyError):
         first_cycle_distribution(broken, 1)
 

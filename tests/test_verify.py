@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,11 @@ from primecycles.verify import (
     PARTIAL_SUM_RESIDUAL_BOUND,
     PHI_SAFETY_FACTOR,
     ConvergenceRow,
+    PhiEstimateRow,
+    check_hlk,
+    check_partial_sum,
+    check_phi,
+    check_pnt,
     emit_report,
     hlk_comparison_table,
     make_row,
@@ -160,6 +166,53 @@ def test_pnt_rows():
     assert ratios == sorted(ratios, reverse=True)
     with pytest.raises(InvalidArgumentError):
         pnt_table((1,))
+
+
+def _rows(*ratios, residual=0.0):
+    return [make_row(10 ** (i + 2), q, 1.0, residual)
+            for i, q in enumerate(ratios)]
+
+
+_PHI_OK = PhiEstimateRow(t=1e-3, cutoff=5e4, phi1=2.0, phi2=-0.1, phi3=0.01,
+                         recombined=1.91, direct=1.91, phi1_scaled=1.0,
+                         phi2_scaled=-0.5, phi3_scaled=0.5)
+
+
+def _phi(**changes):
+    return [_PHI_OK, dataclasses.replace(_PHI_OK, t=1e-4, **changes)]
+
+
+@pytest.mark.parametrize("check, rows, reason", [
+    (check_partial_sum, _rows(0.9, 0.95), None),
+    (check_partial_sum, _rows(0.9, 0.95, residual=2.5),
+     "scaled residual beyond 2.0 at x=100"),
+    (check_partial_sum, _rows(0.95, 0.9),
+     "ratio not converging toward 1 across the grid"),
+    (check_hlk, _rows(1.05, 1.01), None),
+    (check_hlk, _rows(1.05, 1.2), "|ratio-1| = 0.2 > 0.1 at the last row"),
+    (check_hlk, _rows(1.01, 1.05),
+     "ratio not converging toward 1 across the grid"),
+    (check_phi, _phi(), None),
+    (check_phi, _phi(recombined=1.91 * (1.0 + 1e-8)),
+     "recombination off at t=0.0001"),
+    (check_phi, _phi(phi1_scaled=-5.5),
+     "phi1 residual beyond safety factor at t=0.0001"),
+    (check_phi, _phi(phi2_scaled=5.5),
+     "phi2 beyond safety factor at t=0.0001"),
+    (check_phi, _phi(phi3_scaled=-0.1),
+     "phi3 beyond envelope safety factor at t=0.0001"),
+    (check_phi, _phi(phi3_scaled=5.5),
+     "phi3 beyond envelope safety factor at t=0.0001"),
+    (check_pnt, _rows(1.2, 1.1), None),
+    (check_pnt, _rows(1.2, 1.0), "ratio not in (1, inf) at k=1000"),
+    (check_pnt, _rows(1.2, math.inf), "ratio not in (1, inf) at k=1000"),
+    (check_pnt, _rows(1.1, 1.2), "ratio not strictly decreasing at k=1000"),
+], ids=["partial-sum-ok", "partial-sum-residual", "partial-sum-diverging",
+        "hlk-ok", "hlk-bound", "hlk-diverging", "phi-ok", "phi-recombination",
+        "phi-phi1", "phi-phi2", "phi-phi3-negative", "phi-phi3-large",
+        "pnt-ok", "pnt-ratio", "pnt-infinite", "pnt-increasing"])
+def test_verdicts(check, rows, reason):
+    assert check(rows) == reason
 
 
 def _sample_rows(float_table_1e5, constants):
