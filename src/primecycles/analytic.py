@@ -20,10 +20,9 @@ from primecycles.cycle_classes import KIND_ALL, CycleClassSpec
 from primecycles.errors import (
     InvalidArgumentError,
     OutOfDomainError,
-    OutOfRangeError,
     UnsupportedSpecError,
 )
-from primecycles.primes import PrimeTable, iter_prime_blocks
+from primecycles.primes import iter_prime_blocks
 
 # Euler-Mascheroni constant, 25 digits; treated as a known input, not computed
 EULER_GAMMA = 0.5772156649015328606065121
@@ -100,21 +99,21 @@ def prime_zeta(s: float) -> float:
 # -- the Mertens constant by two routes ------------------------------------------
 
 
-def mertens_direct(table: PrimeTable, limit: int):
+def mertens_direct(limit: int):
     """(estimate, tail_bound): gamma + sum_{p<=limit} (ln(1-1/p) + 1/p).
 
+    The primes stream through iter_prime_blocks, one sum per block, so no
+    table is built and working memory is one segment whatever the limit.
     Each summand is -1/(2p^2) + O(1/p^3), so the absolute tail is below
     sum_{p>limit} 1/p^2 <= 1/(limit-1), which is the returned bound.
     """
     if limit < 2:
         raise InvalidArgumentError(f"limit must be >= 2, got {limit}")
-    if limit > table.limit:
-        raise OutOfRangeError(f"limit={limit} exceeds sieve limit {table.limit}")
-    ps = table.primes()
-    cut = int(np.searchsorted(ps, limit, side="right"))
-    pf = ps[:cut].astype(np.float64)
-    estimate = EULER_GAMMA + float(np.sum(np.log1p(-1.0 / pf) + 1.0 / pf))
-    return estimate, 1.0 / (limit - 1)
+    total = 0.0
+    for block in iter_prime_blocks(limit):
+        pf = block.astype(np.float64)
+        total += float(np.sum(np.log1p(-1.0 / pf) + 1.0 / pf))
+    return EULER_GAMMA + total, 1.0 / (limit - 1)
 
 
 def mertens_zeta(k_max: int) -> float:
@@ -146,19 +145,20 @@ class Constants:
 
 
 def make_constants(method: str = "zeta", k_max: int = 60,
-                   table: Optional[PrimeTable] = None,
                    limit: Optional[int] = None) -> Constants:
-    """Build the shared constants; method "zeta" (default) or "direct"."""
+    """Build the shared constants; method "zeta" (default) or "direct".
+
+    "zeta" sums the prime-zeta series to k_max; "direct" streams the prime
+    sum of mertens_direct to limit.
+    """
     if method == "zeta":
         c = mertens_zeta(k_max)
         desc = f"prime-zeta series, k_max={k_max}"
         tail = 2.0 * 2.0 ** (-k_max)
     elif method == "direct":
-        if table is None or limit is None:
-            raise InvalidArgumentError(
-                "method 'direct' needs a prime table and a summation limit"
-            )
-        c, tail = mertens_direct(table, limit)
+        if limit is None:
+            raise InvalidArgumentError("method 'direct' needs a summation limit")
+        c, tail = mertens_direct(limit)
         desc = f"direct prime sum to {limit}"
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
@@ -258,10 +258,6 @@ def _split_cutoff(t: float) -> float:
     return (1.0 / t) * log_inv / math.log(log_inv)
 
 
-def _split_limit(t: float) -> int:
-    return int(50.0 / t) + 1
-
-
 def _split_block(pf: np.ndarray, t: float, y: float):
     """(phi1, phi2, phi3) terms of one block of primes (as floats)."""
     cut = int(np.searchsorted(pf, y, side="right"))
@@ -281,17 +277,10 @@ def phi_split(t: float) -> PhiSplit:
 
     phi1 = sum_{p<=y} 1/p, phi2 = -sum_{p<=y} (1-e^{-pt})/p,
     phi3 = sum_{p>y} e^{-pt}/p, the last truncated at 50/t where the
-    remaining tail is below e^-50/50.
+    remaining tail is below e^-50/50.  The one-point case of phi_split_grid,
+    whose stream limit for a single t is the split's own.
     """
-    _check_t(t)
-    y = _split_cutoff(t)
-    phi1 = phi2 = phi3 = 0.0
-    for block in iter_prime_blocks(_split_limit(t)):
-        d1, d2, d3 = _split_block(block.astype(np.float64), t, y)
-        phi1 += d1
-        phi2 += d2
-        phi3 += d3
-    return PhiSplit(t=t, cutoff=y, phi1=phi1, phi2=phi2, phi3=phi3)
+    return phi_split_grid((t,))[0][0]
 
 
 def phi_split_grid(t_grid):
@@ -300,9 +289,9 @@ def phi_split_grid(t_grid):
     Every t is checked before any prime is streamed.  The stream runs to the
     largest truncation limit on the grid; each t takes from every block only
     the primes below its own limits, so the sums cover the same primes as
-    the per-t calls and differ from them only in summation order.  The
-    direct sum keeps phi_eval's own terms z^p/p, so comparing it with the
-    recombined split still checks two different computations.
+    one-point grids and phi_eval, and differ from them only in summation
+    order.  The direct sum keeps phi_eval's own terms z^p/p, so comparing it
+    with the recombined split still checks two different computations.
     """
     ts = list(t_grid)
     for t in ts:
@@ -312,7 +301,7 @@ def phi_split_grid(t_grid):
         return []
     # per t: cutoff, split limit, phi limit, and ln z taken from z = e^-t as
     # phi_eval(e^-t) takes it (not -t, which differs in the last bits)
-    points = [(t, _split_cutoff(t), _split_limit(t), _phi_limit(math.exp(-t)),
+    points = [(t, _split_cutoff(t), int(50.0 / t) + 1, _phi_limit(math.exp(-t)),
                math.log(math.exp(-t))) for t in ts]
     sums = [[0.0, 0.0, 0.0, 0.0] for _ in ts]  # phi1, phi2, phi3, direct
     limit = max(max(split_lim, phi_lim) for _, _, split_lim, phi_lim, _ in points)

@@ -38,6 +38,7 @@ from primecycles.verify import (
     check_partial_sum,
     check_phi,
     check_pnt,
+    check_slowvar,
     emit_report,
     hlk_comparison_table,
     partial_sum_table,
@@ -131,11 +132,7 @@ def cmd_sum(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if args.method == "direct":
-        table = build_sieve(max(args.limit, 1000))
-        consts = make_constants(method="direct", table=table, limit=args.limit)
-    else:
-        consts = make_constants(method="zeta", k_max=args.k_max)
+    consts = make_constants(args.method, k_max=args.k_max, limit=args.limit)
     print("{"
           f'"euler_gamma": {consts.euler_gamma:.15g}, '
           f'"mertens_c": {consts.mertens_c:.15g}, '
@@ -207,10 +204,7 @@ def cmd_verify(args) -> int:
         _report_check("pnt", check_pnt(rows), failures)
     if "slowvar" in selected:
         report = slow_variation_check(SLOWVAR_U_DEFAULT, SLOWVAR_T_DEFAULT)
-        detail = None if report["ok"] else (
-            f"max deviation {report['max_deviation']:.3g} beyond "
-            f"{report['bound']:.3g}")
-        _report_check("slowvar", detail, failures)
+        _report_check("slowvar", check_slowvar(report), failures)
 
     if args.out:
         for name, rows in emitted.items():
@@ -261,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="dump the coefficient table as CSV")
     add_spec(p, n_flag="--n-max")
-    p.add_argument("--mode", choices=("exact", "float", "both"), default="exact")
+    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(handler=cmd_table)
 

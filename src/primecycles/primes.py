@@ -1,13 +1,13 @@
 """Prime membership, counting and indexing via a sieve of Eratosthenes.
 
-Tables are immutable after construction and safe to share across threads.
-There is one segmented sieve, :func:`iter_prime_blocks`, an odd-only sieve
-that streams primes in numpy blocks without materializing a table; prime
-sums with limits in the billions go through it.  Above ``SEGMENT_THRESHOLD``
-:func:`build_sieve` fills its membership array from the same stream, so the
-only large allocation is the array itself.  :func:`nth_primes` is another
-consumer of the stream: it counts block sizes to find p_k, so its working
-memory is one segment however large k is.
+There is one source of primes, :func:`iter_prime_blocks`, an odd-only
+segmented sieve that streams primes in numpy blocks without materializing
+a table; prime sums with limits in the billions go through it.
+:func:`build_sieve` concatenates the same stream into a table: one
+ascending, read-only int64 array of primes, immutable after construction
+and safe to share across threads.  :func:`nth_primes` is another consumer
+of the stream: it counts block sizes to find p_k, so its working memory is
+one segment however large k is.
 
 A segment spans ``SEGMENT_SIZE`` = 2^21 integers, whose odd-only mask is
 1 MB: it stays in a 2 MB per-core L2 cache while every base prime strikes
@@ -28,7 +28,6 @@ from primecycles.errors import (
 )
 
 DEFAULT_MEMORY_CAP = 2**31
-SEGMENT_THRESHOLD = 10_000_000
 SEGMENT_SIZE = 1 << 21
 
 
@@ -43,30 +42,26 @@ def _simple_mask(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Sieve-backed prime membership over [2, limit]."""
+    """Every prime in [2, limit] as one ascending, read-only int64 array."""
 
-    __slots__ = ("limit", "_mask", "_index")
+    __slots__ = ("limit", "_primes")
 
-    def __init__(self, limit: int, mask: np.ndarray):
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = limit
-        mask.flags.writeable = False
-        self._mask = mask
-        self._index: np.ndarray | None = None
+        primes.flags.writeable = False
+        self._primes = primes
 
     def is_prime(self, k: int) -> bool:
         if k < 1:
             raise InvalidArgumentError(f"k must be a positive integer, got {k}")
         if k > self.limit:
             raise OutOfRangeError(f"k={k} exceeds sieve limit {self.limit}")
-        return bool(self._mask[k])
+        i = int(np.searchsorted(self._primes, k))
+        return i < self._primes.size and int(self._primes[i]) == k
 
     def primes(self) -> np.ndarray:
-        """All primes <= limit as a read-only int64 array (materialized lazily)."""
-        if self._index is None:
-            index = np.flatnonzero(self._mask).astype(np.int64, copy=False)
-            index.flags.writeable = False
-            self._index = index
-        return self._index
+        """All primes <= limit as a read-only int64 array."""
+        return self._primes
 
     def prime_count(self, y: int) -> int:
         """pi(y), the number of primes not exceeding y."""
@@ -74,11 +69,11 @@ class PrimeTable:
             raise InvalidArgumentError(f"y must be a positive integer, got {y}")
         if y > self.limit:
             raise OutOfRangeError(f"y={y} exceeds sieve limit {self.limit}")
-        return int(np.searchsorted(self.primes(), y, side="right"))
+        return int(np.searchsorted(self._primes, y, side="right"))
 
     def nth_prime(self, k: int) -> int:
         """The k-th smallest prime (1-indexed)."""
-        index = self.primes()
+        index = self._primes
         if k < 1:
             raise InvalidArgumentError(f"k must be a positive integer, got {k}")
         if k > index.size:
@@ -88,25 +83,20 @@ class PrimeTable:
         return int(index[k - 1])
 
 
-def build_sieve(limit: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> PrimeTable:
-    """Sieve all primes up to ``limit`` (inclusive).
+def build_sieve(limit: int) -> PrimeTable:
+    """The table of all primes up to ``limit`` (inclusive), read off the
+    prime stream.
 
-    Raises InvalidArgumentError for limit < 2 and ResourceLimitError when the
-    membership array would exceed ``memory_cap`` bytes.
+    Raises InvalidArgumentError for limit < 2 and ResourceLimitError above
+    ``DEFAULT_MEMORY_CAP``.
     """
     if limit < 2:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
-    if limit > memory_cap:
+    if limit > DEFAULT_MEMORY_CAP:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds memory cap {memory_cap}"
+            f"sieve limit {limit} exceeds memory cap {DEFAULT_MEMORY_CAP}"
         )
-    if limit <= SEGMENT_THRESHOLD:
-        mask = _simple_mask(limit)
-    else:
-        mask = np.zeros(limit + 1, dtype=bool)
-        for block in iter_prime_blocks(limit):
-            mask[block] = True
-    return PrimeTable(limit, mask)
+    return PrimeTable(limit, np.concatenate(list(iter_prime_blocks(limit))))
 
 
 def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):

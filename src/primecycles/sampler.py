@@ -8,10 +8,10 @@ emitted here; the method is rejection-free and exact.
 
 A Sampler reads the lengths it can draw from one member array, every
 member up to the table's n_max; for the primes that array is a view of the
-sieve's index.  For each remaining size m it meets it caches one float64
-array: the cumulative first-cycle probabilities over all members <= m,
-built in numpy from the float table, or from the exact table's integers
-by correctly rounded int division.
+prime table's array.  For each remaining size m it meets it caches one
+float64 array: the cumulative first-cycle probabilities over all members
+<= m, built in numpy from the float table, or from the exact table's
+integers by correctly rounded int division.
 A length k with a_{m-k} = 0 stays in the array as a zero-width step, which
 bisection never lands on.  A draw bisects a memoryview of the cumulative
 array and reads the length at that index from a memoryview of the member

@@ -246,6 +246,13 @@ def check_pnt(rows):
     return None
 
 
+def check_slowvar(report):
+    if not report["ok"]:
+        return (f"max deviation {report['max_deviation']:.3g} beyond "
+                f"{report['bound']:.3g}")
+    return None
+
+
 # -- report emission ---------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ def sieve_small():
 
 @pytest.fixture(scope="session")
 def sieve_big():
-    # covers nth_prime(1e6) = 15485863 and the direct Mertens sum at 1e7
+    # covers nth_prime(1e6) = 15485863
     return build_sieve(16_000_000)
 
 

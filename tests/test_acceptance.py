@@ -83,12 +83,12 @@ def test_criterion_02_known_small_values(table300):
         assert partial_sum(table300, 5) == Fraction(279, 120)
 
 
-def test_criterion_03_constants_digits(constants, sieve_big):
+def test_criterion_03_constants_digits(constants):
     started = time.monotonic()
     with criterion("criterion 03 (constants to six decimals, dual route)"):
         assert f"{constants.mertens_c:.6f}" == "0.261497"
         assert f"{constants.e_to_c:.6f}" == "1.298873"
-        est, tail = mertens_direct(sieve_big, 10 ** 7)
+        est, tail = mertens_direct(10 ** 7)
         assert abs(est - constants.mertens_c) <= tail + 1e-12
         assert time.monotonic() - started < 60.0
 

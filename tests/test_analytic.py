@@ -29,7 +29,6 @@ from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import (
     InvalidArgumentError,
     OutOfDomainError,
-    OutOfRangeError,
     UnsupportedSpecError,
 )
 from primecycles.exact_enum import count_exact, int_log
@@ -93,20 +92,18 @@ def test_mertens_constant_via_zeta():
         mertens_zeta(9)
 
 
-def test_mertens_direct_smallest_case(sieve_small):
-    est, tail = mertens_direct(sieve_small, 2)
+def test_mertens_direct_smallest_case():
+    est, tail = mertens_direct(2)
     assert est == pytest.approx(EULER_GAMMA + math.log(0.5) + 0.5, rel=1e-15)
     assert tail == 1.0
     with pytest.raises(InvalidArgumentError):
-        mertens_direct(sieve_small, 1)
-    with pytest.raises(OutOfRangeError):
-        mertens_direct(sieve_small, 20_000)
+        mertens_direct(1)
 
 
-def test_mertens_routes_agree(sieve_big):
+def test_mertens_routes_agree():
     ref = mertens_zeta(60)
     for limit in (10 ** 4, 10 ** 5, 10 ** 7):
-        est, tail = mertens_direct(sieve_big, limit)
+        est, tail = mertens_direct(limit)
         assert abs(est - ref) <= tail + 1e-12
 
 
@@ -121,14 +118,14 @@ def test_make_constants(constants):
     assert constants.tail_bound <= 2e-18
 
 
-def test_make_constants_direct(sieve_big):
-    c = make_constants("direct", table=sieve_big, limit=10 ** 6)
+def test_make_constants_direct():
+    c = make_constants("direct", limit=10 ** 6)
     assert abs(c.mertens_c - 0.26149721284764278) <= c.tail_bound
     assert c.tail_bound == pytest.approx(1e-6, rel=1e-4)
     assert "direct prime sum" in c.provenance
 
 
-def test_make_constants_validation(sieve_small):
+def test_make_constants_validation():
     with pytest.raises(InvalidArgumentError):
         make_constants("direct")
     with pytest.raises(InvalidArgumentError):

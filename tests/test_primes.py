@@ -12,7 +12,6 @@ from primecycles.errors import (
 )
 from primecycles.primes import (
     SEGMENT_SIZE,
-    SEGMENT_THRESHOLD,
     _simple_mask,
     build_sieve,
     iter_prime_blocks,
@@ -42,9 +41,6 @@ def test_build_domain_errors():
         build_sieve(1)
     with pytest.raises(ResourceLimitError):
         build_sieve(2**31 + 1)
-    # a smaller explicit cap also trips
-    with pytest.raises(ResourceLimitError):
-        build_sieve(10_000, memory_cap=1000)
 
 
 def test_is_prime(sieve_small):
@@ -111,22 +107,22 @@ def test_pnt_trend(sieve_big):
 
 
 def test_segmented_construction_matches_simple():
-    n = 10_000_019  # just over the segmentation threshold
-    assert n > SEGMENT_THRESHOLD
-    assert np.array_equal(build_sieve(n)._mask, _simple_mask(n))
+    n = 10_000_019  # five segments, the last one partial
+    assert np.array_equal(build_sieve(n).primes(),
+                          np.flatnonzero(_simple_mask(n)))
 
 
 @pytest.mark.parametrize("limit", [2, 3, 10, 97, 10_000, 1_000_000,
                                    3 * SEGMENT_SIZE + 5])
 def test_iter_prime_blocks_matches_table(limit):
     streamed = np.concatenate(list(iter_prime_blocks(limit)))
-    assert np.array_equal(streamed, build_sieve(limit).primes())
+    assert np.array_equal(streamed, np.flatnonzero(_simple_mask(limit)))
 
 
 def test_iter_prime_blocks_small_segments():
     # force many segment boundaries
     streamed = np.concatenate(list(iter_prime_blocks(10_000, segment=64)))
-    assert np.array_equal(streamed, build_sieve(10_000).primes())
+    assert np.array_equal(streamed, np.flatnonzero(_simple_mask(10_000)))
 
 
 def test_iter_prime_blocks_empty_below_two():

@@ -19,6 +19,7 @@ from primecycles.verify import (
     check_partial_sum,
     check_phi,
     check_pnt,
+    check_slowvar,
     emit_report,
     hlk_comparison_table,
     make_row,
@@ -207,10 +208,14 @@ def _phi(**changes):
     (check_pnt, _rows(1.2, 1.0), "ratio not in (1, inf) at k=1000"),
     (check_pnt, _rows(1.2, math.inf), "ratio not in (1, inf) at k=1000"),
     (check_pnt, _rows(1.1, 1.2), "ratio not strictly decreasing at k=1000"),
+    (check_slowvar, slow_variation_check((0.1, 1.0, 10.0), (1e6,)), None),
+    (check_slowvar, {"max_deviation": 0.2, "bound": 1 / 6, "ok": False},
+     "max deviation 0.2 beyond 0.167"),
 ], ids=["partial-sum-ok", "partial-sum-residual", "partial-sum-diverging",
         "hlk-ok", "hlk-bound", "hlk-diverging", "phi-ok", "phi-recombination",
         "phi-phi1", "phi-phi2", "phi-phi3-negative", "phi-phi3-large",
-        "pnt-ok", "pnt-ratio", "pnt-infinite", "pnt-increasing"])
+        "pnt-ok", "pnt-ratio", "pnt-infinite", "pnt-increasing",
+        "slowvar-ok", "slowvar-bound"])
 def test_verdicts(check, rows, reason):
     assert check(rows) == reason
 
