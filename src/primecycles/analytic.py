@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.cycle_classes import KIND_ALL, CycleClassSpec
+from primecycles.cycle_classes import KIND_ALL, KIND_PRIMES, CycleClassSpec
 from primecycles.errors import (
     InvalidArgumentError,
     OutOfDomainError,
@@ -177,56 +177,57 @@ def _check_z(z: float) -> None:
         )
 
 
-def _phi_limit(z: float) -> int:
+def _series_limit(z: float) -> int:
+    """Largest member any series at z sums: past 40/(1-z) the geometric
+    tail z^K/(K(1-z)) is about e^-40/40."""
     return max(100, int(40.0 / (1.0 - z)) + 1)
 
 
-def _phi_block(pf: np.ndarray, lnz: float) -> float:
-    """sum of z^p / p over one block of primes (as floats), z = e^lnz."""
-    return float(np.sum(np.exp(pf * lnz) / pf))
+def _power_sum(kf: np.ndarray, lnz: float, order: int = 0) -> float:
+    """Sum over members kf (as floats) of the order-th derivative of z^k/k,
+    z = e^lnz: z^k/k for order 0, (k-1)...(k-order+1) z^(k-order) above."""
+    if order == 0:
+        return float(np.sum(np.exp(kf * lnz) / kf))
+    falling = np.ones_like(kf)
+    for j in range(1, order):
+        falling *= kf - j
+    return float(np.sum(falling * np.exp((kf - order) * lnz)))
+
+
+def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> float:
+    """_power_sum over the members k <= _series_limit(z) of spec, the primes
+    by default; primes stream through iter_prime_blocks, so no table caps z."""
+    _check_z(z)
+    limit = _series_limit(z)
+    if spec is None or spec.kind == KIND_PRIMES:
+        blocks = iter_prime_blocks(limit)
+    else:
+        blocks = (spec.members_upto(limit),)
+    lnz = math.log(z)
+    total = 0.0
+    for block in blocks:
+        total += _power_sum(block.astype(np.float64), lnz, order)
+    return total
 
 
 def phi_eval(z: float) -> float:
-    """sum over primes of z^p / p, truncated with tail below 1e-15.
-
-    The truncation point 40/(1-z) makes the geometric tail z^P/(P(1-z))
-    about e^-40/40.
-    """
-    _check_z(z)
-    if z == 0.0:
-        return 0.0
-    lnz = math.log(z)
-    total = 0.0
-    for block in iter_prime_blocks(_phi_limit(z)):
-        total += _phi_block(block.astype(np.float64), lnz)
-    return total
+    """sum over primes of z^p / p, truncated at _series_limit(z), which
+    leaves a tail below 1e-15 relative."""
+    return _series(z) if z != 0.0 else 0.0
 
 
 def phi_deriv(z: float, order: int) -> float:
     """Derivative of phi of the given order (1, 2 or 3) at z.
 
-    Term sums: sum_p z^{p-1}, sum_p (p-1)z^{p-2}, sum_p (p-1)(p-2)z^{p-3};
-    truncated at 60/(1-z), which leaves the polynomial-times-geometric tail
-    under 1e-12 relative throughout the domain.
+    Term sums: sum_p z^{p-1}, sum_p (p-1)z^{p-2}, sum_p (p-1)(p-2)z^{p-3},
+    truncated at _series_limit(z) like phi itself; the dropped tail is
+    below 1e-14 relative throughout the domain.
     """
     if order not in (1, 2, 3):
         raise InvalidArgumentError(f"order must be 1, 2 or 3, got {order}")
-    _check_z(z)
     if z == 0.0:
         return {1: 0.0, 2: 1.0, 3: 2.0}[order]
-    p_lim = max(100, int(60.0 / (1.0 - z)) + 1)
-    lnz = math.log(z)
-    total = 0.0
-    for block in iter_prime_blocks(p_lim):
-        pf = block.astype(np.float64)
-        if order == 1:
-            terms = np.exp((pf - 1.0) * lnz)
-        elif order == 2:
-            terms = (pf - 1.0) * np.exp((pf - 2.0) * lnz)
-        else:
-            terms = (pf - 1.0) * (pf - 2.0) * np.exp((pf - 3.0) * lnz)
-        total += float(np.sum(terms))
-    return total
+    return _series(z, order)
 
 
 def f_eval(z: float) -> float:
@@ -276,9 +277,9 @@ def phi_split(t: float) -> PhiSplit:
     """Split phi(e^-t) = phi1 + phi2 + phi3 at y = ((1/t)ln(1/t))/lnln(1/t).
 
     phi1 = sum_{p<=y} 1/p, phi2 = -sum_{p<=y} (1-e^{-pt})/p,
-    phi3 = sum_{p>y} e^{-pt}/p, the last truncated at 50/t where the
-    remaining tail is below e^-50/50.  The one-point case of phi_split_grid,
-    whose stream limit for a single t is the split's own.
+    phi3 = sum_{p>y} e^{-pt}/p, the last truncated at _series_limit(e^-t)
+    with a dropped tail near e^-40/(40 ln(40/t)), 6e-21 at t = 3e-7.  The
+    one-point case of phi_split_grid.
     """
     return phi_split_grid((t,))[0][0]
 
@@ -288,10 +289,11 @@ def phi_split_grid(t_grid):
 
     Every t is checked before any prime is streamed.  The stream runs to the
     largest truncation limit on the grid; each t takes from every block only
-    the primes below its own limits, so the sums cover the same primes as
-    one-point grids and phi_eval, and differ from them only in summation
-    order.  The direct sum keeps phi_eval's own terms z^p/p, so comparing it
-    with the recombined split still checks two different computations.
+    the primes up to its own limit, shared by the split and the direct sum,
+    so the sums cover the same primes as one-point grids and phi_eval, and
+    differ from them only in summation order.  The direct sum keeps
+    phi_eval's own terms z^p/p, so comparing it with the recombined split
+    still checks two different computations.
     """
     ts = list(t_grid)
     for t in ts:
@@ -299,20 +301,18 @@ def phi_split_grid(t_grid):
         _check_z(math.exp(-t))
     if not ts:
         return []
-    # per t: cutoff, split limit, phi limit, and ln z taken from z = e^-t as
-    # phi_eval(e^-t) takes it (not -t, which differs in the last bits)
-    points = [(t, _split_cutoff(t), int(50.0 / t) + 1, _phi_limit(math.exp(-t)),
+    # per t: cutoff, limit, and ln z taken from z = e^-t as phi_eval(e^-t)
+    # takes it (not -t, which differs in the last bits)
+    points = [(t, _split_cutoff(t), _series_limit(math.exp(-t)),
                math.log(math.exp(-t))) for t in ts]
     sums = [[0.0, 0.0, 0.0, 0.0] for _ in ts]  # phi1, phi2, phi3, direct
-    limit = max(max(split_lim, phi_lim) for _, _, split_lim, phi_lim, _ in points)
-    for block in iter_prime_blocks(limit):
+    for block in iter_prime_blocks(max(lim for _, _, lim, _ in points)):
         pf = block.astype(np.float64)
-        for (t, y, split_lim, phi_lim, lnz), acc in zip(points, sums):
-            cut = int(np.searchsorted(block, split_lim, side="right"))
-            for k, d in enumerate(_split_block(pf[:cut], t, y)):
+        for (t, y, lim, lnz), acc in zip(points, sums):
+            head = pf[:int(np.searchsorted(block, lim, side="right"))]
+            for k, d in enumerate(_split_block(head, t, y)):
                 acc[k] += d
-            cut = int(np.searchsorted(block, phi_lim, side="right"))
-            acc[3] += _phi_block(pf[:cut], lnz)
+            acc[3] += _power_sum(head, lnz)
     return [(PhiSplit(t=t, cutoff=y, phi1=acc[0], phi2=acc[1], phi3=acc[2]),
              acc[3]) for (t, y, *_), acc in zip(points, sums)]
 
@@ -356,18 +356,15 @@ def yakimiv_log_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
 def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants) -> float:
     """Partial-sum model f_A(1 - 1/n) / Gamma(rho + 1).
 
-    f_A is evaluated by series over members k <= 30n (geometric tail under
-    1e-12); for the all-lengths spec the closed form f_A(z) = 1/(1-z) = n
-    is used instead, making the model exact.
+    f_A is exp of the series over members k <= _series_limit(1 - 1/n), the
+    primes streamed as phi_eval streams them, so for the primes the model
+    is f_eval(1 - 1/n) exactly; for the all-lengths spec the closed form
+    f_A(z) = 1/(1-z) = n is used instead, making the model exact.
     """
     if n < 2:
         raise InvalidArgumentError(f"n must be >= 2, got {n}")
     if spec.kind == KIND_ALL:
         f_val = float(n)
     else:
-        z = 1.0 - 1.0 / n
-        members = spec.members_upto(max(100, 30 * n))
-        kf = members.astype(np.float64)
-        lnz = math.log(z)
-        f_val = math.exp(float(np.sum(np.exp(kf * lnz) / kf)))
+        f_val = math.exp(_series(1.0 - 1.0 / n, spec=spec))
     return f_val / math.exp(math.lgamma(float(spec.density()) + 1.0))

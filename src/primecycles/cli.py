@@ -98,7 +98,9 @@ def _print_float_count(n: int, a: float) -> None:
         return
     log10v = (math.lgamma(n + 1.0) + math.log(a)) / math.log(10.0)
     if log10v < 300.0:
-        print(f"{a * math.factorial(n):.17g}")
+        # a * n! in integers, rounded once: n! alone may exceed any double
+        num, den = a.as_integer_ratio()
+        print(f"{num * math.factorial(n) / den:.17g}")
     else:
         exp10 = int(math.floor(log10v))
         mant = 10.0 ** (log10v - exp10)
@@ -183,7 +185,7 @@ def cmd_verify(args) -> int:
     emitted = {}
 
     if "partial-sum" in selected or "hlk" in selected:
-        # the table reads members up to max(n_grid); f_eval streams its own
+        # the table reads members up to max(n_grid); the hlk model streams its own
         spec = _make_spec("primes", max(n_grid))
         count_table = build_table(spec, max(n_grid), mode="float")
         sums = partial_sums(count_table, n_grid)
@@ -273,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi", help="evaluate phi, its derivatives, or its split")
     p.add_argument("--z", type=float, default=None)
-    p.add_argument("--order", type=int, choices=(1, 2, 3), default=None)
-    p.add_argument("--f", action="store_true", help="exp(phi(z)) instead of phi(z)")
-    p.add_argument("--split", action="store_true", help="three-way split at --t")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--order", type=int, choices=(1, 2, 3), default=None)
+    what.add_argument("--f", action="store_true", help="exp(phi(z)) instead of phi(z)")
+    what.add_argument("--split", action="store_true", help="three-way split at --t")
     p.add_argument("--t", type=float, default=None)
     p.set_defaults(handler=cmd_phi)
 

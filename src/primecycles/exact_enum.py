@@ -6,24 +6,27 @@ coefficients satisfy n*a_n = sum over k in A, k <= n of a_{n-k}.
 
 count_exact_upto picks one of two exact routes from the spec's kind:
 
-* periodic (residue classes mod m, and all lengths as m = 1): with the
-  residues R' taken in [1, m] (0 stands for m),
+* steps (residue classes mod m, all lengths as m = 1, and explicit sets):
+  with the steps S the residues taken in [1, m] (0 stands for m), or an
+  explicit set's own values,
 
-      P_n = sum_{r in R', r <= n} (n-1)...(n-r+1) * P_{n-r}
+      P_n = sum_{r in S, r <= n} (n-1)...(n-r+1) * P_{n-r}
             + [n > m] (n-1)(n-2)...(n-m) * P_{n-m},
 
   which follows from (1 - x^m) f' = N(x) f for f = exp(sum_{k in A} x^k/k).
-  Each term costs O(m) small-by-big multiplies.
-* scaled integers (primes and explicit sets): with N = n_max and
-  B_n = P_n * N!/n!, n*B_n = sum_{k in A, k <= n} B_{n-k}, so each term
-  costs |A(n)| big additions and one division by n; P_n = B_n / (N!/n!)
-  at the end.  Every division is checked and a remainder raises.
+  An explicit set has no period m and no last term: f' = N(x) f.  Each
+  term costs O(max S) small-by-big multiplies.
+* scaled integers (primes): with N = n_max and B_n = P_n * N!/n!,
+  n*B_n = sum_{k in A, k <= n} B_{n-k}, so each term costs |A(n)| big
+  additions and one division by n; P_n = B_n / (N!/n!) at the end.
+  Every division is checked and a remainder raises.
 
 build_table picks the float route from the spec's kind in the same way:
 
-* periodic: the same order-m recurrence on a_n in doubles,
-  n*a_n = (n-m)*a_{n-m} + sum_{r in R', r <= n} a_{n-r}.  Every term is
-  nonnegative, so a structural zero comes out as exactly 0.0.
+* steps: the same recurrence on a_n in doubles,
+  n*a_n = [n > m] (n-m)*a_{n-m} + sum_{r in S, r <= n} a_{n-r}.  Every
+  term is nonnegative, so a structural zero comes out as exactly 0.0, and
+  a steeply falling coefficient keeps its relative precision.
 * primes: a divide-and-conquer online convolution of the a_n recurrence.
   Each node adds its finished left half's share to the right half: by a
   middle-product FFT of size next_pow2(width) with the spectra of g
@@ -32,8 +35,6 @@ build_table picks the float route from the spec's kind in the same way:
   floats.  Its absolute error is about eps times a block's largest
   coefficient, which is harmless only because prime coefficients decay
   slowly and never vanish past n = 1; a negative coefficient is refused.
-* explicit sets: the a_n recurrence by direct summation, whose values may
-  fall to any size; the FFT would bury them in roundoff.
 
 A float table whose coefficients reach the subnormal range is refused
 rather than rounded to a false zero.  Two independent oracles
@@ -42,7 +43,9 @@ exp(x^k/k) expanded one part at a time (n <= 300), and a full enumeration
 of S_n for tiny n.  They share no code or identity with the routes or
 with each other.  The general recurrence P_n = sum_{k in A, k <= n}
 (n-1)...(n-k+1) * P_{n-k}, at |A(n)| big multiplies per term, lives only in
-the tests, as a third cross-check.
+the tests, as a third cross-check.  _build_float_baseline, the a_n
+recurrence by direct summation, is kept only as the tests' reference for
+the FFT.
 """
 
 import array
@@ -57,12 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.cycle_classes import (
-    KIND_ALL,
-    KIND_PRIMES,
-    KIND_RESIDUES,
-    CycleClassSpec,
-)
+from primecycles.cycle_classes import KIND_EXPLICIT, KIND_PRIMES, CycleClassSpec
 from primecycles.errors import (
     InternalConsistencyError,
     InvalidArgumentError,
@@ -120,13 +118,15 @@ def int_log(x: int) -> float:
 # -- recurrence routes --------------------------------------------------------
 
 
-def _count_periodic(modulus: int, residues, n_max: int) -> list:
-    """P_0..P_{n_max} for A = {k >= 1 : k mod m in R}, by the order-m recurrence.
+def _steps(spec: CycleClassSpec):
+    """(steps, period m) of the step recurrence; m is None for a finite set."""
+    if spec.kind == KIND_EXPLICIT:
+        return list(spec.values), None
+    return sorted(r if r else spec.modulus for r in spec.residues), spec.modulus
 
-    Residue 0 stands for m itself, so the steps r lie in [1, m].  Each term
-    takes O(m) small-by-big multiplies.
-    """
-    steps = sorted(r if r else modulus for r in residues)
+
+def _count_steps(steps: list, period: Optional[int], n_max: int) -> list:
+    """P_0..P_{n_max} by the step recurrence of the module docstring."""
     P = [0] * (n_max + 1)
     P[0] = 1
     for n in range(1, n_max + 1):
@@ -140,11 +140,11 @@ def _count_periodic(modulus: int, residues, n_max: int) -> list:
                 ff *= n - j
                 j += 1
             total += ff * P[n - r]
-        if n > modulus:
-            while j <= modulus:
+        if period is not None and n > period:
+            while j <= period:
                 ff *= n - j
                 j += 1
-            total += ff * P[n - modulus]
+            total += ff * P[n - period]
         P[n] = total
     return P
 
@@ -186,8 +186,8 @@ def count_exact_upto(spec: CycleClassSpec, n_max: int,
                      exact_cap: int = EXACT_CAP_DEFAULT) -> list:
     """P_0..P_{n_max} as exact integers, by the route that suits spec.kind.
 
-    Residue classes and all lengths take the order-m periodic recurrence;
-    primes and finite sets take the scaled-integer recurrence.
+    The primes take the scaled-integer recurrence; residue classes, all
+    lengths and finite sets take the step recurrence.
     """
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
@@ -195,10 +195,9 @@ def count_exact_upto(spec: CycleClassSpec, n_max: int,
         raise ResourceLimitError(
             f"exact enumeration capped at n <= {exact_cap}, got {n_max}"
         )
-    if spec.kind in (KIND_ALL, KIND_RESIDUES):
-        return _count_periodic(spec.modulus, spec.residues, n_max)
-    members = [int(k) for k in spec.members_upto(n_max)]
-    return _count_scaled(members, n_max)
+    if spec.kind == KIND_PRIMES:
+        return _count_scaled(spec.members_upto(n_max).tolist(), n_max)
+    return _count_steps(*_steps(spec), n_max)
 
 
 def count_exact(spec: CycleClassSpec, n: int,
@@ -207,14 +206,11 @@ def count_exact(spec: CycleClassSpec, n: int,
     return count_exact_upto(spec, n, exact_cap=exact_cap)[n]
 
 
-def _build_float_periodic(modulus: int, residues, n_max: int) -> np.ndarray:
-    """a_0..a_{n_max} for A = {k >= 1 : k mod m in R}, by the order-m recurrence.
-
-    The float form of _count_periodic: n*a_n = (n-m)*a_{n-m} plus a_{n-r}
-    for each step r <= n, residue 0 standing for m.  A flat array of
+def _build_float_steps(steps: list, period: Optional[int],
+                       n_max: int) -> np.ndarray:
+    """a_0..a_{n_max} by the float form of _count_steps.  A flat array of
     doubles rather than a list keeps the table at 8 bytes per coefficient.
     """
-    steps = sorted(r if r else modulus for r in residues)
     a = array.array("d", bytes(8 * (n_max + 1)))
     a[0] = 1.0
     for n in range(1, n_max + 1):
@@ -223,13 +219,15 @@ def _build_float_periodic(modulus: int, residues, n_max: int) -> np.ndarray:
             if r > n:
                 break
             total += a[n - r]
-        if n > modulus:
-            total += (n - modulus) * a[n - modulus]
+        if period is not None and n > period:
+            total += (n - period) * a[n - period]
         a[n] = total / n
     return np.frombuffer(a, dtype=np.float64)
 
 
 def _build_float_baseline(members: np.ndarray, n_max: int) -> np.ndarray:
+    """a_0..a_{n_max} by direct summation of n*a_n = sum of a_{n-k}; the
+    tests' reference for _build_float_fast."""
     a = np.zeros(n_max + 1)
     a[0] = 1.0
     ptr = 0
@@ -325,11 +323,9 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
 
 def _build_float(spec: CycleClassSpec, members: np.ndarray,
                  n_max: int) -> np.ndarray:
-    if spec.kind in (KIND_ALL, KIND_RESIDUES):
-        return _build_float_periodic(spec.modulus, spec.residues, n_max)
     if spec.kind == KIND_PRIMES:
         return _build_float_fast(members, n_max)
-    return _build_float_baseline(members, n_max)
+    return _build_float_steps(*_steps(spec), n_max)
 
 
 def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
@@ -338,9 +334,8 @@ def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
     """Coefficient table a_0..a_{n_max} in the requested mode.
 
     mode is one of "exact", "float", "both".  The float route follows
-    spec.kind, as the module docstring explains: the order-m recurrence for
-    residue classes and all lengths, the FFT convolution for the primes,
-    direct summation for explicit sets.
+    spec.kind, as the module docstring explains: the FFT convolution for
+    the primes, the step recurrence for every other kind.
 
     A float coefficient in the subnormal range raises OutOfRangeError.  A
     nonzero a_n is at least a_{n-k}/n for some nonzero a_{n-k}, and up to

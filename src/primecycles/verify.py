@@ -15,7 +15,6 @@ from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import CountTable, partial_sums
 from primecycles.analytic import (
     Constants,
-    f_eval,
     odlyzko_sum_model,
     partial_sum_log_model,
     phi_split_grid,
@@ -84,10 +83,10 @@ def partial_sum_table(table: CountTable, n_grid, constants: Constants,
 
 def hlk_comparison_table(table: CountTable, n_grid, constants: Constants,
                          sums=None):
-    """Rows comparing T_n against f_A(1 - 1/n) / Gamma(rho + 1).
+    """Rows comparing T_n against f_A(1 - 1/n) / Gamma(rho + 1), as
+    odlyzko_sum_model gives it for every spec; for the primes that is
+    f_eval(1 - 1/n) itself (density 0, Gamma(1) = 1).
 
-    For the primes spec the model is f_eval(1 - 1/n) directly (density 0,
-    Gamma(1) = 1); other specs go through odlyzko_sum_model.
     scaled_residual = (ratio - 1) * ln ln n.  sums is as for
     partial_sum_table.
     """
@@ -97,10 +96,7 @@ def hlk_comparison_table(table: CountTable, n_grid, constants: Constants,
         sums = partial_sums(table, n_grid)
     for n, total in zip(n_grid, sums, strict=True):
         exact = float(total)
-        if table.spec.kind == KIND_PRIMES:
-            model = f_eval(1.0 - 1.0 / n)
-        else:
-            model = odlyzko_sum_model(table.spec, n, constants)
+        model = odlyzko_sum_model(table.spec, n, constants)
         resid = (exact / model - 1.0) * math.log(math.log(n))
         rows.append(make_row(n, exact, model, resid))
     return rows

@@ -3,7 +3,7 @@
 P_n = sum over k in A, k <= n of (n-1)(n-2)...(n-k+1) * P_{n-k}, with the
 falling factorials built incrementally.  It works for every spec kind at
 about |A(n)| big-integer multiplies per term, which is why the package
-uses the cheaper periodic and scaled-integer routes instead.
+uses the cheaper step and scaled-integer routes instead.
 """
 
 

@@ -294,11 +294,39 @@ def test_odlyzko_odd_matches_closed_form(constants):
     assert got * math.exp(math.lgamma(1.5)) == pytest.approx(f_closed, rel=1e-10)
 
 
-def test_odlyzko_primes_matches_phi_route(primes_spec_big, constants):
-    for n in (100, 1000):
-        got = odlyzko_sum_model(primes_spec_big, n, constants)
-        ref = f_eval(1.0 - 1.0 / n)
-        assert got == pytest.approx(ref, rel=1e-9)
+def test_odlyzko_primes_matches_phi_route(primes_spec, primes_spec_big,
+                                          constants):
+    # one series, one limit, Gamma(1) = 1: the same double.  The primes
+    # stream past the spec's sieve, so a sieve to 10^4 serves n = 10^4
+    for spec, n in ((primes_spec_big, 100), (primes_spec_big, 1000),
+                    (primes_spec, 10 ** 4)):
+        assert odlyzko_sum_model(spec, n, constants) == f_eval(1.0 - 1.0 / n)
+
+
+def test_series_share_one_truncation_limit(primes_spec, constants,
+                                           monkeypatch):
+    limits = []
+
+    def counting(limit, *args, **kwargs):
+        limits.append(limit)
+        return iter_prime_blocks(limit, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "iter_prime_blocks", counting)
+    t = 1e-4
+    z = math.exp(-t)
+    phi_eval(z)
+    for order in (1, 2, 3):
+        phi_deriv(z, order)
+    phi_split_grid((t,))
+    assert limits == [int(40.0 / (1.0 - z)) + 1] * 5
+    limits.clear()
+    n = 1000
+    z = 1.0 - 1.0 / n
+    phi_eval(z)
+    for order in (1, 2, 3):
+        phi_deriv(z, order)
+    odlyzko_sum_model(primes_spec, n, constants)
+    assert limits == [int(40.0 / (1.0 - z)) + 1] * 5
 
 
 def test_odlyzko_validation(primes_spec, constants):

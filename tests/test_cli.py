@@ -59,6 +59,15 @@ def test_count_float(capsys):
     assert 1.0 <= float(mant) < 10.0 and int(exp) > 300
 
 
+def test_count_float_past_the_largest_double_factorial(capsys):
+    # 200! is beyond every double, P_200 of set:1,2 (about 3.7e192) is not
+    rc, out, err = run(capsys, "count", "--spec", "set:1,2", "--mode", "float",
+                       "--n", "200")
+    assert rc == 0 and err == ""
+    exact = exact_enum.count_exact(CycleClassSpec.explicit((1, 2)), 200)
+    assert abs(float(out) / exact - 1.0) <= 1e-10
+
+
 def test_count_domain_error(capsys):
     rc, out, err = run(capsys, "count", "--n", "3000")
     assert rc == 1 and out == ""
@@ -240,6 +249,16 @@ def test_phi_errors(capsys):
     assert run(capsys, "phi", "--split")[0] == 2
     rc, _, err = run(capsys, "phi", "--split", "--t", "0.5")
     assert rc == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--z", "0.5", "--f", "--order", "2"),
+    ("--z", "0.5", "--order", "2", "--split", "--t", "0.001"),
+    ("--z", "0.5", "--f", "--split", "--t", "0.001"),
+], ids=["f-order", "order-split", "f-split"])
+def test_phi_modes_are_exclusive(capsys, argv):
+    rc, out, err = run(capsys, "phi", *argv)
+    assert rc == 2 and out == "" and "not allowed with" in err
 
 
 def test_verify_ok_paths(capsys):

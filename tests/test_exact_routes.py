@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from general_recurrence import count_general_upto
+from primecycles import exact_enum
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InternalConsistencyError
 from primecycles.exact_enum import (
+    _count_scaled,
     build_table,
     count_brute_force,
     count_by_cycle_types_upto,
@@ -64,7 +66,25 @@ def test_periodic_route_matches_oracles(spec, n_max, n_brute):
 @ROUTE_SETTINGS
 @given(spec=finite_specs, n_max=st.integers(0, 120), n_brute=st.integers(0, 8))
 def test_scaled_route_matches_oracles(spec, n_max, n_brute):
+    # finite sets take the step route; the scaled route, which only the
+    # primes take, must agree with it on the same members
     check_against_oracles(spec, n_max, n_brute)
+    members = spec.members_upto(n_max).tolist()
+    assert _count_scaled(members, n_max) == count_exact_upto(spec, n_max), spec
+
+
+def test_explicit_sets_take_the_step_route(monkeypatch):
+    # the scaled route is kept for the primes; a finite set's B_n carries
+    # as many digits as N!, which made set:2,3,10 5x slower there
+    def refuse(*args):
+        raise AssertionError("explicit sets do not take this route")
+
+    monkeypatch.setattr(exact_enum, "_count_scaled", refuse)
+    monkeypatch.setattr(exact_enum, "_build_float_baseline", refuse)
+    # the values themselves are checked by test_scaled_route_matches_oracles
+    spec = CycleClassSpec.explicit((2, 3, 10))
+    assert count_exact_upto(spec, 200) == count_general_upto(spec, 200)
+    assert build_table(spec, 200, "float").a_float[200] > 0.0
 
 
 def test_primes_route_matches_general(primes_spec):
@@ -83,7 +103,7 @@ def test_scaled_route_refuses_a_remainder(length, b0, message, monkeypatch):
     # B_0 = N! is the scale; a wrong one must not come out as a count
     monkeypatch.setattr(math, "factorial", lambda n: b0)
     with pytest.raises(InternalConsistencyError, match=message):
-        count_exact_upto(CycleClassSpec.singleton(length), length)
+        _count_scaled([length], length)
 
 
 def test_partition_oracle_refuses_a_remainder(monkeypatch):
