@@ -183,20 +183,27 @@ def _series_limit(z: float) -> int:
     return max(100, int(40.0 / (1.0 - z)) + 1)
 
 
-def _power_sum(kf: np.ndarray, lnz: float, order: int = 0) -> float:
+def _power_sum(kf: np.ndarray, lnz: float, order: int = 0, dtype=np.float64):
     """Sum over members kf (as floats) of the order-th derivative of z^k/k,
-    z = e^lnz: z^k/k for order 0, (k-1)...(k-order+1) z^(k-order) above."""
+    z = e^lnz: z^k/k for order 0, (k-1)...(k-order+1) z^(k-order) above;
+    a numpy scalar of the given accumulator dtype."""
     if order == 0:
-        return float(np.sum(np.exp(kf * lnz) / kf))
+        return np.sum(np.exp(kf * lnz) / kf, dtype=dtype)
     falling = np.ones_like(kf)
     for j in range(1, order):
         falling *= kf - j
-    return float(np.sum(falling * np.exp((kf - order) * lnz)))
+    return np.sum(falling * np.exp((kf - order) * lnz), dtype=dtype)
 
 
 def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> float:
     """_power_sum over the members k <= _series_limit(z) of spec, the primes
-    by default; primes stream through iter_prime_blocks, so no table caps z."""
+    by default; primes stream through iter_prime_blocks, so no table caps z.
+
+    The terms are doubles, summed in numpy's longdouble (a 64-bit mantissa
+    on x86) and rounded once, so the result is the double nearest their sum
+    however the stream cuts its blocks.  Where longdouble is plain double
+    this is pairwise summation block by block.
+    """
     _check_z(z)
     limit = _series_limit(z)
     if spec is None or spec.kind == KIND_PRIMES:
@@ -204,10 +211,10 @@ def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> 
     else:
         blocks = (spec.members_upto(limit),)
     lnz = math.log(z)
-    total = 0.0
+    total = np.longdouble(0.0)
     for block in blocks:
-        total += _power_sum(block.astype(np.float64), lnz, order)
-    return total
+        total += _power_sum(block.astype(np.float64), lnz, order, np.longdouble)
+    return float(total)
 
 
 def phi_eval(z: float) -> float:
@@ -312,7 +319,7 @@ def phi_split_grid(t_grid):
             head = pf[:int(np.searchsorted(block, lim, side="right"))]
             for k, d in enumerate(_split_block(head, t, y)):
                 acc[k] += d
-            acc[3] += _power_sum(head, lnz)
+            acc[3] += float(_power_sum(head, lnz))
     return [(PhiSplit(t=t, cutoff=y, phi1=acc[0], phi2=acc[1], phi3=acc[2]),
              acc[3]) for (t, y, *_), acc in zip(points, sums)]
 

@@ -317,8 +317,12 @@ def _validate(args, parser) -> None:
         if args.split:
             if args.t is None:
                 parser.error("--split needs --t")
+            if args.z is not None:
+                parser.error("--split takes --t, not --z")
         elif args.z is None:
             parser.error("phi needs --z (or --split with --t)")
+        elif args.t is not None:
+            parser.error("--t is read only with --split")
     if args.command == "sample" and args.n < 1:
         parser.error(f"--n must be >= 1, got {args.n}")
 

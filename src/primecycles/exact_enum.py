@@ -30,11 +30,16 @@ build_table picks the float route from the spec's kind in the same way:
 * primes: a divide-and-conquer online convolution of the a_n recurrence.
   Each node adds its finished left half's share to the right half: by a
   middle-product FFT of size next_pow2(width) with the spectra of g
-  cached per size, by a product with a block of g's Toeplitz matrix for
-  widths up to 512, and leaves of 32 finish the recurrence on Python
-  floats.  Its absolute error is about eps times a block's largest
-  coefficient, which is harmless only because prime coefficients decay
-  slowly and never vanish past n = 1; a negative coefficient is refused.
+  cached per size, or by a product with a block of g's Toeplitz matrix for
+  widths up to 512.  A leaf of up to 128 coefficients is solved in closed
+  form: the eigenvectors of its triangular system are the shifted columns
+  of the Toeplitz matrix of the series exp(phi), phi = sum_{k in A} x^k/k,
+  and the inverse of that matrix is the Toeplitz matrix of exp(-phi), so
+  each leaf is two triangular matrix-vector products
+  (_build_float_fast derives it).  Its absolute error is about eps times
+  a block's largest coefficient, which is harmless only because prime
+  coefficients decay slowly and never vanish past n = 1; a negative or
+  non-finite coefficient is refused.
 
 A float table whose coefficients reach the subnormal range is refused
 rather than rounded to a false zero.  Two independent oracles
@@ -72,7 +77,12 @@ EXACT_CAP_DEFAULT = 2000
 FLOAT_CAP_DEFAULT = 10_000_000
 PARTITION_CAP = 300
 BRUTE_FORCE_CAP = 9
-FAST_PATH_LEAF = 32
+# _build_float_fast's node widths: leaves of at most FAST_PATH_LEAF are
+# solved in closed form by two triangular products, nodes up to
+# FAST_PATH_DIRECT by a Toeplitz block, wider ones by FFT.  Tuned on the
+# primes at n = 3*10^4 to 2*10^5: leaves of 64 and 256, or direct widths of
+# 256 and 1024, were no faster.
+FAST_PATH_LEAF = 128
 FAST_PATH_DIRECT = 512
 
 
@@ -239,8 +249,43 @@ def _build_float_baseline(members: np.ndarray, n_max: int) -> np.ndarray:
     return a
 
 
+def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
+    """The d x d lower triangular Toeplitz matrix of c[:d]: M[i, j] = c[i - j]
+    for i >= j, else 0.  Row i is a sliding window over [0]*(d-1) + c,
+    read backwards."""
+    d = c.size
+    padded = np.concatenate((np.zeros(d - 1), c))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, d)
+    return np.ascontiguousarray(windows[:, ::-1])
+
+
+def _exp_series(small: list, d: int, sign: float) -> np.ndarray:
+    """The first d coefficients of exp(sign * phi), phi = sum_{k in A} x^k/k,
+    from m*s_m = sign * sum over members k <= m of s_{m-k}; small holds the
+    members below d."""
+    s = [1.0] + [0.0] * (d - 1)
+    for m in range(1, d):
+        total = 0.0
+        for k in small:
+            if k > m:
+                break
+            total += s[m - k]
+        s[m] = sign * total / m
+    return np.array(s)
+
+
+def _solve_leaf(t_s: np.ndarray, t_r: np.ndarray, pend: np.ndarray,
+                lo: int) -> np.ndarray:
+    """a[lo:lo + w] from its pending sums, lo > 0, as T(s) ((T(r) pend) /
+    (lo + j)); _build_float_fast derives it."""
+    w = pend.size
+    y = t_r[:w, :w] @ pend
+    y /= np.arange(lo, lo + w)
+    return t_s[:w, :w] @ y
+
+
 def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
-    """Divide-and-conquer online convolution; matches the baseline to ~1e-15
+    """Divide-and-conquer online convolution; matches the baseline to ~2e-15
     for the primes.
 
     The range [0, n_max] is halved down to leaves of at most FAST_PATH_LEAF
@@ -258,25 +303,32 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
       above, and linear indices >= size wrap onto indices <= h - 2, so
       outputs [h, w) come out clean.  The spectrum of g is cached per
       size, which the two widths of a level nearly always share.
-    * a leaf finishes each coefficient from its pending sum and the
-      members below the leaf width, on Python floats.
+    * a leaf [lo, lo + w) solves (lo*I + K) x = pending[lo:lo + w] with
+      K = diag(0, 1, ..., w-1) - T(g), T(c) the lower Toeplitz matrix of c.
+      Let s be the series exp(phi), whose coefficients are a_0, a_1, ...
+      Column j of T(s) is an eigenvector of K for eigenvalue j: its entry
+      m > j is s_{m-j}, and (m - j)*s_{m-j} = sum of s_{m-j-k} over the
+      members k is exactly row m of K v = j v.  So K = T(s) D T(s)^-1, and
+      T(s)^-1 = T(r) with r the series exp(-phi).  Each leaf is then two
+      triangular products, x = T(s) ((T(r) pending) / (lo + j)), in closed
+      form; the first leaf, with nothing pending, is s itself.  s and r
+      come from one short recurrence each, once per call.
 
     Its absolute error is about eps times the largest coefficient of a
     block, so a coefficient that is zero or far below its neighbours comes
-    out as roundoff.  A negative one proves that, and is refused.
+    out as roundoff.  A negative one proves that, and is refused, as is a
+    NaN or infinite one.
     """
     g = np.zeros(n_max + 1)
     g[members[members <= n_max]] = 1.0
     a = np.zeros(n_max + 1)
-    a[0] = 1.0
     pending = np.zeros(n_max + 1)
-    small = members[members < FAST_PATH_LEAF].tolist()
-    # toeplitz[i, j] = g[i - j] for i > j, else 0: row i of the sliding
-    # windows over [0]*(d-1) + g[:d], read backwards
-    d = min(FAST_PATH_DIRECT, n_max + 1)
-    padded = np.concatenate((np.zeros(d - 1), g[:d]))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, d)
-    toeplitz = np.ascontiguousarray(windows[:, ::-1])
+    toeplitz = _lower_toeplitz(g[:min(FAST_PATH_DIRECT, n_max + 1)])
+    d = min(FAST_PATH_LEAF, n_max + 1)
+    small = members[members < d].tolist()
+    s = _exp_series(small, d, 1.0)
+    t_s = _lower_toeplitz(s)
+    t_r = _lower_toeplitz(_exp_series(small, d, -1.0))
     spectra = {}
 
     stack = [(0, n_max + 1, False)]
@@ -284,16 +336,7 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
         lo, hi, left_done = stack.pop()
         w = hi - lo
         if w <= FAST_PATH_LEAF:
-            blk = a[lo:hi].tolist()
-            pend = pending[lo:hi].tolist()
-            for i in range(1 if lo == 0 else 0, w):
-                s = pend[i]
-                for k in small:
-                    if k > i:
-                        break
-                    s += blk[i - k]
-                blk[i] = s / (lo + i)
-            a[lo:hi] = blk
+            a[lo:hi] = _solve_leaf(t_s, t_r, pending[lo:hi], lo) if lo else s[:hi]
             continue
         mid = (lo + hi) // 2
         if not left_done:
@@ -312,11 +355,12 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
             pending[mid:hi] += conv[h:w]
         stack.append((mid, hi, False))
 
-    negative = np.flatnonzero(a < 0.0)
-    if negative.size:
-        n = int(negative[0])
+    bad = np.flatnonzero(~(np.isfinite(a) & (a >= 0.0)))
+    if bad.size:
+        n = int(bad[0])
         raise InternalConsistencyError(
-            f"FFT float table has a negative coefficient a_{n} = {float(a[n])!r}"
+            f"FFT float table has a negative or non-finite coefficient "
+            f"a_{n} = {float(a[n])!r}"
         )
     return a
 

@@ -13,7 +13,8 @@ A segment spans ``SEGMENT_SIZE`` = 2^21 integers, whose odd-only mask is
 1 MB: it stays in a 2 MB per-core L2 cache while every base prime strikes
 it, where a 2^24 segment (an 8 MB mask) spills to L3 on each pass.  Smaller
 segments lose again, because each one costs a Python-level pass over the
-base primes.
+base primes.  Segments sit at fixed multiples of the segment size, so a
+stream's blocks do not depend on its limit.
 """
 
 import math
@@ -104,37 +105,33 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
 
     Streams an odd-only segmented sieve; working memory is O(segment), so
     limits far above any sensible table size (10^9 and beyond) are fine.
+    Block i holds the primes in [i*segment, (i+1)*segment), the last one cut
+    at limit, and empty blocks are skipped.  The edges do not depend on
+    limit, so every block of a shorter stream but its last is also a block
+    of a longer one, and a sum taken block by block over the primes up to
+    some y comes out the same, bit for bit, whatever the stream's limit.
     """
     if limit < 2:
         return
-    base_lim = max(math.isqrt(limit), 3)
-    base_mask = _simple_mask(base_lim)
-    base = np.flatnonzero(base_mask)
-    head = base[base <= limit].astype(np.int64)
-    if head.size:
-        yield head
-    # 2 never strikes in odd-only segments
+    base = np.flatnonzero(_simple_mask(max(math.isqrt(limit), 2)))
+    # 2 never strikes in odd-only segments; it heads the first block
     odd_base = base[1:].astype(np.int64)
     squares = odd_base * odd_base
-    lo = base_lim + 1
-    while lo <= limit:
+    for lo in range(0, limit + 1, segment):
         hi = min(lo + segment, limit + 1)
-        start = lo | 1
-        if start >= hi:
-            lo = hi
-            continue
-        n_odd = (hi - start + 1) // 2
-        mask = np.ones(n_odd, dtype=bool)
+        start = max(lo | 1, 3)
+        mask = np.ones(max((hi - start + 1) // 2, 0), dtype=bool)
         # first odd multiple of each striking prime at or past max(p^2, start)
         ps = odd_base[: int(np.searchsorted(squares, hi))]
         first = np.maximum(squares[: ps.size], (start + ps - 1) // ps * ps)
         first += (first & 1 == 0) * ps
         for i, p in zip(((first - start) // 2).tolist(), ps.tolist()):
             mask[i::p] = False
-        block = start + 2 * np.flatnonzero(mask)
+        block = start + 2 * np.flatnonzero(mask).astype(np.int64, copy=False)
+        if lo == 0:
+            block = np.concatenate((np.array([2], dtype=np.int64), block))
         if block.size:
-            yield block.astype(np.int64, copy=False)
-        lo = hi
+            yield block
 
 
 def nth_primes(ks) -> list:

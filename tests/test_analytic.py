@@ -225,6 +225,16 @@ def test_phi_split_grid_matches_per_t_calls():
         assert direct == pytest.approx(phi_eval(math.exp(-t)), rel=1e-14)
 
 
+def test_phi_split_grid_row_depends_on_its_t_alone():
+    # block edges sit at multiples of the segment whatever the stream's
+    # limit, so a row is summed in the same order on any grid; t = 1e-5
+    # streams to 4e6, past the first edge, and its last block is cut
+    wide = phi_split_grid((1e-6, 1e-3, 1e-5, 1e-4))
+    for t, row in zip((1e-3, 1e-5), (wide[1], wide[2])):
+        assert phi_split_grid((t,))[0] == row
+        assert phi_split_grid((t, 1e-4))[0] == row
+
+
 def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
     calls = []
 

@@ -261,6 +261,15 @@ def test_phi_modes_are_exclusive(capsys, argv):
     assert rc == 2 and out == "" and "not allowed with" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--z", "0.5", "--split", "--t", "0.001"), "--split takes --t, not --z"),
+    (("--z", "0.5", "--t", "0.001"), "--t is read only with --split"),
+], ids=["z-with-split", "t-without-split"])
+def test_phi_refuses_an_option_its_mode_ignores(capsys, argv, message):
+    rc, out, err = run(capsys, "phi", *argv)
+    assert rc == 2 and out == "" and message in err
+
+
 def test_verify_ok_paths(capsys):
     rc, out, err = run(capsys, "verify", "--which", "partial-sum",
                        "--n-grid", "100,1000")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primecycles import exact_enum
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import (
     InternalConsistencyError,
@@ -17,9 +18,14 @@ from primecycles.errors import (
     ResourceLimitError,
 )
 from primecycles.exact_enum import (
+    FAST_PATH_DIRECT,
+    FAST_PATH_LEAF,
     PARTITION_CAP,
     _build_float_baseline,
     _build_float_fast,
+    _exp_series,
+    _lower_toeplitz,
+    _solve_leaf,
     big_str,
     build_table,
     count_brute_force,
@@ -218,11 +224,15 @@ def test_fast_path_matches_baseline(primes_spec):
     assert (fast.a_float >= 0.0).all()
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 31, 32, 33, 63, 64, 65, 511, 512,
-                                   513, 1023, 1024, 1025, 4097, 30000])
+W, D = FAST_PATH_LEAF, FAST_PATH_DIRECT
+
+
+@pytest.mark.parametrize("n_max", sorted({
+    0, 1, 2, 31, 32, 33, 63, 64, 65, 511, 512, 513, 1023, 1024, 1025, 4097,
+    30000, W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1, D - 1, D + 1}))
 def test_fast_path_matches_baseline_at_switch_over_sizes(n_max):
     # leaf, matrix-vector and middle-product nodes each meet their
-    # neighbours around these sizes
+    # neighbours around these sizes, the last ones read off the constants
     members = CycleClassSpec.primes(build_sieve(30_000)).members_upto(n_max)
     base = _build_float_baseline(members, n_max)
     fast = _build_float_fast(members, n_max)
@@ -233,6 +243,43 @@ def test_fast_path_matches_baseline_at_switch_over_sizes(n_max):
     if n_max >= 1:
         assert fast[1] == 0.0
     assert (fast >= 0.0).all()
+
+
+def _forward_substitution(members, pend, lo):
+    # (lo + i) x_i = pend_i + sum of x_{i-k} over members k <= i
+    x = []
+    for i, p in enumerate(pend.tolist()):
+        x.append((p + sum(x[i - k] for k in members if k <= i)) / (lo + i))
+    return np.array(x)
+
+
+def _members_below_w():
+    return CycleClassSpec.primes(build_sieve(W)).members_upto(W - 1).tolist()
+
+
+@pytest.mark.parametrize("lo", [W, 1000, 10 ** 5])
+def test_leaf_closed_form_matches_forward_substitution(lo):
+    small = _members_below_w()
+    t_s = _lower_toeplitz(_exp_series(small, W, 1.0))
+    t_r = _lower_toeplitz(_exp_series(small, W, -1.0))
+    rng = np.random.default_rng(lo)
+    for w in (W, W // 2 + 1, 1):
+        pend = rng.random(w)
+        want = _forward_substitution(small, pend, lo)
+        got = _solve_leaf(t_s, t_r, pend, lo)
+        assert (np.abs(got - want) <= 1e-13 * want).all()
+
+
+def test_leaf_series_are_inverse():
+    # T(exp(phi)) T(exp(-phi)) = T(1) = I
+    small = _members_below_w()
+    s = _exp_series(small, W, 1.0)
+    product = _lower_toeplitz(s) @ _lower_toeplitz(_exp_series(small, W, -1.0))
+    assert np.abs(product - np.eye(W)).max() <= 1e-14
+    # s is the head of the table: a_1 = 0 exactly, every other a_n > 0
+    base = _build_float_baseline(np.array(small), W - 1)
+    assert s[1] == 0.0 and (s[2:] > 0.0).all()
+    assert np.abs(s - base).max() <= 1e-15 * base.max()
 
 
 def test_fast_path_leaves_no_garbage_for_the_cycle_collector():
@@ -268,6 +315,15 @@ def test_fast_path_refuses_negative_coefficients():
     members = CycleClassSpec.residue_classes(3, (0,)).members_upto(2000)
     with pytest.raises(InternalConsistencyError, match="negative"):
         _build_float_fast(members, 2000)
+
+
+def test_fast_path_refuses_non_finite_coefficients(monkeypatch):
+    # a NaN passes every comparison with 0, so it needs its own refusal
+    monkeypatch.setattr(exact_enum, "_solve_leaf",
+                        lambda t_s, t_r, pend, lo: np.full(pend.size, np.nan))
+    members = CycleClassSpec.primes(build_sieve(1000)).members_upto(1000)
+    with pytest.raises(InternalConsistencyError, match="non-finite"):
+        _build_float_fast(members, 1000)
 
 
 def test_dump_golden(primes_spec):

@@ -125,6 +125,18 @@ def test_iter_prime_blocks_small_segments():
     assert np.array_equal(streamed, np.flatnonzero(_simple_mask(10_000)))
 
 
+def test_iter_prime_blocks_edges_do_not_depend_on_the_limit():
+    # every block but the last of a shorter stream is a block of a longer one
+    for segment in (64, 1000):
+        longer = list(iter_prime_blocks(10_000, segment=segment))
+        for limit in (2, 64, 997, 1000, 1001, 5000, 9999):
+            shorter = list(iter_prime_blocks(limit, segment=segment))
+            for got, want in zip(shorter[:-1], longer):
+                assert np.array_equal(got, want)
+            last = longer[len(shorter) - 1]
+            assert np.array_equal(shorter[-1], last[last <= limit])
+
+
 def test_iter_prime_blocks_empty_below_two():
     assert list(iter_prime_blocks(1)) == []
 
@@ -144,10 +156,10 @@ def test_nth_primes_matches_table_to_2000():
 
 
 @pytest.mark.parametrize("segment, kmax", [(256, 1200),
-                                            (SEGMENT_SIZE, 400_000)])
+                                            (SEGMENT_SIZE, 500_000)])
 def test_nth_primes_at_segment_edges(monkeypatch, segment, kmax):
     # 256-integer segments put many block boundaries below p_1200 = 9733;
-    # full segments give three below p_400000 = 5800079
+    # full segments give three below p_500000 = 7368787
     seen = []
 
     def recording(limit):
@@ -187,5 +199,6 @@ def test_nth_primes_refuses_a_short_stream(monkeypatch):
 
     monkeypatch.setattr(primes, "iter_prime_blocks", first_block_only)
     assert nth_primes([1, 2]) == [2, 3]
+    # p_200000 = 2750159 lies past the first block, [0, SEGMENT_SIZE)
     with pytest.raises(InternalConsistencyError):
-        nth_primes([10_000])
+        nth_primes([200_000])
