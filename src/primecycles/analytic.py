@@ -22,7 +22,7 @@ from primecycles.errors import (
     OutOfDomainError,
     UnsupportedSpecError,
 )
-from primecycles.primes import iter_prime_blocks
+from primecycles.primes import feed_primes, iter_prime_blocks
 
 # Euler-Mascheroni constant, 25 digits; treated as a known input, not computed
 EULER_GAMMA = 0.5772156649015328606065121
@@ -111,8 +111,8 @@ def mertens_direct(limit: int):
         raise InvalidArgumentError(f"limit must be >= 2, got {limit}")
     total = 0.0
     for block in iter_prime_blocks(limit):
-        pf = block.astype(np.float64)
-        total += float(np.sum(np.log1p(-1.0 / pf) + 1.0 / pf))
+        inv = 1.0 / block.astype(np.float64)
+        total += float(np.sum(np.log1p(-inv) + inv))
     return EULER_GAMMA + total, 1.0 / (limit - 1)
 
 
@@ -183,16 +183,16 @@ def _series_limit(z: float) -> int:
     return max(100, int(40.0 / (1.0 - z)) + 1)
 
 
-def _power_sum(kf: np.ndarray, lnz: float, order: int = 0, dtype=np.float64):
+def _power_sum(kf: np.ndarray, lnz: float, order: int = 0):
     """Sum over members kf (as floats) of the order-th derivative of z^k/k,
     z = e^lnz: z^k/k for order 0, (k-1)...(k-order+1) z^(k-order) above;
-    a numpy scalar of the given accumulator dtype."""
+    a longdouble numpy scalar."""
     if order == 0:
-        return np.sum(np.exp(kf * lnz) / kf, dtype=dtype)
+        return np.sum(np.exp(kf * lnz) / kf, dtype=np.longdouble)
     falling = np.ones_like(kf)
     for j in range(1, order):
         falling *= kf - j
-    return np.sum(falling * np.exp((kf - order) * lnz), dtype=dtype)
+    return np.sum(falling * np.exp((kf - order) * lnz), dtype=np.longdouble)
 
 
 def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> float:
@@ -213,7 +213,7 @@ def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> 
     lnz = math.log(z)
     total = np.longdouble(0.0)
     for block in blocks:
-        total += _power_sum(block.astype(np.float64), lnz, order, np.longdouble)
+        total += _power_sum(block.astype(np.float64), lnz, order)
     return float(total)
 
 
@@ -266,20 +266,6 @@ def _split_cutoff(t: float) -> float:
     return (1.0 / t) * log_inv / math.log(log_inv)
 
 
-def _split_block(pf: np.ndarray, t: float, y: float):
-    """(phi1, phi2, phi3) terms of one block of primes (as floats)."""
-    cut = int(np.searchsorted(pf, y, side="right"))
-    head = pf[:cut]
-    tail = pf[cut:]
-    phi1 = phi2 = phi3 = 0.0
-    if head.size:
-        phi1 = float(np.sum(1.0 / head))
-        phi2 = float(np.sum(np.expm1(-head * t) / head))
-    if tail.size:
-        phi3 = float(np.sum(np.exp(-tail * t) / tail))
-    return phi1, phi2, phi3
-
-
 def phi_split(t: float) -> PhiSplit:
     """Split phi(e^-t) = phi1 + phi2 + phi3 at y = ((1/t)ln(1/t))/lnln(1/t).
 
@@ -291,37 +277,80 @@ def phi_split(t: float) -> PhiSplit:
     return phi_split_grid((t,))[0][0]
 
 
+class PhiSplitSums:
+    """Prime-stream accumulator for phi_split_grid(t_grid): per t, the
+    split's three sums and the direct sum, each over the primes up to that
+    t's own truncation limit.
+
+    Every t is checked on construction, so before any prime is streamed.
+    The limit is the largest truncation limit on the grid.  Each block's
+    reciprocals 1/p are taken once and shared by every t and every sum,
+    and every t works in place in one row; the rows are allocated once,
+    for the largest block.
+    """
+
+    def __init__(self, t_grid):
+        ts = list(t_grid)
+        for t in ts:
+            _check_t(t)
+            _check_z(math.exp(-t))
+        # per t: cutoff, limit, and ln z taken from z = e^-t as phi_eval(e^-t)
+        # takes it (not -t, which differs in the last bits)
+        self.points = [(t, _split_cutoff(t), _series_limit(math.exp(-t)),
+                        math.log(math.exp(-t))) for t in ts]
+        self.limit = max((lim for _, _, lim, _ in self.points), default=0)
+        self._sums = [[0.0, 0.0, 0.0, 0.0] for _ in ts]  # phi1..3, direct
+        self._buf = np.empty((3, 0))  # p, 1/p and a work row, per block
+
+    def add(self, block) -> bool:
+        n = block.size
+        if self._buf.shape[1] < n:
+            self._buf = np.empty((3, n))
+        pf, inv, buf = self._buf[:, :n]
+        np.copyto(pf, block)
+        np.divide(1.0, pf, out=inv)
+        for (t, y, lim, lnz), acc in zip(self.points, self._sums):
+            m = int(np.searchsorted(block, lim, side="right"))
+            cut = int(np.searchsorted(pf[:m], y, side="right"))
+            x = buf[:m]
+            # head p <= y: 1/p and expm1(-pt)/p; tail: e^-pt/p
+            acc[0] += float(inv[:cut].sum())
+            np.multiply(pf[:m], -t, out=x)
+            np.expm1(x[:cut], out=x[:cut])
+            np.exp(x[cut:], out=x[cut:])
+            x *= inv[:m]
+            acc[1] += float(x[:cut].sum())
+            acc[2] += float(x[cut:].sum())
+            # the direct sum z^p/p
+            np.multiply(pf[:m], lnz, out=x)
+            np.exp(x, out=x)
+            x *= inv[:m]
+            acc[3] += float(x.sum())
+        return False
+
+    def result(self) -> list:
+        return [(PhiSplit(t=t, cutoff=y, phi1=acc[0], phi2=acc[1],
+                          phi3=acc[2]), acc[3])
+                for (t, y, *_), acc in zip(self.points, self._sums)]
+
+
 def phi_split_grid(t_grid):
     """[(phi_split(t), phi_eval(e^-t)) for t in t_grid] from one prime stream.
 
-    Every t is checked before any prime is streamed.  The stream runs to the
-    largest truncation limit on the grid; each t takes from every block only
-    the primes up to its own limit, shared by the split and the direct sum,
-    so the sums cover the same primes as one-point grids and phi_eval, and
-    differ from them only in summation order.  The direct sum keeps
-    phi_eval's own terms z^p/p, so comparing it with the recombined split
-    still checks two different computations.
+    The one-accumulator case of PhiSplitSums: every t is checked before any
+    prime is streamed, and the stream runs to the largest truncation limit
+    on the grid.  Each t takes from every block only the primes up to its
+    own limit, shared by the split and the direct sum, so the sums cover
+    the same primes as one-point grids and phi_eval.  The direct sum
+    multiplies z^p by the block's 1/p where phi_eval divides by p, so the
+    two differ only in rounding and summation order.  It shares 1/p with
+    the split, but neither the exponent nor the cut at y, so comparing it
+    with the recombined split still checks the split's own arithmetic.
     """
-    ts = list(t_grid)
-    for t in ts:
-        _check_t(t)
-        _check_z(math.exp(-t))
-    if not ts:
+    sums = PhiSplitSums(t_grid)
+    if not sums.points:
         return []
-    # per t: cutoff, limit, and ln z taken from z = e^-t as phi_eval(e^-t)
-    # takes it (not -t, which differs in the last bits)
-    points = [(t, _split_cutoff(t), _series_limit(math.exp(-t)),
-               math.log(math.exp(-t))) for t in ts]
-    sums = [[0.0, 0.0, 0.0, 0.0] for _ in ts]  # phi1, phi2, phi3, direct
-    for block in iter_prime_blocks(max(lim for _, _, lim, _ in points)):
-        pf = block.astype(np.float64)
-        for (t, y, lim, lnz), acc in zip(points, sums):
-            head = pf[:int(np.searchsorted(block, lim, side="right"))]
-            for k, d in enumerate(_split_block(head, t, y)):
-                acc[k] += d
-            acc[3] += float(_power_sum(head, lnz))
-    return [(PhiSplit(t=t, cutoff=y, phi1=acc[0], phi2=acc[1], phi3=acc[2]),
-             acc[3]) for (t, y, *_), acc in zip(points, sums)]
+    return feed_primes(iter_prime_blocks(sums.limit), sums)[0]
 
 
 # -- closed-form asymptotic models -----------------------------------------------

@@ -11,6 +11,7 @@ import math
 import sys
 
 from primecycles.analytic import (
+    PhiSplitSums,
     f_eval,
     make_constants,
     phi_deriv,
@@ -28,7 +29,12 @@ from primecycles.exact_enum import (
     partial_sum,
     partial_sums,
 )
-from primecycles.primes import build_sieve
+from primecycles.primes import (
+    NthPrimes,
+    build_sieve,
+    feed_primes,
+    iter_prime_blocks,
+)
 from primecycles.sampler import Sampler
 from primecycles.verify import (
     CHECK_NAMES,
@@ -197,11 +203,20 @@ def cmd_verify(args) -> int:
         rows = hlk_comparison_table(count_table, n_grid, constants, sums)
         emitted["hlk"] = rows
         _report_check("hlk", check_hlk(rows), failures)
+    # the phi and pnt checks read their primes off one stream
+    readers = {}
     if "phi" in selected:
-        rows = phi_estimate_table(t_grid, constants)
+        readers["phi"] = PhiSplitSums(t_grid)
+    if "pnt" in selected:
+        readers["pnt"] = NthPrimes(PNT_GRID_DEFAULT)
+    if readers:
+        stream = iter_prime_blocks(max(acc.limit for acc in readers.values()))
+        streamed = dict(zip(readers, feed_primes(stream, *readers.values())))
+    if "phi" in selected:
+        rows = phi_estimate_table(t_grid, constants, streamed["phi"])
         _report_check("phi", check_phi(rows), failures)
     if "pnt" in selected:
-        rows = pnt_table(PNT_GRID_DEFAULT)
+        rows = pnt_table(PNT_GRID_DEFAULT, streamed["pnt"])
         emitted["pnt"] = rows
         _report_check("pnt", check_pnt(rows), failures)
     if "slowvar" in selected:

@@ -288,11 +288,14 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
     """Divide-and-conquer online convolution; matches the baseline to ~2e-15
     for the primes.
 
-    The range [0, n_max] is halved down to leaves of at most FAST_PATH_LEAF
-    coefficients, walked left to right on an explicit stack.  Once a
-    node's left half [lo, mid) is final, its contribution to the right
-    half is added to ``pending[mid:hi]``: with h = mid - lo and w = hi - lo
-    that is outputs [h, w) of the convolution of a[lo:mid] with g[:w].
+    The range [0, n_max] is split down to leaves of at most FAST_PATH_LEAF
+    coefficients, walked left to right on an explicit stack.  A node of
+    width w splits at h = 2^(bit_length(w - 1) - 1), the largest power of
+    two below w, so every left child is a power of two wide and its own
+    nodes' transforms run at exactly their width.  Once a node's left part
+    [lo, mid) is final, its contribution to the right part is added to
+    ``pending[mid:hi]``: with h = mid - lo and w = hi - lo that is outputs
+    [h, w) of the convolution of a[lo:mid] with g[:w].
 
     * w <= FAST_PATH_DIRECT: a matrix-vector product with a block of the
       strictly lower Toeplitz matrix of g, built once per call.
@@ -302,7 +305,7 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
       k = j - i <= j < w, as it should; terms with k >= w land at w or
       above, and linear indices >= size wrap onto indices <= h - 2, so
       outputs [h, w) come out clean.  The spectrum of g is cached per
-      size, which the two widths of a level nearly always share.
+      size, so g is transformed once for each power of two.
     * a leaf [lo, lo + w) solves (lo*I + K) x = pending[lo:lo + w] with
       K = diag(0, 1, ..., w-1) - T(g), T(c) the lower Toeplitz matrix of c.
       Let s be the series exp(phi), whose coefficients are a_0, a_1, ...
@@ -338,7 +341,7 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
         if w <= FAST_PATH_LEAF:
             a[lo:hi] = _solve_leaf(t_s, t_r, pending[lo:hi], lo) if lo else s[:hi]
             continue
-        mid = (lo + hi) // 2
+        mid = lo + (1 << ((w - 1).bit_length() - 1))
         if not left_done:
             stack.append((lo, hi, True))
             stack.append((lo, mid, False))

@@ -5,16 +5,24 @@ segmented sieve that streams primes in numpy blocks without materializing
 a table; prime sums with limits in the billions go through it.
 :func:`build_sieve` concatenates the same stream into a table: one
 ascending, read-only int64 array of primes, immutable after construction
-and safe to share across threads.  :func:`nth_primes` is another consumer
-of the stream: it counts block sizes to find p_k, so its working memory is
-one segment however large k is.
+and safe to share across threads.
+
+Consumers that read the stream block by block are accumulators: an object
+with a ``limit`` (the largest prime it reads), ``add(block)`` and
+``result()``.  :func:`feed_primes` hands one stream to several of them,
+each cut at its own limit, so checks that need the primes to different
+limits read them once.  :class:`NthPrimes` is one: it counts block sizes
+to find p_k, so its working memory is one segment however large k is.
 
 A segment spans ``SEGMENT_SIZE`` = 2^21 integers, whose odd-only mask is
 1 MB: it stays in a 2 MB per-core L2 cache while every base prime strikes
 it, where a 2^24 segment (an 8 MB mask) spills to L3 on each pass.  Smaller
 segments lose again, because each one costs a Python-level pass over the
-base primes.  Segments sit at fixed multiples of the segment size, so a
-stream's blocks do not depend on its limit.
+base primes.  Each segment's mask starts as a copy of the multiples of 3,
+5, 7, 11 and 13 already struck, a pattern of period 2*3*5*7*11*13 = 30030
+tiled once per stream, so only the base primes from 17 up strike it.
+Segments sit at fixed multiples of the segment size, so a stream's blocks
+do not depend on its limit.
 """
 
 import math
@@ -30,6 +38,10 @@ from primecycles.errors import (
 
 DEFAULT_MEMORY_CAP = 2**31
 SEGMENT_SIZE = 1 << 21
+# the odd primes whose multiples every segment's mask starts with struck
+PRESIEVED = (3, 5, 7, 11, 13)
+# odd-only slots in one period 2*3*5*7*11*13 = 30030 of their pattern
+PATTERN_PERIOD = math.prod(PRESIEVED)
 
 
 def _simple_mask(limit: int) -> np.ndarray:
@@ -100,6 +112,18 @@ def build_sieve(limit: int) -> PrimeTable:
     return PrimeTable(limit, np.concatenate(list(iter_prime_blocks(limit))))
 
 
+def _presieved_pattern(width: int) -> np.ndarray:
+    """Odd-only mask over at least width + PATTERN_PERIOD slots, slot j
+    standing for 2j + 1, False where 2j + 1 is a multiple of a PRESIEVED
+    prime (the prime itself included).  It repeats every PATTERN_PERIOD
+    slots, so the odd numbers from s on start at slot
+    (s - 1)//2 % PATTERN_PERIOD."""
+    pattern = np.ones(PATTERN_PERIOD, dtype=bool)
+    for p in PRESIEVED:
+        pattern[(p - 1) // 2 :: p] = False
+    return np.tile(pattern, width // PATTERN_PERIOD + 2)
+
+
 def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
     """Yield int64 arrays that together hold every prime <= limit, in order.
 
@@ -114,58 +138,107 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
     if limit < 2:
         return
     base = np.flatnonzero(_simple_mask(max(math.isqrt(limit), 2)))
-    # 2 never strikes in odd-only segments; it heads the first block
-    odd_base = base[1:].astype(np.int64)
+    # 2 never strikes in odd-only segments; it heads the first block.  The
+    # pattern has struck the PRESIEVED primes, so the rest start past them
+    odd_base = base[1 + len(PRESIEVED):].astype(np.int64)
     squares = odd_base * odd_base
+    pattern = _presieved_pattern(min(segment, limit + 1) // 2 + 1)
     for lo in range(0, limit + 1, segment):
         hi = min(lo + segment, limit + 1)
         start = max(lo | 1, 3)
-        mask = np.ones(max((hi - start + 1) // 2, 0), dtype=bool)
+        offset = (start - 1) // 2 % PATTERN_PERIOD
+        mask = pattern[offset : offset + max((hi - start + 1) // 2, 0)].copy()
+        # the pattern struck the PRESIEVED primes themselves
+        for p in PRESIEVED:
+            if start <= p < hi:
+                mask[(p - start) // 2] = True
         # first odd multiple of each striking prime at or past max(p^2, start)
         ps = odd_base[: int(np.searchsorted(squares, hi))]
         first = np.maximum(squares[: ps.size], (start + ps - 1) // ps * ps)
         first += (first & 1 == 0) * ps
         for i, p in zip(((first - start) // 2).tolist(), ps.tolist()):
             mask[i::p] = False
-        block = start + 2 * np.flatnonzero(mask).astype(np.int64, copy=False)
+        block = np.flatnonzero(mask)
+        block *= 2
+        block += start
         if lo == 0:
             block = np.concatenate((np.array([2], dtype=np.int64), block))
         if block.size:
             yield block
 
 
-def nth_primes(ks) -> list:
-    """[p_k for k in ks], in the caller's order, from the prime stream.
+def feed_primes(blocks, *accumulators) -> list:
+    """Hand each block of one prime stream to every accumulator, cut at
+    that accumulator's limit; [acc.result() for acc in accumulators].
 
-    Streams to Rosser's bound p_k < k(ln k + ln ln k), which holds for
-    k >= 6, and stops at the block that holds the largest k.  No table is
-    built, so memory stays at one segment.
+    blocks is a stream from iter_prime_blocks to at least the largest
+    limit.  An accumulator gets no more blocks once the stream has passed
+    its limit or its ``add`` has returned True (it has all it needs), and
+    the stream is left unread once no accumulator wants more.
     """
-    ks = list(ks)
-    for k in ks:
-        if k < 1:
-            raise InvalidArgumentError(f"k must be a positive integer, got {k}")
-    if not ks:
-        return []
-    kmax = max(ks)
-    limit = 11  # p_5
-    if kmax >= 6:
-        # +1 absorbs rounding in the float bound
-        limit = int(kmax * (math.log(kmax) + math.log(math.log(kmax)))) + 1
-    pending = sorted(set(ks), reverse=True)
-    found = {}
-    count = 0
-    for block in iter_prime_blocks(limit):
+    active = list(accumulators)
+    for block in blocks:
+        last = int(block[-1])
+        for acc in list(active):
+            part = block
+            if last > acc.limit:
+                part = block[: int(np.searchsorted(block, acc.limit, side="right"))]
+            if (part.size and acc.add(part)) or last >= acc.limit:
+                active.remove(acc)
+        if not active:
+            break
+    return [acc.result() for acc in accumulators]
+
+
+class NthPrimes:
+    """Accumulator for [p_k for k in ks], in the caller's order.
+
+    Its limit is Rosser's bound p_k < k(ln k + ln ln k), which holds for
+    k >= 6, for the largest k; it counts block sizes, and ``add`` returns
+    True at the block that holds the largest k.
+    """
+
+    def __init__(self, ks):
+        self.ks = list(ks)
+        for k in self.ks:
+            if k < 1:
+                raise InvalidArgumentError(f"k must be a positive integer, got {k}")
+        kmax = max(self.ks, default=0)
+        self.limit = 11  # p_5
+        if kmax >= 6:
+            # +1 absorbs rounding in the float bound
+            self.limit = int(kmax * (math.log(kmax) + math.log(math.log(kmax)))) + 1
+        self._pending = sorted(set(self.ks), reverse=True)
+        self._found = {}
+        self._count = 0
+
+    def add(self, block) -> bool:
+        pending = self._pending
+        count = self._count
         end = count + block.size
         while pending and pending[-1] <= end:
             k = pending.pop()
-            found[k] = int(block[k - count - 1])
-        if not pending:
-            break
-        count = end
-    if pending:
-        raise InternalConsistencyError(
-            f"prime stream to {limit} ended after {count} primes, "
-            f"short of k={pending[-1]}"
-        )
-    return [found[k] for k in ks]
+            self._found[k] = int(block[k - count - 1])
+        self._count = end
+        return not pending
+
+    def result(self) -> list:
+        if self._pending:
+            raise InternalConsistencyError(
+                f"prime stream to {self.limit} ended after {self._count} "
+                f"primes, short of k={self._pending[-1]}"
+            )
+        return [self._found[k] for k in self.ks]
+
+
+def nth_primes(ks) -> list:
+    """[p_k for k in ks], in the caller's order, from the prime stream.
+
+    The one-accumulator case of :class:`NthPrimes`: it streams to Rosser's
+    bound for the largest k and stops at the block that holds it.  No
+    table is built, so memory stays at one segment.
+    """
+    acc = NthPrimes(ks)
+    if not acc.ks:
+        return []
+    return feed_primes(iter_prime_blocks(acc.limit), acc)[0]

@@ -74,12 +74,15 @@ def _float_first_cycle(table: CountTable, n: int, ks: np.ndarray) -> np.ndarray:
     sum; 0.0 where a_{n-k} = 0."""
     _check_n(table, n)
     a = table.a_float
-    if a[n] <= 0.0:
-        raise _empty_support(n)
+    # both tests are written so that a NaN fails them
+    if not a[n] > 0.0:
+        if a[n] <= 0.0:
+            raise _empty_support(n)
+        raise InternalConsistencyError(f"float table has a_{n} = {a[n]!r}")
     p = a[n - ks]
     p /= n * a[n]
     total = math.fsum(memoryview(p))
-    if abs(total - 1.0) > RENORM_TOLERANCE:
+    if not abs(total - 1.0) <= RENORM_TOLERANCE:
         raise InternalConsistencyError(
             f"first-cycle probabilities at n={n} sum to {total!r}"
         )

@@ -144,19 +144,23 @@ class PhiEstimateRow:
     phi3_scaled: float
 
 
-def phi_estimate_table(t_grid, constants: Constants):
+def phi_estimate_table(t_grid, constants: Constants, splits=None):
     """Per t: the split, its recombination against phi_eval(e^-t), and the
     three residuals on their natural scales.
 
     The whole grid shares one prime stream (analytic.phi_split_grid), run to
-    the largest truncation limit on the grid.
+    the largest truncation limit on the grid.  splits, if given, are the
+    grid's pairs as phi_split_grid(t_grid) returns them, so a caller can
+    take them off a stream it shares with other checks.
 
     phi1_scaled = (phi1 - lnln(1/t) - c) * ln(1/t)/lnln(1/t)
     phi2_scaled = phi2 * lnln(1/t)
     phi3_scaled = phi3 / (e^{-yt}/(yt))   (geometric-tail envelope)
     """
     rows = []
-    for split, direct in phi_split_grid(t_grid):
+    if splits is None:
+        splits = phi_split_grid(t_grid)
+    for split, direct in splits:
         t = split.t
         log_inv = math.log(1.0 / t)
         loglog = math.log(log_inv)
@@ -177,15 +181,18 @@ def phi_estimate_table(t_grid, constants: Constants):
     return rows
 
 
-def pnt_table(k_grid):
+def pnt_table(k_grid, primes=None):
     """Rows of (k, p_k) against the model k ln k; scaled_residual = ratio - 1.
 
     The primes come from one stream (primes.nth_primes) that stops at the
-    largest k on the grid.
+    largest k on the grid.  primes, if given, are the grid's p_k as
+    nth_primes(k_grid) returns them.
     """
     k_grid = _checked_grid(k_grid)
     rows = []
-    for k, pk in zip(k_grid, nth_primes(k_grid)):
+    if primes is None:
+        primes = nth_primes(k_grid)
+    for k, pk in zip(k_grid, primes, strict=True):
         model = k * math.log(k)
         ratio = pk / model
         rows.append(make_row(k, pk, model, ratio - 1.0))

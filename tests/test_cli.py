@@ -6,12 +6,13 @@ import tracemalloc
 
 import pytest
 
-from primecycles import cli, exact_enum, verify
+from primecycles import cli, exact_enum, primes, verify
+from primecycles.analytic import PhiSplitSums
 from primecycles.cli import main, parse_spec
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import build_table
-from primecycles.primes import build_sieve
+from primecycles.primes import SEGMENT_SIZE, NthPrimes, build_sieve, nth_primes
 from primecycles.sampler import Sampler
 from primecycles.verify import parse_report
 
@@ -310,6 +311,47 @@ def test_verify_sums_the_count_table_once(capsys, monkeypatch):
                      "--t-grid", "0.001,0.0001")
     assert rc == 0 and "partial-sum: ok" in out and "hlk: ok" in out
     assert calls == [[100, 1000]]
+
+
+def _record_streams(monkeypatch):
+    """Swap every binding of iter_prime_blocks in the package for one that
+    records each stream as [limit, blocks read]."""
+    streams = []
+    original = primes.iter_prime_blocks
+
+    def recording(limit, *args, **kwargs):
+        stream = [limit, 0]
+        streams.append(stream)
+        for block in original(limit, *args, **kwargs):
+            stream[1] += 1
+            yield block
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("primecycles"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    return streams
+
+
+def test_verify_reads_the_primes_once_for_phi_and_pnt(tmp_path, capsys,
+                                                      monkeypatch):
+    # the bench grids: the count table's sieve to 5 * 10^4 and the hlk
+    # model's four series stream below the PNT check's Rosser bound; the
+    # phi and pnt checks then share one stream to the phi limit
+    streams = _record_streams(monkeypatch)
+    prefix = tmp_path / "bench"
+    rc, out, _ = run(capsys, "verify", "--n-grid", "100,1000,10000,50000",
+                     "--t-grid", "1e-4,1e-5,1e-6,3e-7", "--out", str(prefix))
+    assert rc == 0 and "phi: ok" in out and "pnt: ok" in out
+    phi_limit = PhiSplitSums((1e-4, 1e-5, 1e-6, 3e-7)).limit
+    pnt_limit = NthPrimes(cli.PNT_GRID_DEFAULT).limit
+    assert phi_limit > pnt_limit
+    assert len(streams) == 6
+    assert [s for s in streams if s[0] >= pnt_limit] == \
+        [[phi_limit, phi_limit // SEGMENT_SIZE + 1]]
+    rows = parse_report(str(prefix) + "-pnt.csv", "csv")
+    assert [r.exact for r in rows] == nth_primes(cli.PNT_GRID_DEFAULT)
 
 
 def test_verify_detects_departure(capsys):

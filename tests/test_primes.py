@@ -11,6 +11,7 @@ from primecycles.errors import (
     ResourceLimitError,
 )
 from primecycles.primes import (
+    PRESIEVED,
     SEGMENT_SIZE,
     _simple_mask,
     build_sieve,
@@ -135,6 +136,26 @@ def test_iter_prime_blocks_edges_do_not_depend_on_the_limit():
                 assert np.array_equal(got, want)
             last = longer[len(shorter) - 1]
             assert np.array_equal(shorter[-1], last[last <= limit])
+
+
+@pytest.mark.parametrize("segment", [64, 30030, 30032, SEGMENT_SIZE])
+def test_presieved_blocks_match_the_plain_sieve(segment):
+    # each segment's mask starts from a 30030-periodic pattern that strikes
+    # 3, 5, 7, 11 and 13 themselves, so the first block must put them back
+    # and every later period must still strike them: 30043 = 13 * 2311
+    limits = list(range(2, 15)) + [30029, 30030, 30031, 3 * segment + 5]
+    for limit in limits:
+        table = np.flatnonzero(_simple_mask(limit))
+        cut = np.split(table, np.searchsorted(
+            table, np.arange(segment, limit + 1, segment)))
+        want = [block for block in cut if block.size]
+        got = list(iter_prime_blocks(limit, segment=segment))
+        assert len(got) == len(want), (segment, limit)
+        for block, expected in zip(got, want):
+            assert block.dtype == np.int64
+            assert np.array_equal(block, expected), (segment, limit)
+    first = next(iter_prime_blocks(3 * segment + 5, segment=segment))
+    assert set(PRESIEVED) <= set(first.tolist())
 
 
 def test_iter_prime_blocks_empty_below_two():

@@ -79,6 +79,23 @@ def test_inconsistent_float_table_detected():
         first_cycle_distribution(broken, 1)
 
 
+def test_nan_in_a_float_table_is_refused(primes_spec):
+    # the renormalisation check and the a_n check both fail on a NaN; a
+    # true zero (a_1 for the primes) stays an empty support
+    a = build_table(primes_spec, 101, "float").a_float.copy()
+    a[50] = math.nan
+    broken = CountTable(spec=primes_spec, n_max=101, p_exact=None, a_float=a)
+    for n in (53, 50):  # a_50 feeds a_53's first cycle of length 3
+        with pytest.raises(InternalConsistencyError):
+            first_cycle_distribution(broken, n)
+        with pytest.raises(InternalConsistencyError):
+            Sampler(broken, 1).sample(n)
+    with pytest.raises(EmptySupportError):
+        first_cycle_distribution(broken, 1)
+    with pytest.raises(EmptySupportError):
+        Sampler(broken, 1).sample(1)
+
+
 def test_distribution_domain(table300):
     with pytest.raises(InvalidArgumentError):
         first_cycle_distribution(table300, 0)

@@ -5,11 +5,11 @@ import math
 
 import pytest
 
-from primecycles import analytic
+from primecycles import analytic, primes
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import build_table, partial_sum, partial_sums
-from primecycles.primes import iter_prime_blocks
+from primecycles.primes import NthPrimes, iter_prime_blocks
 from primecycles.verify import (
     PARTIAL_SUM_RESIDUAL_BOUND,
     PHI_SAFETY_FACTOR,
@@ -167,6 +167,35 @@ def test_pnt_rows():
     assert ratios == sorted(ratios, reverse=True)
     with pytest.raises(InvalidArgumentError):
         pnt_table((1,))
+
+
+def test_pnt_table_alone_stops_at_the_block_of_its_largest_k(monkeypatch):
+    # in 2^18-integer segments p_(10^6) = 15485863 lies in block 59 and
+    # Rosser's bound for k = 10^6, 16441303, in block 62
+    segment = 2**18
+    read = []
+
+    def recording(limit):
+        for block in iter_prime_blocks(limit, segment=segment):
+            read.append(int(block[-1]))
+            yield block
+
+    monkeypatch.setattr(primes, "iter_prime_blocks", recording)
+    rows = pnt_table((1000, 10_000, 100_000, 1_000_000))
+    assert rows[-1].exact == 15_485_863.0
+    assert len(read) == 15_485_863 // segment + 1
+    assert NthPrimes([10**6]).limit // segment + 1 > len(read)
+
+
+def test_tables_take_primes_read_elsewhere(constants):
+    grid = (1e-3, 1e-4)
+    splits = analytic.phi_split_grid(grid)
+    assert phi_estimate_table(grid, constants, splits) == \
+        phi_estimate_table(grid, constants)
+    ks = (25, 100, 1000)
+    assert pnt_table(ks, [97, 541, 7919]) == pnt_table(ks)
+    with pytest.raises(ValueError):
+        pnt_table(ks, [97, 541])
 
 
 def _rows(*ratios, residual=0.0):
