@@ -9,15 +9,16 @@ emitted here; the method is rejection-free and exact.
 A Sampler reads the lengths it can draw from one member array, every
 member up to the table's n_max; for the primes that array is a view of the
 prime table's array.  For each remaining size m it meets it caches one
-float64 array: the cumulative first-cycle probabilities over all members
-<= m, built in numpy from the float table, or from the exact table's
-integers by correctly rounded int division.
+float64 array of cumulative first-cycle weights over all members <= m.
+From a float table that is one gather of the a_{m-k} and one cumsum in
+place, whose last entry is checked against m * a_m; from an exact table it
+is the cumsum of the probabilities, each correctly rounded by int division.
 A length k with a_{m-k} = 0 stays in the array as a zero-width step, which
 bisection never lands on.  A draw bisects a memoryview of the cumulative
-array and reads the length at that index from a memoryview of the member
-array, so it makes no numpy scalars.  The cache is least-recently-used and
-holds at most CACHE_MAX_COEFFS lengths in total, so a long stream of draws
-runs in bounded memory.
+array for a uniform fraction of its last entry and reads the length at that
+index from a memoryview of the member array, so it makes no numpy scalars.
+The cache is least-recently-used and holds at most CACHE_MAX_COEFFS lengths
+in total, so a long stream of draws runs in bounded memory.
 
 The RNG is the standard library's Mersenne Twister (random.Random), seeded
 explicitly; identical seeds give identical samples.
@@ -45,6 +46,8 @@ RENORM_TOLERANCE = 1e-9
 # 8-byte array, above the 0.7M-0.8M a run of 600 draws at n = 10^5 holds
 CACHE_MAX_COEFFS = 1 << 21
 
+_new = object.__new__
+
 
 @dataclass(frozen=True)
 class CycleTypeSample:
@@ -68,10 +71,13 @@ def _empty_support(n: int) -> EmptySupportError:
     )
 
 
-def _float_first_cycle(table: CountTable, n: int, ks: np.ndarray) -> np.ndarray:
-    """First-cycle probabilities a_{n-k} / (n * a_n) from a float table for
-    the members ks, all k in A with k <= n, ascending, renormalized by their
-    sum; 0.0 where a_{n-k} = 0."""
+def _float_cumulative(table: CountTable, n: int, ks: np.ndarray) -> np.ndarray:
+    """Cumulative first-cycle weights from a float table over the members ks,
+    all k in A with k <= n, ascending: entry i is a_{n-k_0} + ... + a_{n-k_i},
+    so length k_i has probability (cum[i] - cum[i-1]) / cum[-1], a zero-width
+    step where a_{n-k_i} = 0.  The last entry is checked against n * a_n,
+    which it equals in exact arithmetic; a running sum of nonnegative terms
+    is within about len(ks) * eps of its exact value."""
     _check_n(table, n)
     a = table.a_float
     # both tests are written so that a NaN fails them
@@ -79,19 +85,19 @@ def _float_first_cycle(table: CountTable, n: int, ks: np.ndarray) -> np.ndarray:
         if a[n] <= 0.0:
             raise _empty_support(n)
         raise InternalConsistencyError(f"float table has a_{n} = {a[n]!r}")
-    p = a[n - ks]
-    p /= n * a[n]
-    total = math.fsum(memoryview(p))
-    if not abs(total - 1.0) <= RENORM_TOLERANCE:
+    cum = a[n - ks]
+    np.cumsum(cum, out=cum)
+    total = cum[-1] if len(cum) else 0.0
+    if not abs(total / (n * a[n]) - 1.0) <= RENORM_TOLERANCE:
         raise InternalConsistencyError(
-            f"first-cycle probabilities at n={n} sum to {total!r}"
+            f"first-cycle weights at n={n} sum to {total!r}, "
+            f"not n * a_n = {n * a[n]!r}"
         )
-    p /= total
-    return p
+    return cum
 
 
 def _exact_first_cycle(table: CountTable, n: int, ks: np.ndarray):
-    """(numerators, P_n) for the members ks, as for _float_first_cycle: length
+    """(numerators, P_n) for the members ks, as for _float_cumulative: length
     k has probability P_{n-k} (n-1)!/(n-k)! / P_n = a_{n-k} / (n * a_n)."""
     _check_n(table, n)
     P = table.p_exact
@@ -112,12 +118,14 @@ def first_cycle_distribution(table: CountTable, n: int):
     """Pairs (k, Pr[cycle through element 1 has length k]) for k in A, ascending.
 
     Exact tables give Fraction probabilities summing to 1 exactly; float
-    tables give doubles renormalized by their sum.  Zero-probability lengths
-    are omitted.
+    tables give the steps of the cumulative weights a Sampler bisects, over
+    their total.  Zero-probability lengths are omitted.
     """
     ks = table.spec.members_upto(n)
     if table.p_exact is None:
-        p = _float_first_cycle(table, n, ks)
+        cum = _float_cumulative(table, n, ks)
+        p = np.diff(cum, prepend=0.0)
+        p /= cum[-1]
         keep = p > 0.0
         return list(zip(ks[keep].tolist(), p[keep].tolist()))
     nums, total = _exact_first_cycle(table, n, ks)
@@ -137,21 +145,23 @@ class Sampler:
         self._cached = 0  # total len(cum) over the cache
 
     def _cumulative(self, m: int):
-        """(cum, cum[-1]) for size m, most recently used last; cum[i] is the
-        probability that the first cycle is no longer than the i-th member."""
+        """(cum, cum[-1]) for size m, most recently used last; cum[i] / cum[-1]
+        is the probability that the first cycle is no longer than the i-th
+        member."""
         cache = self._cum
         entry = cache.pop(m, None)
         if entry is None:
             ks = self._ks[: bisect.bisect_right(self._ks_view, m)]
             if self.table.p_exact is None:
-                p = _float_first_cycle(self.table, m, ks)
+                cum = _float_cumulative(self.table, m, ks)
             else:
                 # int / int is correctly rounded, as float(Fraction) is
                 nums, total = _exact_first_cycle(self.table, m, ks)
                 p = np.array([q / total for q in nums])
-            # cumsum adds left to right, as a running sum would, and adding
-            # a zero step changes no sum
-            cum = memoryview(np.cumsum(p, out=p))
+                # cumsum adds left to right, as a running sum would, and
+                # adding a zero step changes no sum
+                cum = np.cumsum(p, out=p)
+            cum = memoryview(cum)
             entry = (cum, cum[-1])
             size = len(cum)
             if size > CACHE_MAX_COEFFS:
@@ -187,7 +197,14 @@ class Sampler:
             lengths.append(chosen)
             m -= chosen
         lengths.sort()
-        return CycleTypeSample(n=n, lengths=tuple(lengths), seed=self.seed)
+        # the record as CycleTypeSample(n=..., lengths=..., seed=...) builds
+        # it, without the frozen __init__'s object.__setattr__ per field
+        record = _new(CycleTypeSample)
+        fields = record.__dict__
+        fields["n"] = n
+        fields["lengths"] = tuple(lengths)
+        fields["seed"] = self.seed
+        return record
 
 
 def sample_cycle_type(table: CountTable, n: int, seed: int) -> CycleTypeSample:

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -380,8 +382,13 @@ def test_verify_bad_grid(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package from this checkout's src, as pytest does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "primecycles.cli", "count", "--n", "5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "44\n"

@@ -4,7 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, astuple
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +94,20 @@ def test_nan_in_a_float_table_is_refused(primes_spec):
         first_cycle_distribution(broken, 1)
     with pytest.raises(EmptySupportError):
         Sampler(broken, 1).sample(1)
+
+
+def test_renormalisation_check_catches_a_scaled_coefficient(primes_spec):
+    # a_50 scaled by 1 + 1e-6 stays finite and positive, so only the check of
+    # the weights' sum against n * a_n can see it: off by 1.0e-6 at n = 50,
+    # and by 1.6e-8 at n = 53, where a_50 is the weight of length 3
+    a = build_table(primes_spec, 101, "float").a_float.copy()
+    a[50] *= 1 + 1e-6
+    broken = CountTable(spec=primes_spec, n_max=101, p_exact=None, a_float=a)
+    for n in (50, 53):
+        with pytest.raises(InternalConsistencyError):
+            first_cycle_distribution(broken, n)
+        with pytest.raises(InternalConsistencyError):
+            Sampler(broken, 1).sample(n)
 
 
 def test_distribution_domain(table300):
@@ -189,6 +203,23 @@ def test_sample_record_is_frozen(table300):
     with pytest.raises(FrozenInstanceError):
         s.n = 7
     assert isinstance(s, CycleTypeSample)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_sample_record_equals_the_public_one(mode, primes_spec):
+    # Sampler.sample fills the record's fields without the dataclass's
+    # __init__; a field it misses fails astuple and repr here, unless its
+    # default sits on the class, where __init__ would have read it too
+    sam = Sampler(build_table(primes_spec, 300, mode), seed=4)
+    for n in (2, 5, 97, 300):
+        got = sam.sample(n)
+        want = CycleTypeSample(n=n, lengths=got.lengths, seed=4)
+        assert type(got) is CycleTypeSample
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert astuple(got) == astuple(want)
+        assert sum(got.lengths) == n
 
 
 # First 20 draws of Sampler(table, seed=7).sample(n_max) for each table,
