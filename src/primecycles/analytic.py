@@ -16,7 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.cycle_classes import KIND_ALL, KIND_PRIMES, CycleClassSpec
+from primecycles.cycle_classes import (
+    KIND_ALL,
+    KIND_EXPLICIT,
+    KIND_PRIMES,
+    CycleClassSpec,
+)
 from primecycles.errors import (
     InvalidArgumentError,
     OutOfDomainError,
@@ -177,10 +182,114 @@ def _check_z(z: float) -> None:
         )
 
 
-def _series_limit(z: float) -> int:
-    """Largest member any series at z sums: past 40/(1-z) the geometric
-    tail z^K/(K(1-z)) is about e^-40/40."""
-    return max(100, int(40.0 / (1.0 - z)) + 1)
+# every series sums at least its members up to here, so small z keeps its sums
+_SERIES_FLOOR = 100
+# the primes every series over them sums, because its limit is >= the floor
+_PRIME_HEAD = tuple(k for k in range(2, _SERIES_FLOOR + 1)
+                    if all(k % d for d in range(2, math.isqrt(k) + 1)))
+# ln of the truncation budget, relative to a lower bound of the whole sum
+_LOG_BUDGET = -53.0 * math.log(2.0)
+# Rosser & Schoenfeld (1962), (3.5) and (3.6): x/ln x < pi(x) for x >= 17,
+# and pi(x) < _PI_UPPER x/ln x for x > 1
+_PI_LOWER_FROM = 17.0
+_PI_UPPER = 1.25506
+
+
+def _log_term(k: float, lnz: float, order: int) -> float:
+    """ln of the k-th term of the order-th derivative of sum_k z^k/k at a
+    real k > order - 1: k ln z - ln k for order 0, and
+    ln((k-1)...(k-order+1)) + (k-order) ln z above."""
+    if order == 0:
+        return k * lnz - math.log(k)
+    return sum(math.log(k - j) for j in range(1, order)) + (k - order) * lnz
+
+
+def _log_sum_exp(logs) -> float:
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def _series_head(spec: Optional[CycleClassSpec]) -> tuple:
+    """Members that every limit of the series over spec sums: those up to
+    _SERIES_FLOOR, or the smallest member if none is that small."""
+    if spec is None or spec.kind == KIND_PRIMES:
+        return _PRIME_HEAD
+    head = spec.members_upto(_SERIES_FLOOR)
+    if head.size == 0:
+        # an explicit set, or residues whose modulus exceeds the floor
+        first = spec.values[0] if spec.kind == KIND_EXPLICIT else spec.modulus
+        head = spec.members_upto(first)[:1]
+    return tuple(head.tolist())
+
+
+def _series_limit(z: float, order: int = 0,
+                  spec: Optional[CycleClassSpec] = None) -> int:
+    """Smallest L >= _SERIES_FLOOR at which the series of the order-th
+    derivative of sum_{k in A} z^k/k, A the members of spec (the primes by
+    default), drops a tail of at most 2^-53 times the whole sum, as proven
+    by the two bounds below; then the tail is under one ulp of the sum.
+
+    Write T_k for the k-th term (z^k/k, or (k-1)...(k-order+1) z^(k-order)).
+
+    - The tail over A is at most the tail over all integers k > L.  There
+      T_{k+1}/T_k = z k/(k - order + 1), which is below z for order 0, z
+      for order 1, and falls as k grows above.  So for k > L it is at most
+      rho = z max(1, (L+1)/(L+2-order)), and where rho < 1 the tail is at
+      most the geometric sum T_{L+1}/(1 - rho); for order 0 that is
+      z^(L+1)/((L+1)(1-z)).
+    - The whole sum is at least its head, the members L always sums
+      (_series_head): for the primes, sum_{p<=100} T_p.  For the primes it
+      is also at least a count of the primes in (M, 2M], M = 1/(1-z), times
+      the least T_k there.  By Rosser & Schoenfeld, "Approximate formulas
+      for some functions of prime numbers" (Illinois J. Math. 6, 1962),
+      (3.5) and (3.6), that count exceeds 2M/ln(2M) - 1.25506 M/ln M for
+      2M >= 17.  ln T_k is concave in k, so the least T_k on [M, 2M] is at
+      an end; L is kept >= 2M so that those primes are summed.  The head
+      alone bounds phi's sum well, but not the derivatives', whose terms
+      grow towards k ~ order/(1-z).
+
+    The tail bound decreases in L wherever rho < 1, so L is found by
+    doubling and bisection.  It lies near u/(1-z), with u = 32.7 for order 0
+    at every t of the verify grids, and about 42, 45 and 49 for orders 1-3
+    there.
+    The bounds are evaluated in floating point, which moves the budget by
+    a few ulps of itself, not its order.
+    """
+    lnz = math.log(z)
+    head = _series_head(spec)
+    floor = max(_SERIES_FLOOR, head[-1])
+    log_lower = _log_sum_exp([_log_term(k, lnz, order) for k in head
+                              if k > order - 1])
+    gap = 1.0 - z
+    big_m = 1.0 / gap
+    if (spec is None or spec.kind == KIND_PRIMES) and 2.0 * big_m >= _PI_LOWER_FROM:
+        count = (2.0 * big_m / math.log(2.0 * big_m)
+                 - _PI_UPPER * big_m / math.log(big_m))
+        if count > 0.0:
+            least = min(_log_term(big_m, lnz, order),
+                        _log_term(2.0 * big_m, lnz, order))
+            log_lower = max(log_lower, math.log(count) + least)
+            floor = max(floor, math.ceil(2.0 * big_m))
+    budget = log_lower + _LOG_BUDGET
+
+    def within(L: int) -> bool:
+        # 1 - rho, written without cancelling
+        margin = min(gap, ((L + 1) * gap + (1 - order)) / (L + 2 - order))
+        return margin > 0.0 and (
+            _log_term(L + 1.0, lnz, order) - math.log(margin) <= budget)
+
+    if within(floor):
+        return floor
+    lo, hi = floor, 2 * floor
+    while not within(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if within(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _power_sum(kf: np.ndarray, lnz: float, order: int = 0):
@@ -196,8 +305,10 @@ def _power_sum(kf: np.ndarray, lnz: float, order: int = 0):
 
 
 def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> float:
-    """_power_sum over the members k <= _series_limit(z) of spec, the primes
-    by default; primes stream through iter_prime_blocks, so no table caps z.
+    """_power_sum over the members k <= _series_limit(z, order, spec) of
+    spec, the primes by default; primes stream through iter_prime_blocks, so
+    no table caps z.  The dropped tail is at most 2^-53 times the whole sum,
+    under one ulp of it.
 
     The terms are doubles, summed in numpy's longdouble (a 64-bit mantissa
     on x86) and rounded once, so the result is the double nearest their sum
@@ -205,7 +316,7 @@ def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> 
     this is pairwise summation block by block.
     """
     _check_z(z)
-    limit = _series_limit(z)
+    limit = _series_limit(z, order, spec)
     if spec is None or spec.kind == KIND_PRIMES:
         blocks = iter_prime_blocks(limit)
     else:
@@ -219,7 +330,9 @@ def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> 
 
 def phi_eval(z: float) -> float:
     """sum over primes of z^p / p, truncated at _series_limit(z), which
-    leaves a tail below 1e-15 relative."""
+    drops a tail of at most 2^-53 times phi: the sum of the primes up to
+    100 bounds phi below, the tail over all integers bounds the dropped
+    one above."""
     return _series(z) if z != 0.0 else 0.0
 
 
@@ -227,8 +340,10 @@ def phi_deriv(z: float, order: int) -> float:
     """Derivative of phi of the given order (1, 2 or 3) at z.
 
     Term sums: sum_p z^{p-1}, sum_p (p-1)z^{p-2}, sum_p (p-1)(p-2)z^{p-3},
-    truncated at _series_limit(z) like phi itself; the dropped tail is
-    below 1e-14 relative throughout the domain.
+    each truncated at its own _series_limit(z, order), which drops a tail
+    of at most 2^-53 times the derivative throughout the domain: the ratio
+    test bounds the tail, and a Rosser-Schoenfeld count of the primes in
+    (M, 2M], M = 1/(1-z), bounds the derivative below.
     """
     if order not in (1, 2, 3):
         raise InvalidArgumentError(f"order must be 1, 2 or 3, got {order}")
@@ -270,8 +385,11 @@ def phi_split(t: float) -> PhiSplit:
     """Split phi(e^-t) = phi1 + phi2 + phi3 at y = ((1/t)ln(1/t))/lnln(1/t).
 
     phi1 = sum_{p<=y} 1/p, phi2 = -sum_{p<=y} (1-e^{-pt})/p,
-    phi3 = sum_{p>y} e^{-pt}/p, the last truncated at _series_limit(e^-t)
-    with a dropped tail near e^-40/(40 ln(40/t)), 6e-21 at t = 3e-7.  The
+    phi3 = sum_{p>y} e^{-pt}/p, the last truncated at phi's own limit
+    _series_limit(e^-t).  So phi3's dropped tail is bounded absolutely, by
+    2^-53 phi(e^-t), not relative to phi3: phi3 is small, so its own
+    relative truncation error may reach 2^-53 phi/phi3, about 3e-11 at
+    t = 1e-8.  The
     one-point case of phi_split_grid.
     """
     return phi_split_grid((t,))[0][0]
@@ -280,7 +398,8 @@ def phi_split(t: float) -> PhiSplit:
 class PhiSplitSums:
     """Prime-stream accumulator for phi_split_grid(t_grid): per t, the
     split's three sums and the direct sum, each over the primes up to that
-    t's own truncation limit.
+    t's own truncation limit, phi's _series_limit(e^-t), whose dropped tail
+    is at most 2^-53 phi(e^-t).
 
     Every t is checked on construction, so before any prime is streamed.
     The limit is the largest truncation limit on the grid.  Each block's
@@ -392,7 +511,8 @@ def yakimiv_log_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
 def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants) -> float:
     """Partial-sum model f_A(1 - 1/n) / Gamma(rho + 1).
 
-    f_A is exp of the series over members k <= _series_limit(1 - 1/n), the
+    f_A is exp of the series over members k <= _series_limit(1 - 1/n, 0,
+    spec), whose dropped tail is at most 2^-53 times the series, the
     primes streamed as phi_eval streams them, so for the primes the model
     is f_eval(1 - 1/n) exactly; for the all-lengths spec the closed form
     f_A(z) = 1/(1-z) = n is used instead, making the model exact.

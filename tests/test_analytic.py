@@ -33,6 +33,7 @@ from primecycles.errors import (
 )
 from primecycles.exact_enum import count_exact, int_log
 from primecycles.primes import iter_prime_blocks
+from primecycles.verify import T_GRID_DEFAULT
 
 ODD = CycleClassSpec.residue_classes(2, (1,))
 ALL = CycleClassSpec.all_lengths()
@@ -178,6 +179,35 @@ def test_phi_deriv_finite_differences():
         assert fd3 == pytest.approx(phi_deriv(z, 3), rel=1e-6)
 
 
+def _dropped_tail(z, order, limit):
+    """math.fsum of the order-th derivative's terms over the primes in
+    (limit, 2 limit]: the part of the tail a sum to twice the limit adds."""
+    terms = []
+    for block in iter_prime_blocks(2 * limit):
+        kf = block[block > limit].astype(np.float64)
+        falling = 1.0 / kf if order == 0 else np.ones_like(kf)
+        for j in range(1, order):
+            falling *= kf - j
+        terms.extend((falling * np.exp((kf - order) * math.log(z))).tolist())
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_series_drop_under_their_budget(order):
+    # each series stops where at most 2^-53 of itself, under one ulp, is left
+    for z in (0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-5):
+        whole = phi_deriv(z, order) if order else phi_eval(z)
+        limit = analytic._series_limit(z, order)
+        assert _dropped_tail(z, order, limit) <= 2.0 ** -53 * whole
+
+
+def test_phi_limit_is_no_longer_than_its_budget_needs():
+    # u = L(1 - z) for phi on the default and the bench t grids
+    for t in T_GRID_DEFAULT + (1e-4, 1e-5, 1e-6, 3e-7):
+        z = math.exp(-t)
+        assert analytic._series_limit(z) * (1.0 - z) <= 33.0
+
+
 def test_phi_split_recombines():
     for t in (1e-3, 1e-4):
         sp = phi_split(t)
@@ -304,6 +334,21 @@ def test_odlyzko_odd_matches_closed_form(constants):
     assert got * math.exp(math.lgamma(1.5)) == pytest.approx(f_closed, rel=1e-10)
 
 
+def test_odlyzko_sets_with_no_member_below_the_floor(constants):
+    # the truncation budget then rests on the smallest member alone
+    n = 1000
+    z = 1.0 - 1.0 / n
+    got = odlyzko_sum_model(CycleClassSpec.explicit((150, 400)), n, constants)
+    assert got == pytest.approx(math.exp(z ** 150 / 150 + z ** 400 / 400),
+                                rel=1e-14)
+    # sum over k = 500j of z^k/k is -ln(1 - z^500)/500
+    got = odlyzko_sum_model(CycleClassSpec.residue_classes(500, (0,)), n,
+                            constants)
+    f_closed = (1.0 - z ** 500) ** (-1.0 / 500)
+    assert got * math.exp(math.lgamma(1.002)) == pytest.approx(f_closed,
+                                                              rel=1e-12)
+
+
 def test_odlyzko_primes_matches_phi_route(primes_spec, primes_spec_big,
                                           constants):
     # one series, one limit, Gamma(1) = 1: the same double.  The primes
@@ -328,7 +373,10 @@ def test_series_share_one_truncation_limit(primes_spec, constants,
     for order in (1, 2, 3):
         phi_deriv(z, order)
     phi_split_grid((t,))
-    assert limits == [int(40.0 / (1.0 - z)) + 1] * 5
+    # phi and the split share the order-0 limit; each derivative has its own
+    own = [analytic._series_limit(z, order) for order in range(4)]
+    assert limits == own + own[:1]
+    assert len(set(own)) == 4
     limits.clear()
     n = 1000
     z = 1.0 - 1.0 / n
@@ -336,7 +384,9 @@ def test_series_share_one_truncation_limit(primes_spec, constants,
     for order in (1, 2, 3):
         phi_deriv(z, order)
     odlyzko_sum_model(primes_spec, n, constants)
-    assert limits == [int(40.0 / (1.0 - z)) + 1] * 5
+    own = [analytic._series_limit(z, order) for order in range(4)]
+    assert limits == own + own[:1]
+    assert len(set(own)) == 4
 
 
 def test_odlyzko_validation(primes_spec, constants):

@@ -392,3 +392,16 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "44\n"
+
+
+def test_package_entry_point():
+    # python -m primecycles runs the same command line as primecycles.cli
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "primecycles", "phi", "--z", "0.5"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == "0.17408707176097937\n"

@@ -154,7 +154,7 @@ def test_phi_estimate_table_streams_once(constants, monkeypatch):
     monkeypatch.setattr(analytic, "iter_prime_blocks", counting)
     rows = phi_estimate_table((1e-3, 1e-4, 1e-5), constants)
     assert len(rows) == 3
-    assert limits == [int(40.0 / (1.0 - math.exp(-1e-5))) + 1]
+    assert limits == [analytic._series_limit(math.exp(-1e-5))]
 
 
 def test_pnt_rows():
