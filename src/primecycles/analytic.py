@@ -185,8 +185,7 @@ def _check_z(z: float) -> None:
 # every series sums at least its members up to here, so small z keeps its sums
 _SERIES_FLOOR = 100
 # the primes every series over them sums, because its limit is >= the floor
-_PRIME_HEAD = tuple(k for k in range(2, _SERIES_FLOOR + 1)
-                    if all(k % d for d in range(2, math.isqrt(k) + 1)))
+_PRIME_HEAD = tuple(next(iter_prime_blocks(_SERIES_FLOOR)).tolist())
 # ln of the truncation budget, relative to a lower bound of the whole sum
 _LOG_BUDGET = -53.0 * math.log(2.0)
 # Rosser & Schoenfeld (1962), (3.5) and (3.6): x/ln x < pi(x) for x >= 17,
@@ -211,9 +210,12 @@ def _log_sum_exp(logs) -> float:
 
 def _series_head(spec: Optional[CycleClassSpec]) -> tuple:
     """Members that every limit of the series over spec sums: those up to
-    _SERIES_FLOOR, or the smallest member if none is that small."""
+    _SERIES_FLOOR, or the smallest member if none is that small.  The empty
+    set has none, so its series has no limit to find, and it is refused."""
     if spec is None or spec.kind == KIND_PRIMES:
         return _PRIME_HEAD
+    if spec.kind == KIND_EXPLICIT and not spec.values:
+        raise InvalidArgumentError("the series over an empty set has no terms")
     head = spec.members_upto(_SERIES_FLOOR)
     if head.size == 0:
         # an explicit set, or residues whose modulus exceeds the floor

@@ -27,16 +27,19 @@ build_table picks the float route from the spec's kind in the same way:
   n*a_n = [n > m] (n-m)*a_{n-m} + sum_{r in S, r <= n} a_{n-r}.  Every
   term is nonnegative, so a structural zero comes out as exactly 0.0, and
   a steeply falling coefficient keeps its relative precision.
-* primes: a divide-and-conquer online convolution of the a_n recurrence.
-  Each node adds its finished left half's share to the right half: by a
-  middle-product FFT of size next_pow2(width) with the spectra of g
-  cached per size, or by a product with a block of g's Toeplitz matrix for
-  widths up to 512.  A leaf of up to 128 coefficients is solved in closed
-  form: the eigenvectors of its triangular system are the shifted columns
-  of the Toeplitz matrix of the series exp(phi), phi = sum_{k in A} x^k/k,
-  and the inverse of that matrix is the Toeplitz matrix of exp(-phi), so
-  each leaf is two triangular matrix-vector products
-  (_build_float_fast derives it).  Its absolute error is about eps times
+* primes: an online convolution of the a_n recurrence, one left-to-right
+  loop over leaves of 128 coefficients in the table's own array.  Before
+  the leaf starting at mid is solved, the block [mid - h, mid) with
+  h = lowbit(mid) adds its share to the pending coefficients
+  [mid, mid + h), cut at the table's end: by a middle-product FFT of
+  size 2h with the spectra of g, the members' indicator, cached per size,
+  or by a product with a block of g's Toeplitz matrix when the span from
+  mid - h to the end of the pending range is at most 512.  A leaf is
+  solved in closed form: the eigenvectors of its triangular system are
+  the shifted columns of the Toeplitz matrix of the series exp(phi),
+  phi = sum_{k in A} x^k/k, and the inverse of that matrix is the
+  Toeplitz matrix of exp(-phi), so each leaf is two triangular
+  matrix-vector products (_build_float_fast derives it).  Its absolute error is about eps times
   a block's largest coefficient, which is harmless only because prime
   coefficients decay slowly and never vanish past n = 1; a negative or
   non-finite coefficient is refused.
@@ -77,11 +80,11 @@ EXACT_CAP_DEFAULT = 2000
 FLOAT_CAP_DEFAULT = 10_000_000
 PARTITION_CAP = 300
 BRUTE_FORCE_CAP = 9
-# _build_float_fast's node widths: leaves of at most FAST_PATH_LEAF are
-# solved in closed form by two triangular products, nodes up to
-# FAST_PATH_DIRECT by a Toeplitz block, wider ones by FFT.  Tuned on the
-# primes at n = 3*10^4 to 2*10^5: leaves of 64 and 256, or direct widths of
-# 256 and 1024, were no faster.
+# _build_float_fast's widths: leaves of FAST_PATH_LEAF coefficients are
+# solved in closed form by two triangular products; a block's share that
+# spans up to FAST_PATH_DIRECT is added by a Toeplitz block, a wider one by
+# FFT.  Tuned on the primes at n = 3*10^4 to 2*10^5: leaves of 64 and 256,
+# or direct widths of 256 and 1024, were no faster.
 FAST_PATH_LEAF = 128
 FAST_PATH_DIRECT = 512
 
@@ -216,10 +219,13 @@ def count_exact(spec: CycleClassSpec, n: int,
     return count_exact_upto(spec, n, exact_cap=exact_cap)[n]
 
 
-def _build_float_steps(steps: list, period: Optional[int],
-                       n_max: int) -> np.ndarray:
+def _build_float_steps(steps: list, period: Optional[int], n_max: int,
+                       sign: float = 1.0) -> np.ndarray:
     """a_0..a_{n_max} by the float form of _count_steps.  A flat array of
     doubles rather than a list keeps the table at 8 bytes per coefficient.
+
+    With period None and sign -1.0 it gives exp(-phi) instead, the inverse
+    series _build_float_fast's leaves need.
     """
     a = array.array("d", bytes(8 * (n_max + 1)))
     a[0] = 1.0
@@ -231,7 +237,7 @@ def _build_float_steps(steps: list, period: Optional[int],
             total += a[n - r]
         if period is not None and n > period:
             total += (n - period) * a[n - period]
-        a[n] = total / n
+        a[n] = sign * total / n
     return np.frombuffer(a, dtype=np.float64)
 
 
@@ -259,21 +265,6 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(windows[:, ::-1])
 
 
-def _exp_series(small: list, d: int, sign: float) -> np.ndarray:
-    """The first d coefficients of exp(sign * phi), phi = sum_{k in A} x^k/k,
-    from m*s_m = sign * sum over members k <= m of s_{m-k}; small holds the
-    members below d."""
-    s = [1.0] + [0.0] * (d - 1)
-    for m in range(1, d):
-        total = 0.0
-        for k in small:
-            if k > m:
-                break
-            total += s[m - k]
-        s[m] = sign * total / m
-    return np.array(s)
-
-
 def _solve_leaf(t_s: np.ndarray, t_r: np.ndarray, pend: np.ndarray,
                 lo: int) -> np.ndarray:
     """a[lo:lo + w] from its pending sums, lo > 0, as T(s) ((T(r) pend) /
@@ -285,28 +276,32 @@ def _solve_leaf(t_s: np.ndarray, t_r: np.ndarray, pend: np.ndarray,
 
 
 def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
-    """Divide-and-conquer online convolution; matches the baseline to ~2e-15
-    for the primes.
+    """Online convolution of n*a_n = sum of a_{n-k}, one step per leaf;
+    matches the baseline to ~2e-15 for the primes.
 
-    The range [0, n_max] is split down to leaves of at most FAST_PATH_LEAF
-    coefficients, walked left to right on an explicit stack.  A node of
-    width w splits at h = 2^(bit_length(w - 1) - 1), the largest power of
-    two below w, so every left child is a power of two wide and its own
-    nodes' transforms run at exactly their width.  Once a node's left part
-    [lo, mid) is final, its contribution to the right part is added to
-    ``pending[mid:hi]``: with h = mid - lo and w = hi - lo that is outputs
-    [h, w) of the convolution of a[lo:mid] with g[:w].
+    It walks the leaves [128j, min(128j + 128, size)), size = n_max + 1,
+    left to right (128 is FAST_PATH_LEAF).  They are the leaves of a
+    divide-and-conquer tree whose node of width w > 128 splits at h, the
+    largest power of two below w, so every node's lo is a multiple of 2h.
+    Hence when the leaf ending at mid is final, exactly one node has just
+    finished its left half [lo, mid): the one with h = lowbit(mid),
+    lo = mid - h and hi = min(mid + h, size).  Its left half's share of
+    the right half, outputs [h, w) of the convolution of a[lo:mid] with
+    g[:w], w = hi - lo, is added to ``a[mid:hi]``, which holds the pending
+    sums of the coefficients not yet solved.  Nodes finish in the order
+    of their mid, so each coefficient gets its shares in the same order,
+    and from the same operations, as in a recursive walk of the tree.
 
     * w <= FAST_PATH_DIRECT: a matrix-vector product with a block of the
       strictly lower Toeplitz matrix of g, built once per call.
-    * larger w: a middle product of a[lo:mid] with all of g[:size], by a
-      cyclic transform of size next_pow2(w) >= w, about half the usual
+    * larger w: a middle product of a[lo:mid] with all of g[:2h], by a
+      cyclic transform of size 2h >= w, about half the usual
       next_pow2(h + w - 1).  Output j in [h, w) gets g[k] only for
       k = j - i <= j < w, as it should; terms with k >= w land at w or
-      above, and linear indices >= size wrap onto indices <= h - 2, so
+      above, and linear indices >= 2h wrap onto indices <= h - 2, so
       outputs [h, w) come out clean.  The spectrum of g is cached per
       size, so g is transformed once for each power of two.
-    * a leaf [lo, lo + w) solves (lo*I + K) x = pending[lo:lo + w] with
+    * the next leaf [lo, lo + w) solves (lo*I + K) x = a[lo:lo + w] with
       K = diag(0, 1, ..., w-1) - T(g), T(c) the lower Toeplitz matrix of c.
       Let s be the series exp(phi), whose coefficients are a_0, a_1, ...
       Column j of T(s) is an eigenvector of K for eigenvalue j: its entry
@@ -315,55 +310,50 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
       T(s)^-1 = T(r) with r the series exp(-phi).  Each leaf is then two
       triangular products, x = T(s) ((T(r) pending) / (lo + j)), in closed
       form; the first leaf, with nothing pending, is s itself.  s and r
-      come from one short recurrence each, once per call.
+      come from the step recurrence, once per call.
 
     Its absolute error is about eps times the largest coefficient of a
     block, so a coefficient that is zero or far below its neighbours comes
     out as roundoff.  A negative one proves that, and is refused, as is a
     NaN or infinite one.
     """
-    g = np.zeros(n_max + 1)
+    size = n_max + 1
+    # the table outlives the call, so it is made before the temporaries;
+    # made after them, it sat above them in the heap, and float-sample's
+    # peak RSS rose by 2 MB
+    a = np.zeros(size)
+    g = np.zeros(size)
     g[members[members <= n_max]] = 1.0
-    a = np.zeros(n_max + 1)
-    pending = np.zeros(n_max + 1)
-    toeplitz = _lower_toeplitz(g[:min(FAST_PATH_DIRECT, n_max + 1)])
-    d = min(FAST_PATH_LEAF, n_max + 1)
+    toeplitz = _lower_toeplitz(g[:min(FAST_PATH_DIRECT, size)])
+    d = min(FAST_PATH_LEAF, size)
     small = members[members < d].tolist()
-    s = _exp_series(small, d, 1.0)
+    s = _build_float_steps(small, None, d - 1)
     t_s = _lower_toeplitz(s)
-    t_r = _lower_toeplitz(_exp_series(small, d, -1.0))
+    t_r = _lower_toeplitz(_build_float_steps(small, None, d - 1, -1.0))
     spectra = {}
 
-    stack = [(0, n_max + 1, False)]
-    while stack:
-        lo, hi, left_done = stack.pop()
+    a[:d] = s
+    for mid in range(FAST_PATH_LEAF, size, FAST_PATH_LEAF):
+        h = mid & -mid
+        lo, hi = mid - h, min(mid + h, size)
         w = hi - lo
-        if w <= FAST_PATH_LEAF:
-            a[lo:hi] = _solve_leaf(t_s, t_r, pending[lo:hi], lo) if lo else s[:hi]
-            continue
-        mid = lo + (1 << ((w - 1).bit_length() - 1))
-        if not left_done:
-            stack.append((lo, hi, True))
-            stack.append((lo, mid, False))
-            continue
-        h = mid - lo
         if w <= FAST_PATH_DIRECT:
-            pending[mid:hi] += toeplitz[h:w, :h] @ a[lo:mid]
+            a[mid:hi] += toeplitz[h:w, :h] @ a[lo:mid]
         else:
-            size = 1 << (w - 1).bit_length()
-            g_hat = spectra.get(size)
+            g_hat = spectra.get(h)
             if g_hat is None:
-                g_hat = spectra[size] = np.fft.rfft(g[:size], size)
-            conv = np.fft.irfft(np.fft.rfft(a[lo:mid], size) * g_hat, size)
-            pending[mid:hi] += conv[h:w]
-        stack.append((mid, hi, False))
+                g_hat = spectra[h] = np.fft.rfft(g[:2 * h], 2 * h)
+            conv = np.fft.irfft(np.fft.rfft(a[lo:mid], 2 * h) * g_hat, 2 * h)
+            a[mid:hi] += conv[h:w]
+        end = min(mid + FAST_PATH_LEAF, size)
+        a[mid:end] = _solve_leaf(t_s, t_r, a[mid:end], mid)
 
     bad = np.flatnonzero(~(np.isfinite(a) & (a >= 0.0)))
     if bad.size:
-        n = int(bad[0])
+        i = int(bad[0])
         raise InternalConsistencyError(
             f"FFT float table has a negative or non-finite coefficient "
-            f"a_{n} = {float(a[n])!r}"
+            f"a_{i} = {float(a[i])!r}"
         )
     return a
 

@@ -259,7 +259,8 @@ def check_slowvar(report):
 # -- report emission ---------------------------------------------------------
 
 
-_CSV_HEADER = "x,exact,model,ratio,scaled_residual"
+_FIELDS = ("x", "exact", "model", "ratio", "scaled_residual")
+_CSV_HEADER = ",".join(_FIELDS)
 
 
 def emit_report(rows, format: str, destination) -> None:
@@ -313,18 +314,18 @@ def parse_report(source, format: str):
     else:
         with open(source) as fh:
             text = fh.read()
-    rows = []
-    if format == "csv":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != _CSV_HEADER:
-            raise InvalidArgumentError("missing or wrong CSV header")
-        for ln in lines[1:]:
-            x, exact, model, ratio, resid = (float(v) for v in ln.split(","))
-            rows.append(ConvergenceRow(x=x, exact=exact, model=model,
-                                       ratio=ratio, scaled_residual=resid))
-    else:
-        for obj in json.loads(text):
-            rows.append(ConvergenceRow(
-                x=obj["x"], exact=obj["exact"], model=obj["model"],
-                ratio=obj["ratio"], scaled_residual=obj["scaled_residual"]))
-    return rows
+    try:
+        if format == "csv":
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            if not lines or lines[0] != _CSV_HEADER:
+                raise InvalidArgumentError("missing or wrong CSV header")
+            records = [ln.split(",") for ln in lines[1:]]
+        else:
+            records = [[obj[k] for k in _FIELDS] for obj in json.loads(text)]
+        return [ConvergenceRow(*map(float, rec)) for rec in records]
+    except InvalidArgumentError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        # a short or non-numeric row, a missing key, JSON that is not a
+        # list of objects, or no JSON at all (JSONDecodeError is a ValueError)
+        raise InvalidArgumentError(f"malformed {format} report: {exc!r}") from exc

@@ -349,6 +349,11 @@ def test_odlyzko_sets_with_no_member_below_the_floor(constants):
                                                               rel=1e-12)
 
 
+def test_odlyzko_refuses_the_empty_set(constants):
+    with pytest.raises(InvalidArgumentError, match="empty set"):
+        odlyzko_sum_model(CycleClassSpec.explicit(()), 10, constants)
+
+
 def test_odlyzko_primes_matches_phi_route(primes_spec, primes_spec_big,
                                           constants):
     # one series, one limit, Gamma(1) = 1: the same double.  The primes

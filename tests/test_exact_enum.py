@@ -23,7 +23,7 @@ from primecycles.exact_enum import (
     PARTITION_CAP,
     _build_float_baseline,
     _build_float_fast,
-    _exp_series,
+    _build_float_steps,
     _lower_toeplitz,
     _solve_leaf,
     big_str,
@@ -260,8 +260,8 @@ def _members_below_w():
 @pytest.mark.parametrize("lo", [W, 1000, 10 ** 5])
 def test_leaf_closed_form_matches_forward_substitution(lo):
     small = _members_below_w()
-    t_s = _lower_toeplitz(_exp_series(small, W, 1.0))
-    t_r = _lower_toeplitz(_exp_series(small, W, -1.0))
+    t_s = _lower_toeplitz(_build_float_steps(small, None, W - 1))
+    t_r = _lower_toeplitz(_build_float_steps(small, None, W - 1, -1.0))
     rng = np.random.default_rng(lo)
     for w in (W, W // 2 + 1, 1):
         pend = rng.random(w)
@@ -273,8 +273,9 @@ def test_leaf_closed_form_matches_forward_substitution(lo):
 def test_leaf_series_are_inverse():
     # T(exp(phi)) T(exp(-phi)) = T(1) = I
     small = _members_below_w()
-    s = _exp_series(small, W, 1.0)
-    product = _lower_toeplitz(s) @ _lower_toeplitz(_exp_series(small, W, -1.0))
+    s = _build_float_steps(small, None, W - 1)
+    r = _build_float_steps(small, None, W - 1, -1.0)
+    product = _lower_toeplitz(s) @ _lower_toeplitz(r)
     assert np.abs(product - np.eye(W)).max() <= 1e-14
     # s is the head of the table: a_1 = 0 exactly, every other a_n > 0
     base = _build_float_baseline(np.array(small), W - 1)
@@ -300,6 +301,22 @@ def test_fast_path_leaves_no_garbage_for_the_cycle_collector():
         if was_enabled:
             gc.enable()
     assert after - before <= 8 * (n + 1)
+
+
+def test_fast_path_memory_at_1e6():
+    # the table, g, and the widest block's transforms and cached spectra
+    # come to a traced peak of 6.5 tables; a second full-size array of
+    # pending sums would take it to 7.5
+    n = 10 ** 6
+    spec = CycleClassSpec.primes(build_sieve(n))
+    tracemalloc.start()
+    try:
+        table = build_table(spec, n, "float")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.a_float.size == n + 1
+    assert peak <= 7 * 8 * (n + 1)
 
 
 def test_fast_path_even_spec_stays_clean():

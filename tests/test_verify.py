@@ -299,6 +299,16 @@ def test_report_validation(float_table_1e5, constants):
         emit_report(rows, "xml", io.StringIO())
     with pytest.raises(InvalidArgumentError):
         parse_report("not,a,header\n1,2,3,4,5\n", "csv")
+    header = "x,exact,model,ratio,scaled_residual\n"
+    for text, fmt in ((header + "1,2\n", "csv"),
+                      (header + "1,2,3,4,five\n", "csv"),
+                      ('[{"x": 1}]', "json"),
+                      ('{"x": 1}\n', "json"),
+                      ('[{"x": 1, "exact"', "json"),
+                      ('[{"x": "one", "exact": 2, "model": 3, "ratio": 4, '
+                       '"scaled_residual": 5}]', "json")):
+        with pytest.raises(InvalidArgumentError):
+            parse_report(text, fmt)
     with pytest.raises(InvalidArgumentError):
         parse_report("x,y\n", "yaml")
     with pytest.raises(OSError):
