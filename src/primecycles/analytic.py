@@ -12,6 +12,7 @@ through iter_prime_blocks so no call materializes a large table.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -111,6 +112,11 @@ def mertens_direct(limit: int):
     table is built and working memory is one segment whatever the limit.
     Each summand is -1/(2p^2) + O(1/p^3), so the absolute tail is below
     sum_{p>limit} 1/p^2 <= 1/(limit-1), which is the returned bound.
+
+    Unlike _series, it adds numpy's pairwise block sums in doubles rather
+    than rounding the exact sum once: math.fsum would cost about 65 ns a
+    term against about 1 ns, and the summands share one sign, so the
+    rounding error, below 10^-13 of the sum, is far below the tail bound.
     """
     if limit < 2:
         raise InvalidArgumentError(f"limit must be >= 2, got {limit}")
@@ -294,28 +300,26 @@ def _series_limit(z: float, order: int = 0,
     return hi
 
 
-def _power_sum(kf: np.ndarray, lnz: float, order: int = 0):
-    """Sum over members kf (as floats) of the order-th derivative of z^k/k,
-    z = e^lnz: z^k/k for order 0, (k-1)...(k-order+1) z^(k-order) above;
-    a longdouble numpy scalar."""
+def _power_terms(kf: np.ndarray, lnz: float, order: int = 0) -> np.ndarray:
+    """Terms over members kf (as floats) of the order-th derivative of z^k/k,
+    z = e^lnz: z^k/k for order 0, (k-1)...(k-order+1) z^(k-order) above."""
     if order == 0:
-        return np.sum(np.exp(kf * lnz) / kf, dtype=np.longdouble)
+        return np.exp(kf * lnz) / kf
     falling = np.ones_like(kf)
     for j in range(1, order):
         falling *= kf - j
-    return np.sum(falling * np.exp((kf - order) * lnz), dtype=np.longdouble)
+    return falling * np.exp((kf - order) * lnz)
 
 
 def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> float:
-    """_power_sum over the members k <= _series_limit(z, order, spec) of
-    spec, the primes by default; primes stream through iter_prime_blocks, so
-    no table caps z.  The dropped tail is at most 2^-53 times the whole sum,
-    under one ulp of it.
+    """The sum of _power_terms over the members k <= _series_limit(z,
+    order, spec) of spec, the primes by default; primes stream through
+    iter_prime_blocks, so no table caps z.  The dropped tail is at most
+    2^-53 times the whole sum, under one ulp of it.
 
-    The terms are doubles, summed in numpy's longdouble (a 64-bit mantissa
-    on x86) and rounded once, so the result is the double nearest their sum
-    however the stream cuts its blocks.  Where longdouble is plain double
-    this is pairwise summation block by block.
+    math.fsum adds the terms exactly and rounds once, so the result is the
+    double nearest their sum on every IEEE machine, however the stream cuts
+    its blocks.  It reads one block's terms at a time.
     """
     _check_z(z)
     limit = _series_limit(z, order, spec)
@@ -324,10 +328,9 @@ def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> 
     else:
         blocks = (spec.members_upto(limit),)
     lnz = math.log(z)
-    total = np.longdouble(0.0)
-    for block in blocks:
-        total += _power_sum(block.astype(np.float64), lnz, order)
-    return float(total)
+    return math.fsum(chain.from_iterable(
+        memoryview(_power_terms(block.astype(np.float64), lnz, order))
+        for block in blocks))
 
 
 def phi_eval(z: float) -> float:
@@ -408,6 +411,13 @@ class PhiSplitSums:
     reciprocals 1/p are taken once and shared by every t and every sum,
     and every t works in place in one row; the rows are allocated once,
     for the largest block.
+
+    Unlike _series, each sum adds numpy's pairwise block sums in doubles
+    rather than rounding the exact sum once.  A verify pass sums tens of
+    millions of terms here, where math.fsum would cost about 65 ns a term
+    against about 1 ns.  The terms of each sum share one sign, so its
+    rounding error is below 10^-13 of it, far below the 1e-9 tolerance that
+    compares the recombined split with the direct sum.
     """
 
     def __init__(self, t_grid):

@@ -9,6 +9,7 @@ an explicit set of one.  Specs are immutable values and safe to share.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,15 @@ KIND_PRIMES = "primes"
 KIND_ALL = "all"
 KIND_EXPLICIT = "explicit"
 KIND_RESIDUES = "residues"
+
+
+def _integer(x, what: str) -> int:
+    """x as an int by operator.index, so numpy ints pass and a float is
+    refused rather than truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be an integer, got {x!r}") from None
 
 
 class CycleClassSpec:
@@ -46,16 +56,17 @@ class CycleClassSpec:
 
     @classmethod
     def explicit(cls, values) -> "CycleClassSpec":
-        vals = tuple(sorted(set(int(v) for v in values)))
+        vals = tuple(sorted({_integer(v, "explicit set member") for v in values}))
         if any(v < 1 for v in vals):
             raise InvalidArgumentError("explicit set members must be >= 1")
         return cls(KIND_EXPLICIT, values=vals)
 
     @classmethod
     def residue_classes(cls, modulus: int, residues) -> "CycleClassSpec":
+        modulus = _integer(modulus, "modulus")
         if modulus < 1:
             raise InvalidArgumentError(f"modulus must be >= 1, got {modulus}")
-        rset = tuple(sorted(set(int(r) for r in residues)))
+        rset = tuple(sorted({_integer(r, "residue") for r in residues}))
         if not rset:
             raise InvalidArgumentError("residue set must be nonempty")
         if any(r < 0 or r >= modulus for r in rset):
@@ -66,6 +77,7 @@ class CycleClassSpec:
 
     @classmethod
     def singleton(cls, k: int) -> "CycleClassSpec":
+        k = _integer(k, "singleton length")
         if k < 1:
             raise InvalidArgumentError(f"singleton length must be >= 1, got {k}")
         return cls.explicit((k,))
@@ -129,17 +141,14 @@ class CycleClassSpec:
     def harmonic_offset(self, n: int) -> float:
         """Sum of 1/k over members k <= n, minus density * ln(n).
 
-        Plain ascending double summation; rounding budget is about
-        n * 2^-52 * ln(n), well under anything compared against it.
+        The reciprocals are doubles, added exactly by math.fsum and rounded
+        once.
         """
         if n < 1:
             raise InvalidArgumentError(f"n must be >= 1, got {n}")
         rho = self.density()
         members = self.members_upto(n)
-        total = 0.0
-        for term in (1.0 / members).tolist():
-            total += term
-        return total - float(rho) * math.log(n)
+        return math.fsum(memoryview(1.0 / members)) - float(rho) * math.log(n)
 
     # -- presentation ---------------------------------------------------------
 

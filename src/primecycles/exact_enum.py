@@ -59,11 +59,10 @@ the FFT.
 import array
 import decimal
 import math
-from collections import deque
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -87,6 +86,9 @@ BRUTE_FORCE_CAP = 9
 # or direct widths of 256 and 1024, were no faster.
 FAST_PATH_LEAF = 128
 FAST_PATH_DIRECT = 512
+# 2^-1074 is the smallest subnormal, so every finite double is a whole
+# number of these units, and so is any sum of doubles
+_SUBNORMAL_UNITS = 1 << 1074
 
 
 @dataclass(frozen=True)
@@ -491,31 +493,25 @@ def count_brute_force(spec: CycleClassSpec, n: int) -> int:
 # -- partial sums and table output ---------------------------------------------
 
 
-def kahan_running_sums(values):
-    """Yield the compensated (Kahan) running sums of values, in order."""
-    total = 0.0
-    comp = 0.0
-    for x in values:
-        y = x - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        yield total
-
-
-def kahan_sum(values) -> float:
-    total = 0.0
-    for total in kahan_running_sums(values):
-        pass
-    return total
+def _exact_sums(p_exact: list):
+    """Yield (P_n, n!, num_n) for n = 0, 1, ..., with T_n = num_n / n!
+    exactly: num_n = n*num_{n-1} + P_n sums P_k * n!/k! over k <= n."""
+    num = 0
+    fact = 1
+    for n, p in enumerate(p_exact):
+        fact *= n or 1
+        num = n * num + p
+        yield p, fact, num
 
 
 def partial_sums(table: CountTable, ns) -> list:
     """[T_n for n in ns], T_n = a_0 + ... + a_n, in the caller's order.
 
-    Exact tables give Fractions; float tables give doubles read off one
-    ascending Kahan pass to max(ns), so each T_n is the same double a pass
-    stopping at n would give.
+    Exact tables give Fractions, read off one ascending pass of _exact_sums
+    to max(ns).  Float tables give math.fsum of a_0..a_n for each distinct
+    n: the exact sum of the doubles, rounded once, so the same double on
+    every IEEE machine.  That costs the sum of the distinct n, not the
+    largest n.
     """
     ns = list(ns)
     for n in ns:
@@ -523,33 +519,22 @@ def partial_sums(table: CountTable, ns) -> list:
             raise InvalidArgumentError(f"n must be >= 0, got {n}")
         if n > table.n_max:
             raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
-    if table.p_exact is not None:
-        return [_exact_partial_sum(table.p_exact, n) for n in ns]
     if not ns:
         return []
-    running = kahan_running_sums(memoryview(table.a_float[: max(ns) + 1]))
-    found = {}
-    done = 0  # running sums consumed so far
-    for n in sorted(set(ns)):
-        # deque(islice) drains the stretch at C speed and keeps its last sum
-        found[n] = deque(islice(running, n + 1 - done), maxlen=1)[0]
-        done = n + 1
+    if table.p_exact is None:
+        a = table.a_float
+        found = {n: math.fsum(memoryview(a[:n + 1])) for n in set(ns)}
+    else:
+        want = set(ns)
+        found = {n: Fraction(num, fact) for n, (_, fact, num)
+                 in zip(range(max(ns) + 1), _exact_sums(table.p_exact))
+                 if n in want}
     return [found[n] for n in ns]
 
 
-def _exact_partial_sum(p_exact: list, n: int) -> Fraction:
-    # sum P_k * n!/k! over k, then divide once by n!
-    num = 0
-    mult = 1
-    for k in range(n, -1, -1):
-        num += p_exact[k] * mult
-        mult *= k if k else 1
-    return Fraction(num, math.factorial(n))
-
-
 def partial_sum(table: CountTable, n: int):
-    """T_n = a_0 + ... + a_n; exact Fraction when the table has exact values,
-    otherwise a double via ascending Kahan summation."""
+    """T_n = a_0 + ... + a_n; an exact Fraction when the table has exact
+    values, otherwise the exact sum of the doubles rounded once."""
     return partial_sums(table, (n,))[0]
 
 
@@ -557,30 +542,28 @@ def dump_table(table: CountTable, dest) -> None:
     """CSV dump: columns n, P_n (exact tables only), a_n, T_n.
 
     a_n and T_n carry 17 significant digits; P_n is full decimal, never
-    scientific.  dest is a writable text file object or a path.
+    scientific.  Each T_n is its exact value rounded once, an int / int
+    division, so it is the double partial_sum(table, n) gives: num_n / n!
+    for an exact table, and for a float one the exact running sum of the
+    a_n, an integer in units of 2^-1074, over 2^1074.  dest is a writable
+    text file object or a path.
     """
-    close = False
-    if isinstance(dest, (str, bytes)):
+    close = isinstance(dest, (str, bytes, os.PathLike))
+    if close:
         dest = open(dest, "w")
-        close = True
     try:
-        exact = table.p_exact is not None
-        if exact:
+        if table.p_exact is not None:
             dest.write("n,P_n,a_n,T_n\n")
-            # int / int is correctly rounded, whatever the operands' size
-            a_vals = []
-            fact = 1
-            for n, p in enumerate(table.p_exact):
-                fact *= n or 1
-                a_vals.append(p / fact)
+            for n, (p, fact, num) in enumerate(_exact_sums(table.p_exact)):
+                # int / int is correctly rounded, whatever the operands' size
+                dest.write(f"{n},{big_str(p)},{p / fact:.17g},{num / fact:.17g}\n")
         else:
             dest.write("n,a_n,T_n\n")
-            a_vals = table.a_float.tolist()
-        for n, (a, total) in enumerate(zip(a_vals, kahan_running_sums(a_vals))):
-            if exact:
-                dest.write(f"{n},{big_str(table.p_exact[n])},{a:.17g},{total:.17g}\n")
-            else:
-                dest.write(f"{n},{a:.17g},{total:.17g}\n")
+            total = 0  # the exact sum so far, in units of 2^-1074
+            for n, a in enumerate(table.a_float.tolist()):
+                num, den = a.as_integer_ratio()  # den: a power of 2, <= 2^1074
+                total += num * _SUBNORMAL_UNITS // den
+                dest.write(f"{n},{a:.17g},{total / _SUBNORMAL_UNITS:.17g}\n")
     finally:
         if close:
             dest.close()

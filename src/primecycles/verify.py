@@ -9,6 +9,7 @@ unspecified constants in the error terms, they are not sharp claims.
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from primecycles.errors import InvalidArgumentError
@@ -273,10 +274,9 @@ def emit_report(rows, format: str, destination) -> None:
         raise InvalidArgumentError("rows must be nonempty")
     if format not in ("csv", "json"):
         raise InvalidArgumentError(f"unknown format {format!r}")
-    close = False
-    if isinstance(destination, (str, bytes)):
+    close = isinstance(destination, (str, bytes, os.PathLike))
+    if close:
         destination = open(destination, "w")
-        close = True
     try:
         if format == "csv":
             destination.write(_CSV_HEADER + "\n")

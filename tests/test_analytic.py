@@ -195,10 +195,28 @@ def _dropped_tail(z, order, limit):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_series_drop_under_their_budget(order):
     # each series stops where at most 2^-53 of itself, under one ulp, is left
-    for z in (0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-5):
+    for z in (0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-5, 1.0 - 1e-6):
         whole = phi_deriv(z, order) if order else phi_eval(z)
         limit = analytic._series_limit(z, order)
         assert _dropped_tail(z, order, limit) <= 2.0 ** -53 * whole
+
+
+@pytest.mark.parametrize("spec, order, z", [
+    *((None, order, z) for order in range(4)
+      for z in (0.5, 0.999, 1.0 - 1e-5)),
+    (ODD, 0, 0.999),
+    (CycleClassSpec.explicit({2, 3, 10}), 0, 0.999),
+])
+def test_series_is_the_rounded_exact_sum(spec, order, z):
+    # the streamed blocks' terms, added exactly and rounded once, give the
+    # same double as the same terms computed in one array
+    limit = analytic._series_limit(z, order, spec)
+    if spec is None:
+        members = np.concatenate(list(iter_prime_blocks(limit)))
+    else:
+        members = spec.members_upto(limit)
+    terms = analytic._power_terms(members.astype(np.float64), math.log(z), order)
+    assert analytic._series(z, order, spec) == math.fsum(terms.tolist())
 
 
 def test_phi_limit_is_no_longer_than_its_budget_needs():

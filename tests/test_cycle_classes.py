@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from primecycles.cycle_classes import CycleClassSpec
@@ -50,6 +51,19 @@ def test_constructor_validation():
         CycleClassSpec.explicit({0, 2})
     with pytest.raises(InvalidArgumentError):
         CycleClassSpec.singleton(0)
+    # a non-integer is refused, never truncated
+    for build in (lambda: CycleClassSpec.explicit((2.5, 3)),
+                  lambda: CycleClassSpec.singleton(2.7),
+                  lambda: CycleClassSpec.residue_classes(2, (1.9,)),
+                  lambda: CycleClassSpec.residue_classes(2.5, (1,)),
+                  lambda: CycleClassSpec.residue_classes(2, ("1",))):
+        with pytest.raises(InvalidArgumentError):
+            build()
+    # numpy integers still pass
+    assert CycleClassSpec.explicit(np.array([3, 2])).describe() == "set:2,3"
+    assert CycleClassSpec.residue_classes(
+        np.int64(3), (np.int32(1), 2)).describe() == "mod:3:1,2"
+    assert CycleClassSpec.singleton(np.int64(4)).values == (4,)
 
 
 @pytest.mark.parametrize("spec", [ODD, EVEN, MOD3, ALL,

@@ -34,7 +34,6 @@ from primecycles.exact_enum import (
     count_exact_upto,
     dump_table,
     int_log,
-    kahan_sum,
     partial_sum,
     partial_sums,
 )
@@ -188,9 +187,9 @@ def test_partial_sum_float_matches_exact(table300):
 def test_partial_sums_one_pass_matches_each_n(table300, float_table_1e5):
     ns = [50_000, 7, 100_000, 0, 7, 1000]
     a = float_table_1e5.a_float
-    # bit-identical to a separate Kahan pass stopping at each n
+    # bit-identical to a separate exact sum of a_0..a_n, rounded once
     assert partial_sums(float_table_1e5, ns) == \
-        [kahan_sum(a[: n + 1].tolist()) for n in ns]
+        [math.fsum(a[: n + 1].tolist()) for n in ns]
     assert partial_sums(table300, [300, 5, 0, 5]) == \
         [partial_sum(table300, n) for n in (300, 5, 0, 5)]
     assert partial_sums(float_table_1e5, []) == []
@@ -362,9 +361,29 @@ def test_dump_float_mode_columns(primes_spec):
 
 def test_dump_to_path(tmp_path, primes_spec):
     tab = build_table(primes_spec, 6, "both")
-    dest = tmp_path / "out.csv"
-    dump_table(tab, str(dest))
-    assert dest.read_text() == GOLDEN_PRIMES_6
+    for dest in (str(tmp_path / "out.csv"), tmp_path / "out-path.csv"):
+        dump_table(tab, dest)
+        assert open(dest).read() == GOLDEN_PRIMES_6
+
+
+def _dumped_sums(table) -> list:
+    buf = io.StringIO()
+    dump_table(table, buf)
+    return [float(line.rsplit(",", 1)[1])
+            for line in buf.getvalue().splitlines()[1:]]
+
+
+def test_dump_agrees_with_partial_sum(primes_spec):
+    # every dumped T_n is the double partial_sum gives, and for a float
+    # table that is the exact sum of a_0..a_n rounded once
+    exact = build_table(primes_spec, 700, "exact")
+    assert _dumped_sums(exact) == [float(t) for t in
+                                   partial_sums(exact, range(701))]
+    table = build_table(primes_spec, 10_000, "float")
+    a = table.a_float.tolist()
+    sums = partial_sums(table, range(10_001))
+    assert _dumped_sums(table) == sums
+    assert sums == [math.fsum(a[:n + 1]) for n in range(10_001)]
 
 
 def test_dump_roundtrip_precision(primes_spec):
@@ -394,13 +413,6 @@ def test_int_log():
         math.lgamma(401), rel=1e-12)
     with pytest.raises(InvalidArgumentError):
         int_log(0)
-
-
-def test_kahan_sum():
-    vals = [1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16]
-    assert kahan_sum(vals) == 1.0000000000000004 or kahan_sum(vals) > 1.0
-    assert kahan_sum([]) == 0.0
-    assert kahan_sum([2.0, 3.0]) == 5.0
 
 
 def test_table_is_frozen(table300):

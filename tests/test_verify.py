@@ -278,6 +278,8 @@ def test_report_file_paths(tmp_path, float_table_1e5, constants):
         dest = tmp_path / name
         emit_report(rows, fmt, str(dest))
         assert parse_report(str(dest), fmt) == rows
+        emit_report(rows, fmt, tmp_path / ("path-" + name))
+        assert parse_report(tmp_path / ("path-" + name), fmt) == rows
 
 
 def test_report_paths_with_commas(tmp_path, float_table_1e5, constants):
