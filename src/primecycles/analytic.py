@@ -17,12 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.cycle_classes import (
-    KIND_ALL,
-    KIND_EXPLICIT,
-    KIND_PRIMES,
-    CycleClassSpec,
-)
+from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec
 from primecycles.errors import (
     InvalidArgumentError,
     OutOfDomainError,
@@ -38,6 +33,8 @@ Z_CAP_GAP = 1e-9
 
 # upper end of the phi_split domain: ln ln(1/t) must exceed 1
 T_DOMAIN_CAP = math.exp(-math.e)
+# lower end of the phi_split domain: the least t with e^-t <= 1 - Z_CAP_GAP
+T_DOMAIN_FLOOR = -math.log1p(-Z_CAP_GAP)
 
 _ZETA_TERMS = 100
 
@@ -216,18 +213,14 @@ def _log_sum_exp(logs) -> float:
 
 def _series_head(spec: Optional[CycleClassSpec]) -> tuple:
     """Members that every limit of the series over spec sums: those up to
-    _SERIES_FLOOR, or the smallest member if none is that small.  The empty
-    set has none, so its series has no limit to find, and it is refused."""
+    _SERIES_FLOOR, or the smallest member, the first step, if none is that
+    small.  The empty set has none, so its series has no limit to find,
+    and it is refused."""
     if spec is None or spec.kind == KIND_PRIMES:
         return _PRIME_HEAD
-    if spec.kind == KIND_EXPLICIT and not spec.values:
+    if not spec.steps:
         raise InvalidArgumentError("the series over an empty set has no terms")
-    head = spec.members_upto(_SERIES_FLOOR)
-    if head.size == 0:
-        # an explicit set, or residues whose modulus exceeds the floor
-        first = spec.values[0] if spec.kind == KIND_EXPLICIT else spec.modulus
-        head = spec.members_upto(first)[:1]
-    return tuple(head.tolist())
+    return tuple(spec.members_upto(max(_SERIES_FLOOR, spec.steps[0])).tolist())
 
 
 def _series_limit(z: float, order: int = 0,
@@ -375,9 +368,10 @@ class PhiSplit:
 
 
 def _check_t(t: float) -> None:
-    if not (0.0 < t < T_DOMAIN_CAP):
+    if not (T_DOMAIN_FLOOR <= t < T_DOMAIN_CAP):
         raise OutOfDomainError(
-            f"t must lie in (0, e^-e = {T_DOMAIN_CAP:.6f}), got {t}"
+            f"t must lie in [-ln(1 - {Z_CAP_GAP:g}) = {T_DOMAIN_FLOOR!r}, "
+            f"e^-e = {T_DOMAIN_CAP:.6f}), got {t}"
         )
 
 
@@ -424,7 +418,6 @@ class PhiSplitSums:
         ts = list(t_grid)
         for t in ts:
             _check_t(t)
-            _check_z(math.exp(-t))
         # per t: cutoff, limit, and ln z taken from z = e^-t as phi_eval(e^-t)
         # takes it (not -t, which differs in the last bits)
         self.points = [(t, _split_cutoff(t), _series_limit(math.exp(-t)),
@@ -526,12 +519,12 @@ def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
     f_A is exp of the series over members k <= _series_limit(1 - 1/n, 0,
     spec), whose dropped tail is at most 2^-53 times the series, the
     primes streamed as phi_eval streams them, so for the primes the model
-    is f_eval(1 - 1/n) exactly; for the all-lengths spec the closed form
+    is f_eval(1 - 1/n) exactly; for period 1, all lengths, the closed form
     f_A(z) = 1/(1-z) = n is used instead, making the model exact.
     """
     if n < 2:
         raise InvalidArgumentError(f"n must be >= 2, got {n}")
-    if spec.kind == KIND_ALL:
+    if spec.period == 1:
         f_val = float(n)
     else:
         f_val = math.exp(_series(1.0 - 1.0 / n, spec=spec))

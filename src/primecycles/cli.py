@@ -18,7 +18,7 @@ from primecycles.analytic import (
     phi_eval,
     phi_split,
 )
-from primecycles.cycle_classes import KIND_EXPLICIT, CycleClassSpec
+from primecycles.cycle_classes import KIND_STEPS, CycleClassSpec
 from primecycles.errors import InvalidArgumentError, PrimecyclesError
 from primecycles.exact_enum import (
     EXACT_CAP_DEFAULT,
@@ -27,7 +27,6 @@ from primecycles.exact_enum import (
     count_exact,
     dump_table,
     partial_sum,
-    partial_sums,
 )
 from primecycles.primes import (
     NthPrimes,
@@ -168,10 +167,10 @@ def cmd_phi(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _make_spec(args.spec, args.n)
-    # float tables of explicit sets underflow early (a_400 for set:2), so
+    # float tables of finite sets underflow early (a_400 for set:2), so
     # those take exact tables up to the exact cap
     cap = args.exact_cap
-    if spec.kind != KIND_EXPLICIT:
+    if not (spec.kind == KIND_STEPS and spec.period is None):
         cap = min(cap, SAMPLE_EXACT_MAX)
     mode = "exact" if args.n <= cap else "float"
     sampler = Sampler(build_table(spec, args.n, mode=mode,
@@ -194,13 +193,12 @@ def cmd_verify(args) -> int:
         # the table reads members up to max(n_grid); the hlk model streams its own
         spec = _make_spec("primes", max(n_grid))
         count_table = build_table(spec, max(n_grid), mode="float")
-        sums = partial_sums(count_table, n_grid)
     if "partial-sum" in selected:
-        rows = partial_sum_table(count_table, n_grid, constants, sums)
+        rows = partial_sum_table(count_table, n_grid, constants)
         emitted["partial-sum"] = rows
         _report_check("partial-sum", check_partial_sum(rows), failures)
     if "hlk" in selected:
-        rows = hlk_comparison_table(count_table, n_grid, constants, sums)
+        rows = hlk_comparison_table(count_table, n_grid, constants)
         emitted["hlk"] = rows
         _report_check("hlk", check_hlk(rows), failures)
     # the phi and pnt checks read their primes off one stream

@@ -2,10 +2,18 @@
 
 A cycle-length set selects which cycle lengths a permutation may use.  Kinds
 are enumerated rather than accepting arbitrary predicates, so every kind
-carries an exact density: the primes (density 0, backed by a sieve table),
-all positive integers (density 1), a finite explicit set (density 0), a
-union of residue classes mod m (density |R|/m).  A single fixed length is
-an explicit set of one.  Specs are immutable values and safe to share.
+carries an exact density.  There are two:
+
+* the primes (density 0), backed by a sieve table;
+* steps S with an optional period m.  With a period the set is every
+  k >= 1 with (k - 1) % m + 1 in S, the union of residue classes mod m
+  (density |S|/m), each residue r stored as its least member, r or m; all
+  positive integers are the class 0 mod 1, the step 1 with period 1.
+  Without one it is the finite set S itself (density 0); a single fixed
+  length is a set of one.
+
+Both recurrences read the steps form as it is stored.  Specs are immutable
+values and safe to share.
 """
 
 import math
@@ -18,9 +26,7 @@ from primecycles.errors import InvalidArgumentError, OutOfRangeError
 from primecycles.primes import PrimeTable
 
 KIND_PRIMES = "primes"
-KIND_ALL = "all"
-KIND_EXPLICIT = "explicit"
-KIND_RESIDUES = "residues"
+KIND_STEPS = "steps"
 
 
 def _integer(x, what: str) -> int:
@@ -33,17 +39,19 @@ def _integer(x, what: str) -> int:
 
 
 class CycleClassSpec:
-    """One cycle-length set, with membership, density and member iteration."""
+    """One cycle-length set, with membership, density and member iteration.
 
-    __slots__ = ("kind", "table", "values", "modulus", "residues", "_value_set")
+    A primes spec holds its sieve table; any other holds steps, a sorted
+    tuple, and period, an int or None (the module docstring has the form).
+    """
 
-    def __init__(self, kind, table=None, values=None, modulus=None, residues=None):
+    __slots__ = ("kind", "table", "steps", "period")
+
+    def __init__(self, kind, table=None, steps=None, period=None):
         self.kind = kind
         self.table = table
-        self.values = values
-        self.modulus = modulus
-        self.residues = residues
-        self._value_set = frozenset(values) if values is not None else None
+        self.steps = steps
+        self.period = period
 
     @classmethod
     def primes(cls, table: PrimeTable) -> "CycleClassSpec":
@@ -51,15 +59,14 @@ class CycleClassSpec:
 
     @classmethod
     def all_lengths(cls) -> "CycleClassSpec":
-        # the residue class 0 mod 1, for the routes that take residues
-        return cls(KIND_ALL, modulus=1, residues=(0,))
+        return cls.residue_classes(1, (0,))
 
     @classmethod
     def explicit(cls, values) -> "CycleClassSpec":
         vals = tuple(sorted({_integer(v, "explicit set member") for v in values}))
         if any(v < 1 for v in vals):
             raise InvalidArgumentError("explicit set members must be >= 1")
-        return cls(KIND_EXPLICIT, values=vals)
+        return cls(KIND_STEPS, steps=vals)
 
     @classmethod
     def residue_classes(cls, modulus: int, residues) -> "CycleClassSpec":
@@ -73,7 +80,8 @@ class CycleClassSpec:
             raise InvalidArgumentError(
                 f"residues must lie in [0, {modulus}), got {rset}"
             )
-        return cls(KIND_RESIDUES, modulus=modulus, residues=rset)
+        return cls(KIND_STEPS, steps=tuple(sorted(r or modulus for r in rset)),
+                   period=modulus)
 
     @classmethod
     def singleton(cls, k: int) -> "CycleClassSpec":
@@ -90,11 +98,9 @@ class CycleClassSpec:
             raise InvalidArgumentError(f"k must be a positive integer, got {k}")
         if self.kind == KIND_PRIMES:
             return self.table.is_prime(k)
-        if self.kind == KIND_ALL:
-            return True
-        if self.kind == KIND_RESIDUES:
-            return (k % self.modulus) in self.residues
-        return k in self._value_set
+        if self.period is None:
+            return k in self.steps
+        return (k - 1) % self.period + 1 in self.steps
 
     @property
     def support_limit(self):
@@ -114,29 +120,21 @@ class CycleClassSpec:
                 )
             idx = self.table.primes()
             return idx[: int(np.searchsorted(idx, n, side="right"))]
-        if self.kind == KIND_ALL:
-            return np.arange(1, n + 1, dtype=np.int64)
-        if self.kind == KIND_RESIDUES:
-            parts = []
-            for r in self.residues:
-                start = r if r >= 1 else self.modulus
-                parts.append(np.arange(start, n + 1, self.modulus, dtype=np.int64))
-            merged = np.concatenate(parts) if parts else np.empty(0, np.int64)
-            merged.sort()
-            return merged
-        vals = np.asarray(self.values, dtype=np.int64)
-        return vals[vals <= n]
+        if self.period is None:
+            steps = np.asarray(self.steps, dtype=np.int64)
+            return steps[steps <= n]
+        merged = np.concatenate([np.arange(s, n + 1, self.period, dtype=np.int64)
+                                 for s in self.steps])
+        merged.sort()
+        return merged
 
     # -- density and harmonic sums -------------------------------------------
 
     def density(self):
         """Limit of |members <= n| / n as an exact Fraction."""
-        if self.kind == KIND_ALL:
-            return Fraction(1)
-        if self.kind == KIND_RESIDUES:
-            return Fraction(len(self.residues), self.modulus)
-        # the primes and finite sets
-        return Fraction(0)
+        if self.kind == KIND_PRIMES or self.period is None:
+            return Fraction(0)
+        return Fraction(len(self.steps), self.period)
 
     def harmonic_offset(self, n: int) -> float:
         """Sum of 1/k over members k <= n, minus density * ln(n).
@@ -155,11 +153,12 @@ class CycleClassSpec:
     def describe(self) -> str:
         if self.kind == KIND_PRIMES:
             return "primes"
-        if self.kind == KIND_ALL:
+        if self.period is None:
+            return "set:" + ",".join(str(v) for v in self.steps)
+        if self.period == 1:
             return "all"
-        if self.kind == KIND_RESIDUES:
-            return f"mod:{self.modulus}:" + ",".join(str(r) for r in self.residues)
-        return "set:" + ",".join(str(v) for v in self.values)
+        residues = sorted(s % self.period for s in self.steps)
+        return f"mod:{self.period}:" + ",".join(str(r) for r in residues)
 
     def __repr__(self):
         return f"CycleClassSpec({self.describe()})"

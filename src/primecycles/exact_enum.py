@@ -6,15 +6,14 @@ coefficients satisfy n*a_n = sum over k in A, k <= n of a_{n-k}.
 
 count_exact_upto picks one of two exact routes from the spec's kind:
 
-* steps (residue classes mod m, all lengths as m = 1, and explicit sets):
-  with the steps S the residues taken in [1, m] (0 stands for m), or an
-  explicit set's own values,
+* steps (residue classes mod m, all lengths as m = 1, and finite sets):
+  with the spec's steps S and period m, as the spec stores them,
 
       P_n = sum_{r in S, r <= n} (n-1)...(n-r+1) * P_{n-r}
             + [n > m] (n-1)(n-2)...(n-m) * P_{n-m},
 
   which follows from (1 - x^m) f' = N(x) f for f = exp(sum_{k in A} x^k/k).
-  An explicit set has no period m and no last term: f' = N(x) f.  Each
+  A finite set has no period m and no last term: f' = N(x) f.  Each
   term costs O(max S) small-by-big multiplies.
 * scaled integers (primes): with N = n_max and B_n = P_n * N!/n!,
   n*B_n = sum_{k in A, k <= n} B_{n-k}, so each term costs |A(n)| big
@@ -67,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.cycle_classes import KIND_EXPLICIT, KIND_PRIMES, CycleClassSpec
+from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec
 from primecycles.errors import (
     InternalConsistencyError,
     InvalidArgumentError,
@@ -119,28 +118,10 @@ def big_str(x: int) -> str:
         return format(decimal.Decimal(x), "f")
 
 
-def int_log(x: int) -> float:
-    """Natural log of a positive integer too large for float conversion."""
-    if x <= 0:
-        raise InvalidArgumentError(f"int_log needs a positive integer, got {x}")
-    bits = x.bit_length()
-    if bits <= 900:
-        return math.log(x)
-    shift = bits - 64
-    return math.log(x >> shift) + shift * math.log(2.0)
-
-
 # -- recurrence routes --------------------------------------------------------
 
 
-def _steps(spec: CycleClassSpec):
-    """(steps, period m) of the step recurrence; m is None for a finite set."""
-    if spec.kind == KIND_EXPLICIT:
-        return list(spec.values), None
-    return sorted(r if r else spec.modulus for r in spec.residues), spec.modulus
-
-
-def _count_steps(steps: list, period: Optional[int], n_max: int) -> list:
+def _count_steps(steps, period: Optional[int], n_max: int) -> list:
     """P_0..P_{n_max} by the step recurrence of the module docstring."""
     P = [0] * (n_max + 1)
     P[0] = 1
@@ -201,8 +182,8 @@ def count_exact_upto(spec: CycleClassSpec, n_max: int,
                      exact_cap: int = EXACT_CAP_DEFAULT) -> list:
     """P_0..P_{n_max} as exact integers, by the route that suits spec.kind.
 
-    The primes take the scaled-integer recurrence; residue classes, all
-    lengths and finite sets take the step recurrence.
+    The primes take the scaled-integer recurrence; every other spec takes
+    the step recurrence on its steps and period.
     """
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
@@ -212,7 +193,7 @@ def count_exact_upto(spec: CycleClassSpec, n_max: int,
         )
     if spec.kind == KIND_PRIMES:
         return _count_scaled(spec.members_upto(n_max).tolist(), n_max)
-    return _count_steps(*_steps(spec), n_max)
+    return _count_steps(spec.steps, spec.period, n_max)
 
 
 def count_exact(spec: CycleClassSpec, n: int,
@@ -221,7 +202,7 @@ def count_exact(spec: CycleClassSpec, n: int,
     return count_exact_upto(spec, n, exact_cap=exact_cap)[n]
 
 
-def _build_float_steps(steps: list, period: Optional[int], n_max: int,
+def _build_float_steps(steps, period: Optional[int], n_max: int,
                        sign: float = 1.0) -> np.ndarray:
     """a_0..a_{n_max} by the float form of _count_steps.  A flat array of
     doubles rather than a list keeps the table at 8 bytes per coefficient.
@@ -364,7 +345,7 @@ def _build_float(spec: CycleClassSpec, members: np.ndarray,
                  n_max: int) -> np.ndarray:
     if spec.kind == KIND_PRIMES:
         return _build_float_fast(members, n_max)
-    return _build_float_steps(*_steps(spec), n_max)
+    return _build_float_steps(spec.steps, spec.period, n_max)
 
 
 def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
@@ -374,7 +355,7 @@ def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
 
     mode is one of "exact", "float", "both".  The float route follows
     spec.kind, as the module docstring explains: the FFT convolution for
-    the primes, the step recurrence for every other kind.
+    the primes, the step recurrence for every other spec.
 
     A float coefficient in the subnormal range raises OutOfRangeError.  A
     nonzero a_n is at least a_{n-k}/n for some nonzero a_{n-k}, and up to

@@ -59,22 +59,17 @@ def _checked_grid(grid) -> list:
     return grid
 
 
-def partial_sum_table(table: CountTable, n_grid, constants: Constants,
-                      sums=None):
+def partial_sum_table(table: CountTable, n_grid, constants: Constants):
     """Rows comparing T_n against e^c ln n over the grid.
 
     scaled_residual = (T_n/ln n - e^c) * ln ln n, the natural scale of the
-    model's error term.  sums, if given, are the grid's T_n as
-    partial_sums(table, n_grid) returns them, so a caller that needs them
-    for more than one table sums the table once.
+    model's error term.
     """
     if table.spec.kind != KIND_PRIMES:
         raise InvalidArgumentError("partial-sum table is defined for the primes spec")
     n_grid = _checked_grid(n_grid)
     rows = []
-    if sums is None:
-        sums = partial_sums(table, n_grid)
-    for n, total in zip(n_grid, sums, strict=True):
+    for n, total in zip(n_grid, partial_sums(table, n_grid)):
         exact = float(total)
         model = partial_sum_log_model(n, constants)
         resid = (exact / math.log(n) - constants.e_to_c) * math.log(math.log(n))
@@ -82,20 +77,16 @@ def partial_sum_table(table: CountTable, n_grid, constants: Constants,
     return rows
 
 
-def hlk_comparison_table(table: CountTable, n_grid, constants: Constants,
-                         sums=None):
+def hlk_comparison_table(table: CountTable, n_grid, constants: Constants):
     """Rows comparing T_n against f_A(1 - 1/n) / Gamma(rho + 1), as
     odlyzko_sum_model gives it for every spec; for the primes that is
     f_eval(1 - 1/n) itself (density 0, Gamma(1) = 1).
 
-    scaled_residual = (ratio - 1) * ln ln n.  sums is as for
-    partial_sum_table.
+    scaled_residual = (ratio - 1) * ln ln n.
     """
     n_grid = _checked_grid(n_grid)
     rows = []
-    if sums is None:
-        sums = partial_sums(table, n_grid)
-    for n, total in zip(n_grid, sums, strict=True):
+    for n, total in zip(n_grid, partial_sums(table, n_grid)):
         exact = float(total)
         model = odlyzko_sum_model(table.spec, n, constants)
         resid = (exact / model - 1.0) * math.log(math.log(n))
@@ -152,15 +143,19 @@ def phi_estimate_table(t_grid, constants: Constants, splits=None):
     The whole grid shares one prime stream (analytic.phi_split_grid), run to
     the largest truncation limit on the grid.  splits, if given, are the
     grid's pairs as phi_split_grid(t_grid) returns them, so a caller can
-    take them off a stream it shares with other checks.
+    take them off a stream it shares with other checks; splits for any
+    other t's are refused.
 
     phi1_scaled = (phi1 - lnln(1/t) - c) * ln(1/t)/lnln(1/t)
     phi2_scaled = phi2 * lnln(1/t)
     phi3_scaled = phi3 / (e^{-yt}/(yt))   (geometric-tail envelope)
     """
-    rows = []
+    t_grid = list(t_grid)
     if splits is None:
         splits = phi_split_grid(t_grid)
+    elif [split.t for split, _ in splits] != t_grid:
+        raise InvalidArgumentError("splits are not those of t_grid")
+    rows = []
     for split, direct in splits:
         t = split.t
         log_inv = math.log(1.0 / t)

@@ -31,7 +31,7 @@ from primecycles.errors import (
     OutOfDomainError,
     UnsupportedSpecError,
 )
-from primecycles.exact_enum import count_exact, int_log
+from primecycles.exact_enum import count_exact
 from primecycles.primes import iter_prime_blocks
 from primecycles.verify import T_GRID_DEFAULT
 
@@ -252,6 +252,9 @@ def test_phi_split_domain():
     for t in (0.0, -1e-3, T_DOMAIN_CAP, 0.07, 1.0):
         with pytest.raises(OutOfDomainError):
             phi_split(t)
+    # below the floor, e^-t passes phi's z cap; t itself is refused
+    with pytest.raises(OutOfDomainError, match=r"^t must lie in \[-ln"):
+        phi_split(1e-12)
     # just inside the cap is fine
     assert phi_split(T_DOMAIN_CAP * 0.999).phi1 > 0
 
@@ -291,7 +294,7 @@ def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
         return iter_prime_blocks(limit, *args, **kwargs)
 
     monkeypatch.setattr(analytic, "iter_prime_blocks", counting)
-    # out of (0, e^-e) last in the grid; below the z cap of phi_eval
+    # out of the split's domain [-ln(1 - 1e-9), e^-e) last in the grid
     for grid in ((1e-3, 1e-4, T_DOMAIN_CAP), (1e-3, 0.0), (1e-4, 1e-10)):
         with pytest.raises(OutOfDomainError):
             phi_split_grid(grid)
@@ -326,7 +329,7 @@ def test_yakimiv_all_lengths_consistency(constants):
 def test_yakimiv_odd_matches_exact(constants):
     n = 500
     p = count_exact(ODD, n)
-    ratio = math.exp(int_log(p) - yakimiv_log_model(ODD, n, constants))
+    ratio = math.exp(math.log(p) - yakimiv_log_model(ODD, n, constants))
     assert ratio == pytest.approx(1.0, abs=0.01)
 
 

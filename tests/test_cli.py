@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from primecycles import cli, exact_enum, primes, verify
+from primecycles import cli, exact_enum, primes
 from primecycles.analytic import PhiSplitSums
 from primecycles.cli import main, parse_spec
 from primecycles.cycle_classes import CycleClassSpec
@@ -33,7 +33,8 @@ def test_parse_spec_forms(sieve_small):
     assert parse_spec("mod:5:1,4").describe() == "mod:5:1,4"
     assert parse_spec("set:2,3,10").describe() == "set:2,3,10"
     single = parse_spec("set:7")
-    assert single.kind == "explicit" and single.contains(7)
+    assert single.steps == (7,) and single.period is None
+    assert single.contains(7)
     for bad in ("primes",):
         with pytest.raises(InvalidArgumentError):
             parse_spec(bad)  # no sieve table supplied
@@ -252,6 +253,10 @@ def test_phi_errors(capsys):
     assert run(capsys, "phi", "--split")[0] == 2
     rc, _, err = run(capsys, "phi", "--split", "--t", "0.5")
     assert rc == 1 and err.startswith("error:")
+    # below the split's floor the error names t and its bound, not z
+    rc, _, err = run(capsys, "phi", "--split", "--t", "1e-12")
+    assert rc == 1 and err.startswith("error: t must lie in")
+    assert "1.0000000005000001e-09" in err and "z must" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -298,21 +303,6 @@ def test_verify_pnt_builds_no_prime_table(capsys):
         tracemalloc.stop()
     assert rc == 0 and out == "pnt: ok\n"
     assert peak < 10 * 2**20
-
-
-def test_verify_sums_the_count_table_once(capsys, monkeypatch):
-    calls = []
-
-    def counted(table, ns):
-        calls.append(list(ns))
-        return exact_enum.partial_sums(table, ns)
-
-    monkeypatch.setattr(cli, "partial_sums", counted)
-    monkeypatch.setattr(verify, "partial_sums", counted)
-    rc, out, _ = run(capsys, "verify", "--n-grid", "100,1000",
-                     "--t-grid", "0.001,0.0001")
-    assert rc == 0 and "partial-sum: ok" in out and "hlk: ok" in out
-    assert calls == [[100, 1000]]
 
 
 def _record_streams(monkeypatch):

@@ -4,8 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primecycles.analytic import odlyzko_sum_model
+from primecycles.cli import parse_spec
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError, OutOfRangeError
+from primecycles.exact_enum import count_exact_upto
 from primecycles.primes import build_sieve
 
 ODD = CycleClassSpec.residue_classes(2, (1,))
@@ -63,7 +66,7 @@ def test_constructor_validation():
     assert CycleClassSpec.explicit(np.array([3, 2])).describe() == "set:2,3"
     assert CycleClassSpec.residue_classes(
         np.int64(3), (np.int32(1), 2)).describe() == "mod:3:1,2"
-    assert CycleClassSpec.singleton(np.int64(4)).values == (4,)
+    assert CycleClassSpec.singleton(np.int64(4)).steps == (4,)
 
 
 @pytest.mark.parametrize("spec", [ODD, EVEN, MOD3, ALL,
@@ -132,3 +135,17 @@ def test_describe(primes_spec):
     assert MOD3.describe() == "mod:3:1,2"
     assert CycleClassSpec.explicit({3, 1}).describe() == "set:1,3"
     assert CycleClassSpec.singleton(4).describe() == "set:4"
+
+
+def test_all_lengths_built_four_ways_behave_alike(constants):
+    specs = [ALL, CycleClassSpec.residue_classes(1, (0,)),
+             parse_spec("all"), parse_spec("mod:1:0")]
+    counts = count_exact_upto(ALL, 50)
+    assert counts == [math.factorial(n) for n in range(51)]
+    for spec in specs:
+        assert spec.describe() == "all"
+        assert spec.members_upto(50).tolist() == list(range(1, 51))
+        assert spec.density() == 1
+        assert count_exact_upto(spec, 50) == counts
+        for n in (17, 1000):
+            assert odlyzko_sum_model(spec, n, constants) == float(n)

@@ -33,7 +33,6 @@ from primecycles.exact_enum import (
     count_exact,
     count_exact_upto,
     dump_table,
-    int_log,
     partial_sum,
     partial_sums,
 )
@@ -404,15 +403,6 @@ def test_big_str():
     assert big_str(7) == "7"
     # the interpreter-wide digit cap is left as it was
     assert sys.get_int_max_str_digits() == limit
-
-
-def test_int_log():
-    assert int_log(2 ** 10000) == pytest.approx(10000 * math.log(2), rel=1e-12)
-    assert int_log(10) == pytest.approx(math.log(10), rel=1e-15)
-    assert int_log(math.factorial(400)) == pytest.approx(
-        math.lgamma(401), rel=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        int_log(0)
 
 
 def test_table_is_frozen(table300):

@@ -65,14 +65,12 @@ def test_partial_sum_table_validation(float_table_1e5, constants):
 
 
 def test_tables_take_the_grid_sums(float_table_1e5, constants):
-    grid = (100, 1000, 10_000)
+    grid = (1000, 100, 10_000)
     sums = partial_sums(float_table_1e5, grid)
-    assert partial_sum_table(float_table_1e5, grid, constants, sums) == \
-        partial_sum_table(float_table_1e5, grid, constants)
-    assert hlk_comparison_table(float_table_1e5, grid, constants, sums) == \
-        hlk_comparison_table(float_table_1e5, grid, constants)
-    with pytest.raises(ValueError):
-        partial_sum_table(float_table_1e5, grid, constants, sums[:2])
+    for table in (partial_sum_table, hlk_comparison_table):
+        rows = table(float_table_1e5, grid, constants)
+        assert [r.x for r in rows] == list(grid)
+        assert [r.exact for r in rows] == sums
 
 
 def test_hlk_all_lengths_is_exact(constants):
@@ -192,6 +190,13 @@ def test_tables_take_primes_read_elsewhere(constants):
     splits = analytic.phi_split_grid(grid)
     assert phi_estimate_table(grid, constants, splits) == \
         phi_estimate_table(grid, constants)
+    # splits for other t's are refused, not read in place of the grid
+    for other in ((1e-3,), (1e-4, 1e-3), (1e-3, 1e-4, 1e-5)):
+        with pytest.raises(InvalidArgumentError):
+            phi_estimate_table(other, constants, splits)
+    with pytest.raises(InvalidArgumentError):
+        phi_estimate_table((1e-3,), constants,
+                           analytic.phi_split_grid((1e-4,)))
     ks = (25, 100, 1000)
     assert pnt_table(ks, [97, 541, 7919]) == pnt_table(ks)
     with pytest.raises(ValueError):
