@@ -212,6 +212,7 @@ def cmd_verify(args) -> int:
         streamed = dict(zip(readers, feed_primes(stream, *readers.values())))
     if "phi" in selected:
         rows = phi_estimate_table(t_grid, constants, streamed["phi"])
+        emitted["phi"] = rows
         _report_check("phi", check_phi(rows), failures)
     if "pnt" in selected:
         rows = pnt_table(PNT_GRID_DEFAULT, streamed["pnt"])

@@ -43,15 +43,27 @@ class CycleClassSpec:
 
     A primes spec holds its sieve table; any other holds steps, a sorted
     tuple, and period, an int or None (the module docstring has the form).
+    Its slots are set once, here, and assignment or deletion raises.
     """
 
     __slots__ = ("kind", "table", "steps", "period")
 
     def __init__(self, kind, table=None, steps=None, period=None):
-        self.kind = kind
-        self.table = table
-        self.steps = steps
-        self.period = period
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "period", period)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CycleClassSpec is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"CycleClassSpec is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not slot assignment
+        return CycleClassSpec, (self.kind, self.table, self.steps, self.period)
 
     @classmethod
     def primes(cls, table: PrimeTable) -> "CycleClassSpec":

@@ -44,15 +44,13 @@ build_table picks the float route from the spec's kind in the same way:
   non-finite coefficient is refused.
 
 A float table whose coefficients reach the subnormal range is refused
-rather than rounded to a false zero.  Two independent oracles
-check the exact routes: the exponential formula f_A = prod_{k in A}
-exp(x^k/k) expanded one part at a time (n <= 300), and a full enumeration
-of S_n for tiny n.  They share no code or identity with the routes or
-with each other.  The general recurrence P_n = sum_{k in A, k <= n}
-(n-1)...(n-k+1) * P_{n-k}, at |A(n)| big multiplies per term, lives only in
-the tests, as a third cross-check.  _build_float_baseline, the a_n
-recurrence by direct summation, is kept only as the tests' reference for
-the FFT.
+rather than rounded to a false zero.  The exact routes are checked against
+oracles that share no code or identity with them: the exponential formula
+f_A = prod_{k in A} exp(x^k/k) expanded one part at a time, in big
+integers to n = 300 (count_by_cycle_types_upto) and, in the tests, mod two
+primes near 2^31 to the exact cap; and a full enumeration of S_n for
+n <= 9 (count_brute_force).  _build_float_baseline, the a_n recurrence by
+direct summation, is kept only as the tests' reference for the FFT.
 """
 
 import array

@@ -55,14 +55,28 @@ def _simple_mask(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Every prime in [2, limit] as one ascending, read-only int64 array."""
+    """Every prime in [2, limit] as one ascending, read-only int64 array.
+
+    Its slots are set once, here, and assignment or deletion raises.
+    """
 
     __slots__ = ("limit", "_primes")
 
     def __init__(self, limit: int, primes: np.ndarray):
-        self.limit = limit
         primes.flags.writeable = False
-        self._primes = primes
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "_primes", primes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PrimeTable is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"PrimeTable is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not slot assignment
+        return PrimeTable, (self.limit, self._primes)
 
     def is_prime(self, k: int) -> bool:
         if k < 1:

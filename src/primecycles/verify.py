@@ -10,7 +10,7 @@ unspecified constants in the error terms, they are not sharp claims.
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import CountTable, partial_sums
@@ -255,37 +255,31 @@ def check_slowvar(report):
 # -- report emission ---------------------------------------------------------
 
 
-_FIELDS = ("x", "exact", "model", "ratio", "scaled_residual")
-_CSV_HEADER = ",".join(_FIELDS)
-
-
 def emit_report(rows, format: str, destination) -> None:
-    """Write ConvergenceRow tables as CSV or JSON, 17 significant digits.
+    """Write a table of ConvergenceRow or PhiEstimateRow as CSV or JSON.
 
-    destination is a path or a writable text file object.  Output is
-    deterministic and round-trips through parse_report to the last bit.
+    The columns are the row dataclass's fields, in order, each float with
+    17 significant digits.  destination is a path or a writable text file
+    object.  Output is deterministic and round-trips through parse_report
+    to the last bit.
     """
     if not rows:
         raise InvalidArgumentError("rows must be nonempty")
     if format not in ("csv", "json"):
         raise InvalidArgumentError(f"unknown format {format!r}")
+    names = [f.name for f in fields(rows[0])]
     close = isinstance(destination, (str, bytes, os.PathLike))
     if close:
         destination = open(destination, "w")
     try:
         if format == "csv":
-            destination.write(_CSV_HEADER + "\n")
+            destination.write(",".join(names) + "\n")
             for r in rows:
-                destination.write(
-                    f"{r.x:.17g},{r.exact:.17g},{r.model:.17g},"
-                    f"{r.ratio:.17g},{r.scaled_residual:.17g}\n"
-                )
+                destination.write(",".join(f"{getattr(r, name):.17g}"
+                                           for name in names) + "\n")
         else:
-            payload = [
-                {"x": r.x, "exact": r.exact, "model": r.model,
-                 "ratio": r.ratio, "scaled_residual": r.scaled_residual}
-                for r in rows
-            ]
+            payload = [{name: getattr(r, name) for name in names}
+                       for r in rows]
             json.dump(payload, destination, indent=1)
             destination.write("\n")
     finally:
@@ -293,14 +287,16 @@ def emit_report(rows, format: str, destination) -> None:
             destination.close()
 
 
-def parse_report(source, format: str):
-    """Inverse of emit_report; source is a path, file object, or text.
+def parse_report(source, format: str, row_type=ConvergenceRow):
+    """Inverse of emit_report for rows of row_type, ConvergenceRow or
+    PhiEstimateRow; source is a path, file object, or text.
 
     A str is read as text when it holds a newline (emit_report always ends
     with one) or starts with "["; any other str is a path, commas included.
     """
     if format not in ("csv", "json"):
         raise InvalidArgumentError(f"unknown format {format!r}")
+    names = [f.name for f in fields(row_type)]
     if hasattr(source, "read"):
         text = source.read()
     elif isinstance(source, str) and ("\n" in source
@@ -312,12 +308,12 @@ def parse_report(source, format: str):
     try:
         if format == "csv":
             lines = [ln for ln in text.splitlines() if ln.strip()]
-            if not lines or lines[0] != _CSV_HEADER:
+            if not lines or lines[0] != ",".join(names):
                 raise InvalidArgumentError("missing or wrong CSV header")
             records = [ln.split(",") for ln in lines[1:]]
         else:
-            records = [[obj[k] for k in _FIELDS] for obj in json.loads(text)]
-        return [ConvergenceRow(*map(float, rec)) for rec in records]
+            records = [[obj[k] for k in names] for obj in json.loads(text)]
+        return [row_type(*map(float, rec)) for rec in records]
     except InvalidArgumentError:
         raise
     except (ValueError, KeyError, TypeError) as exc:

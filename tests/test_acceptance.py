@@ -1,12 +1,13 @@
 """End-to-end acceptance checklist: ten numbered criteria, one test each,
-plus the bit-identical check of the prime counts to n = 2000.
+plus the check of the exact counts to the exact cap against the exponential
+formula mod q.
 
 Run with `pytest -v tests/test_acceptance.py` to get one line per criterion;
 each test also prints its own pass/fail line (visible with -s or -rA).
 Tolerances here are contractual; nothing is tuned to force a pass.  Several
-criteria are deliberately heavy (prime streaming to 5e9, the general
-recurrence to n = 2000, an FFT table to 1e6): the module takes about 45 s
-and the whole suite 50-60 s on a 2-vCPU Xeon.
+criteria are deliberately heavy (prime streaming to 5e9, an FFT table to
+1e6, the exact counts of eleven specs to n = 2000): the module takes about
+25 s and the whole suite about 40 s on a 2-vCPU Xeon.
 """
 
 import math
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from general_recurrence import count_general_upto
+from fingerprint import check_exact_counts
 from primecycles.analytic import (
     mertens_direct,
     phi_deriv,
@@ -26,6 +27,7 @@ from primecycles.analytic import (
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import EmptySupportError
 from primecycles.exact_enum import (
+    EXACT_CAP_DEFAULT,
     _build_float_baseline,
     build_table,
     count_brute_force,
@@ -164,12 +166,19 @@ def test_criterion_08_positive_density_model(constants):
             assert abs(ratio[2000] - 1.0) < abs(ratio[500] - 1.0), spec
 
 
-def test_prime_counts_match_general_recurrence_to_2000(primes_spec):
-    # the route count_exact_upto takes for primes against the general
-    # recurrence, which costs about ten seconds at this size
-    with criterion("prime counts to n = 2000 match the general recurrence"):
-        assert count_exact_upto(primes_spec, 2000) == \
-            count_general_upto(primes_spec, 2000)
+def test_exact_counts_match_the_exponential_formula_mod_q(primes_spec):
+    # both exact routes and every spec kind, to the cap, against P_n mod q
+    # from f_A = prod_{k in A} exp(x^k/k), an identity neither route uses
+    specs = [primes_spec, ALL, ODD, EVEN,
+             CycleClassSpec.residue_classes(3, (0,)), MOD3,
+             CycleClassSpec.residue_classes(6, (1, 5)),
+             CycleClassSpec.explicit((2, 3, 10)),
+             CycleClassSpec.explicit((1, 2)), CycleClassSpec.singleton(7),
+             CycleClassSpec.explicit(())]
+    with criterion(f"exact counts to n = {EXACT_CAP_DEFAULT} match the "
+                   "exponential formula mod q"):
+        for spec in specs:
+            assert check_exact_counts(spec, EXACT_CAP_DEFAULT) is None, spec
 
 
 def test_criterion_09_sampler_exactness(table300, primes_spec):

@@ -16,7 +16,7 @@ from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import build_table
 from primecycles.primes import SEGMENT_SIZE, NthPrimes, build_sieve, nth_primes
 from primecycles.sampler import Sampler
-from primecycles.verify import parse_report
+from primecycles.verify import PhiEstimateRow, parse_report
 
 
 def run(capsys, *argv):
@@ -344,6 +344,8 @@ def test_verify_reads_the_primes_once_for_phi_and_pnt(tmp_path, capsys,
         [[phi_limit, phi_limit // SEGMENT_SIZE + 1]]
     rows = parse_report(str(prefix) + "-pnt.csv", "csv")
     assert [r.exact for r in rows] == nth_primes(cli.PNT_GRID_DEFAULT)
+    rows = parse_report(str(prefix) + "-phi.csv", "csv", PhiEstimateRow)
+    assert [r.t for r in rows] == [1e-4, 1e-5, 1e-6, 3e-7]
 
 
 def test_verify_detects_departure(capsys):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +137,25 @@ def test_describe(primes_spec):
     assert MOD3.describe() == "mod:3:1,2"
     assert CycleClassSpec.explicit({3, 1}).describe() == "set:1,3"
     assert CycleClassSpec.singleton(4).describe() == "set:4"
+
+
+def test_specs_refuse_assignment():
+    # `all` with period 2 assigned became mod:2:1, without a word
+    specs = [CycleClassSpec.primes(build_sieve(100)),
+             CycleClassSpec.all_lengths(),
+             CycleClassSpec.residue_classes(3, (1, 2)),
+             CycleClassSpec.explicit((2, 3, 10))]
+    for spec in specs:
+        before = (spec.describe(), spec.members_upto(100).tolist())
+        for name in CycleClassSpec.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 2)
+            with pytest.raises(AttributeError):
+                delattr(spec, name)
+        assert (spec.describe(), spec.members_upto(100).tolist()) == before
+        for twin in (copy.copy(spec), copy.deepcopy(spec),
+                     pickle.loads(pickle.dumps(spec))):
+            assert (twin.describe(), twin.members_upto(100).tolist()) == before
 
 
 def test_all_lengths_built_four_ways_behave_alike(constants):

@@ -1,18 +1,24 @@
 """Differential tests: the two exact routes of count_exact_upto against the
-general recurrence (test-only), the partition oracle at every n and brute
-force, and the float routes of build_table against the exact counts."""
+partition oracle at every n and brute force, the fingerprint check (P_n mod
+q by the exponential formula, tests/fingerprint.py) against the partition
+oracle and against planted faults, and the float routes of build_table
+against the exact counts.  The module takes about 6 s on a 2-vCPU Xeon."""
 
+import inspect
 import math
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from general_recurrence import count_general_upto
+from fingerprint import MODULI, check_exact_counts, counts_mod
 from primecycles import exact_enum
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InternalConsistencyError
 from primecycles.exact_enum import (
+    EXACT_CAP_DEFAULT,
+    PARTITION_CAP,
     _count_scaled,
     build_table,
     count_brute_force,
@@ -44,7 +50,6 @@ def check_against_oracles(spec, n_max, n_brute):
     counts = count_exact_upto(spec, n_max)
     assert type(counts) is list
     assert all(type(p) is int for p in counts)
-    assert counts == count_general_upto(spec, n_max), spec
     assert counts == count_by_cycle_types_upto(spec, n_max), spec
     for n in range(min(n_brute, n_max) + 1):
         assert counts[n] == count_brute_force(spec, n), (spec, n)
@@ -83,14 +88,71 @@ def test_explicit_sets_take_the_step_route(monkeypatch):
     monkeypatch.setattr(exact_enum, "_build_float_baseline", refuse)
     # the values themselves are checked by test_scaled_route_matches_oracles
     spec = CycleClassSpec.explicit((2, 3, 10))
-    assert count_exact_upto(spec, 200) == count_general_upto(spec, 200)
+    assert count_exact_upto(spec, 200) == count_by_cycle_types_upto(spec, 200)
     assert build_table(spec, 200, "float").a_float[200] > 0.0
 
 
-def test_primes_route_matches_general(primes_spec):
-    for n_max in (0, 1, 2, 5, 300):
+def test_primes_route_matches_partition_oracle(primes_spec):
+    for n_max in (0, 1, 2, 5, PARTITION_CAP):
         assert count_exact_upto(primes_spec, n_max) == \
-            count_general_upto(primes_spec, n_max)
+            count_by_cycle_types_upto(primes_spec, n_max)
+
+
+@pytest.mark.parametrize("name", ["primes", "odd", "set:2,3,10"])
+def test_fingerprint_matches_partition_oracle(name, primes_spec):
+    spec = {"primes": primes_spec,
+            "odd": CycleClassSpec.residue_classes(2, (1,)),
+            "set:2,3,10": CycleClassSpec.explicit((2, 3, 10))}[name]
+    fingerprint = counts_mod(spec.members_upto(PARTITION_CAP).tolist(),
+                             PARTITION_CAP)
+    counts = count_by_cycle_types_upto(spec, PARTITION_CAP)
+    for row, q in zip(fingerprint.tolist(), MODULI):
+        assert row == [p % q for p in counts], (name, q)
+
+
+def _mutated(func, old, new, occurrence):
+    """func compiled from its own source with the occurrence-th ``old``
+    replaced by ``new``, in its module's globals."""
+    source = textwrap.dedent(inspect.getsource(func))
+    parts = source.split(old)
+    assert len(parts) > occurrence + 1, (old, func.__name__)
+    source = (old.join(parts[:occurrence + 1]) + new
+              + old.join(parts[occurrence + 1:]))
+    namespace = dict(func.__globals__)
+    exec(compile(source, f"<mutated {func.__name__}>", "exec"), namespace)
+    return namespace[func.__name__]
+
+
+def test_fingerprint_check_reports_a_planted_count(primes_spec, monkeypatch):
+    def one_too_many(members, n_max):
+        counts = _count_scaled(members, n_max)
+        counts[1500] += 1
+        return counts
+
+    monkeypatch.setattr(exact_enum, "_count_scaled", one_too_many)
+    assert check_exact_counts(primes_spec, EXACT_CAP_DEFAULT) == 1500
+
+
+def test_fingerprint_check_reports_a_dropped_member(primes_spec, monkeypatch):
+    # the route loses prime 2; the fingerprint reads the spec's own members
+    def without_two(members, n_max):
+        return _count_scaled([k for k in members if k != 2], n_max)
+
+    monkeypatch.setattr(exact_enum, "_count_scaled", without_two)
+    assert check_exact_counts(primes_spec, EXACT_CAP_DEFAULT) == 2
+
+
+@pytest.mark.parametrize("occurrence, spec, first_wrong", [
+    # a step r = 2 first needs the factor n - 1, at n = 2
+    (0, CycleClassSpec.explicit((2, 3, 10)), 2),
+    # the period's extra factors first run at n = 4 = period + 1
+    (1, CycleClassSpec.residue_classes(3, (1, 2)), 4),
+], ids=["step-factor", "period-factor"])
+def test_fingerprint_check_reports_a_wrong_falling_factor(
+        occurrence, spec, first_wrong, monkeypatch):
+    monkeypatch.setattr(exact_enum, "_count_steps", _mutated(
+        exact_enum._count_steps, "ff *= n - j", "ff *= n - j + 1", occurrence))
+    assert check_exact_counts(spec, EXACT_CAP_DEFAULT) == first_wrong
 
 
 @pytest.mark.parametrize("length, b0, message", [

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -165,6 +167,20 @@ def test_iter_prime_blocks_empty_below_two():
 def test_table_immutable(sieve_small):
     with pytest.raises(ValueError):
         sieve_small.primes()[0] = 4
+    # a raised limit made is_prime(101) False and P_110 of the primes wrong
+    table = build_sieve(100)
+    for name in ("limit", "_primes"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, 1000)
+        with pytest.raises(AttributeError):
+            delattr(table, name)
+    with pytest.raises(OutOfRangeError):
+        table.is_prime(101)
+    for twin in (copy.copy(table), copy.deepcopy(table),
+                 pickle.loads(pickle.dumps(table))):
+        assert twin.limit == 100
+        assert twin.primes().tolist() == table.primes().tolist()
+        assert not twin.primes().flags.writeable
 
 
 def test_nth_primes_matches_table_to_2000():

@@ -277,6 +277,22 @@ def test_report_roundtrip_json(float_table_1e5, constants):
     assert parse_report(buf.getvalue(), "json") == rows
 
 
+def test_report_roundtrip_phi_rows(constants):
+    rows = phi_estimate_table((1e-3, 1e-4), constants)
+    names = [f.name for f in dataclasses.fields(PhiEstimateRow)]
+    for fmt in ("csv", "json"):
+        buf = io.StringIO()
+        emit_report(rows, fmt, buf)
+        text = buf.getvalue()
+        assert parse_report(text, fmt, PhiEstimateRow) == rows
+        # a phi table is not read as a ConvergenceRow table
+        with pytest.raises(InvalidArgumentError):
+            parse_report(text, fmt)
+        columns = (text.splitlines()[0].split(",") if fmt == "csv"
+                   else list(json.loads(text)[0]))
+        assert columns == names
+
+
 def test_report_file_paths(tmp_path, float_table_1e5, constants):
     rows = _sample_rows(float_table_1e5, constants)
     for fmt, name in (("csv", "r.csv"), ("json", "r.json")):
