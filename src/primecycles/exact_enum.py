@@ -26,22 +26,15 @@ build_table picks the float route from the spec's kind in the same way:
   n*a_n = [n > m] (n-m)*a_{n-m} + sum_{r in S, r <= n} a_{n-r}.  Every
   term is nonnegative, so a structural zero comes out as exactly 0.0, and
   a steeply falling coefficient keeps its relative precision.
-* primes: an online convolution of the a_n recurrence, one left-to-right
-  loop over leaves of 128 coefficients in the table's own array.  Before
-  the leaf starting at mid is solved, the block [mid - h, mid) with
-  h = lowbit(mid) adds its share to the pending coefficients
-  [mid, mid + h), cut at the table's end: by a middle-product FFT of
-  size 2h with the spectra of g, the members' indicator, cached per size,
-  or by a product with a block of g's Toeplitz matrix when the span from
-  mid - h to the end of the pending range is at most 512.  A leaf is
-  solved in closed form: the eigenvectors of its triangular system are
-  the shifted columns of the Toeplitz matrix of the series exp(phi),
-  phi = sum_{k in A} x^k/k, and the inverse of that matrix is the
-  Toeplitz matrix of exp(-phi), so each leaf is two triangular
-  matrix-vector products (_build_float_fast derives it).  Its absolute error is about eps times
-  a block's largest coefficient, which is harmless only because prime
-  coefficients decay slowly and never vanish past n = 1; a negative or
-  non-finite coefficient is refused.
+* primes: a doubling solve in the table's own array (_build_float_fast
+  derives it).  The step recurrence gives the head of exp(phi),
+  phi = sum_{k in A} x^k/k, and of its inverse exp(-phi).  Each level
+  doubles both: a middle product FFT gives its rows' pending sums, a
+  block solve in closed form through the Toeplitz matrices of exp(phi)
+  and exp(-phi) its coefficients, and a Newton step exp(-phi).  Its
+  absolute error is about eps times a block's largest coefficient, which
+  is harmless only because prime coefficients decay slowly and never
+  vanish past n = 1; a negative or non-finite coefficient is refused.
 
 A float table whose coefficients reach the subnormal range is refused
 rather than rounded to a false zero.  The exact routes are checked against
@@ -76,13 +69,9 @@ EXACT_CAP_DEFAULT = 2000
 FLOAT_CAP_DEFAULT = 10_000_000
 PARTITION_CAP = 300
 BRUTE_FORCE_CAP = 9
-# _build_float_fast's widths: leaves of FAST_PATH_LEAF coefficients are
-# solved in closed form by two triangular products; a block's share that
-# spans up to FAST_PATH_DIRECT is added by a Toeplitz block, a wider one by
-# FFT.  Tuned on the primes at n = 3*10^4 to 2*10^5: leaves of 64 and 256,
-# or direct widths of 256 and 1024, were no faster.
-FAST_PATH_LEAF = 128
-FAST_PATH_DIRECT = 512
+# _build_float_fast's widest base, from the step recurrence (0.3 ms at 128);
+# bases of 64 and 256 were no faster at n = 3*10^4 to 10^5
+FAST_PATH_BASE = 128
 # 2^-1074 is the smallest subnormal, so every finite double is a whole
 # number of these units, and so is any sum of doubles
 _SUBNORMAL_UNITS = 1 << 1074
@@ -92,14 +81,14 @@ _SUBNORMAL_UNITS = 1 << 1074
 class CountTable:
     """Immutable coefficient table for one cycle-length set.
 
-    p_exact[n] is the integer count P_n (so a_n = P_n/n! exactly), a_float
-    the double-precision coefficients from the recurrence run in floating
-    point; either is None when not built.
+    p_exact[n] is the integer count P_n (so a_n = P_n/n! exactly), a
+    tuple, a_float the double-precision coefficients from the recurrence
+    run in floating point, read-only; either is None when not built.
     """
 
     spec: CycleClassSpec
     n_max: int
-    p_exact: Optional[list]
+    p_exact: Optional[tuple]
     a_float: Optional[np.ndarray]
 
 
@@ -206,7 +195,7 @@ def _build_float_steps(steps, period: Optional[int], n_max: int,
     doubles rather than a list keeps the table at 8 bytes per coefficient.
 
     With period None and sign -1.0 it gives exp(-phi) instead, the inverse
-    series _build_float_fast's leaves need.
+    series whose head _build_float_fast's doubling starts from.
     """
     a = array.array("d", bytes(8 * (n_max + 1)))
     a[0] = 1.0
@@ -236,62 +225,86 @@ def _build_float_baseline(members: np.ndarray, n_max: int) -> np.ndarray:
     return a
 
 
-def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
-    """The d x d lower triangular Toeplitz matrix of c[:d]: M[i, j] = c[i - j]
-    for i >= j, else 0.  Row i is a sliding window over [0]*(d-1) + c,
-    read backwards."""
-    d = c.size
-    padded = np.concatenate((np.zeros(d - 1), c))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, d)
-    return np.ascontiguousarray(windows[:, ::-1])
+def _smooth_at_least(k: int) -> int:
+    """The least 5-smooth number (2^i 3^j 5^l) at least k >= 1; k is one
+    when it divides 30^e, e = k.bit_length() > each of its exponents."""
+    while 30 ** k.bit_length() % k:
+        k += 1
+    return k
 
 
-def _solve_leaf(t_s: np.ndarray, t_r: np.ndarray, pend: np.ndarray,
-                lo: int) -> np.ndarray:
-    """a[lo:lo + w] from its pending sums, lo > 0, as T(s) ((T(r) pend) /
-    (lo + j)); _build_float_fast derives it."""
+def _solve_block(s_hat: np.ndarray, r: np.ndarray, pend: np.ndarray,
+                 lo: int):
+    """(x, y): x = a[lo:lo + w] from its pending sums, lo > 0, as T(s) y,
+    y = (T(r) pend) / (lo + j); _build_float_fast derives it.  s_hat is
+    rfft(s[:L], 2L) for some L >= w, r holds at least w terms of
+    exp(-phi), and both products are cut to w terms.
+    """
+    size = 2 * s_hat.size - 2
     w = pend.size
-    y = t_r[:w, :w] @ pend
+    spec = np.fft.rfft(pend, size)
+    spec *= np.fft.rfft(r[:w], size)
+    # a copy, so the transform's full-size output is freed at once
+    y = np.fft.irfft(spec, size)[:w].copy()
     y /= np.arange(lo, lo + w)
-    return t_s[:w, :w] @ y
+    spec = np.fft.rfft(y, size)
+    spec *= s_hat
+    return np.fft.irfft(spec, size)[:w], y
+
+
+def _double(a: np.ndarray, members: np.ndarray, r: np.ndarray,
+            m: int) -> np.ndarray:
+    """Fill a[m:2m], cut at the table's end, from a[:m] and r[:m]; return
+    r[:2m], or r once the table is full.  Each temporary is dropped once
+    used: the last level's set the peak memory, 5.6 tables at n = 10^6.
+    """
+    size = 2 * m
+    w = min(m, a.size - m)
+    s_hat = np.fft.rfft(a[:m], size)
+    g = np.zeros(size)
+    g[members[members < size]] = 1.0
+    spec = np.fft.rfft(g, size)
+    del g
+    spec *= s_hat
+    pend = np.fft.irfft(spec, size)[m:m + w].copy()
+    del spec
+    a[m:m + w], y = _solve_block(s_hat, r, pend, m)
+    if m + w == a.size:
+        return r
+    r_hat = np.fft.rfft(r, size)
+    s_hat *= r_hat  # now the spectrum of a[:m] r[:m]
+    e = np.fft.irfft(s_hat, size)[m:] + y
+    spec = np.fft.rfft(e, size)
+    spec *= r_hat
+    return np.concatenate((r, -np.fft.irfft(spec, size)[:m]))
 
 
 def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
-    """Online convolution of n*a_n = sum of a_{n-k}, one step per leaf;
-    matches the baseline to ~2e-15 for the primes.
+    """n*a_n = sum of a_{n-k} by doubling, one block solve per level;
+    matches the baseline to ~1e-14 for the primes.
 
-    It walks the leaves [128j, min(128j + 128, size)), size = n_max + 1,
-    left to right (128 is FAST_PATH_LEAF).  They are the leaves of a
-    divide-and-conquer tree whose node of width w > 128 splits at h, the
-    largest power of two below w, so every node's lo is a multiple of 2h.
-    Hence when the leaf ending at mid is final, exactly one node has just
-    finished its left half [lo, mid): the one with h = lowbit(mid),
-    lo = mid - h and hi = min(mid + h, size).  Its left half's share of
-    the right half, outputs [h, w) of the convolution of a[lo:mid] with
-    g[:w], w = hi - lo, is added to ``a[mid:hi]``, which holds the pending
-    sums of the coefficients not yet solved.  Nodes finish in the order
-    of their mid, so each coefficient gets its shares in the same order,
-    and from the same operations, as in a recursive walk of the tree.
+    s = exp(phi), phi = sum of x^k/k over the members k, is the table's
+    series, r = exp(-phi) its inverse, g the members' indicator and T(c)
+    the lower Toeplitz matrix of c.  The step recurrence gives the first d
+    terms of s and r, d the least 5-smooth number >= size/2^K, K the least
+    integer with FAST_PATH_BASE * 2^K >= size = n_max + 1.  Each level
+    (_double) then takes a[:m] and r[:m] to a[m:m + w], w = min(m,
+    size - m), by FFTs of size 2m:
 
-    * w <= FAST_PATH_DIRECT: a matrix-vector product with a block of the
-      strictly lower Toeplitz matrix of g, built once per call.
-    * larger w: a middle product of a[lo:mid] with all of g[:2h], by a
-      cyclic transform of size 2h >= w, about half the usual
-      next_pow2(h + w - 1).  Output j in [h, w) gets g[k] only for
-      k = j - i <= j < w, as it should; terms with k >= w land at w or
-      above, and linear indices >= 2h wrap onto indices <= h - 2, so
-      outputs [h, w) come out clean.  The spectrum of g is cached per
-      size, so g is transformed once for each power of two.
-    * the next leaf [lo, lo + w) solves (lo*I + K) x = a[lo:lo + w] with
-      K = diag(0, 1, ..., w-1) - T(g), T(c) the lower Toeplitz matrix of c.
-      Let s be the series exp(phi), whose coefficients are a_0, a_1, ...
-      Column j of T(s) is an eigenvector of K for eigenvalue j: its entry
-      m > j is s_{m-j}, and (m - j)*s_{m-j} = sum of s_{m-j-k} over the
-      members k is exactly row m of K v = j v.  So K = T(s) D T(s)^-1, and
-      T(s)^-1 = T(r) with r the series exp(-phi).  Each leaf is then two
-      triangular products, x = T(s) ((T(r) pending) / (lo + j)), in closed
-      form; the first leaf, with nothing pending, is s itself.  s and r
-      come from the step recurrence, once per call.
+    * pending sums: pend_j = sum of a_i g_{m+j-i} over i < m.  The cyclic
+      convolution of a[:m] with g[:2m] wraps linear indices >= 2m onto
+      indices <= m - 2, so its outputs [m, m + w) come out clean.
+    * block solve: rows [m, m + w) read (m*I + K) x = pend with
+      K = diag(0, ..., w-1) - T(g).  Column j of T(s) is an eigenvector of
+      K for eigenvalue j: its entry i > j is s_{i-j}, and (i - j)*s_{i-j}
+      = sum of s_{i-j-k} over the members k is row i of K v = j v.  So
+      K = T(s) D T(r), and x = T(s) y, y = (T(r) pend) / (m + j).
+    * Newton's step for the inverse, at every level but the last:
+      r[m:2m] = -(r[:m] e)[:m], e = (a[:2m] r[:m])[m:2m], which is
+      (a[:m] r[:m])[m:2m] plus T(r) x = T(r) T(s) y = y.
+
+    Transform sizes are 2d * 2^k, 5-smooth, and the last ends at most
+    12.5% past size, where a power-of-two base could waste half of it.
 
     Its absolute error is about eps times the largest coefficient of a
     block, so a coefficient that is zero or far below its neighbours comes
@@ -303,31 +316,15 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
     # made after them, it sat above them in the heap, and float-sample's
     # peak RSS rose by 2 MB
     a = np.zeros(size)
-    g = np.zeros(size)
-    g[members[members <= n_max]] = 1.0
-    toeplitz = _lower_toeplitz(g[:min(FAST_PATH_DIRECT, size)])
-    d = min(FAST_PATH_LEAF, size)
+    levels = ((size - 1) // FAST_PATH_BASE).bit_length()
+    d = _smooth_at_least(-(-size >> levels))
     small = members[members < d].tolist()
-    s = _build_float_steps(small, None, d - 1)
-    t_s = _lower_toeplitz(s)
-    t_r = _lower_toeplitz(_build_float_steps(small, None, d - 1, -1.0))
-    spectra = {}
-
-    a[:d] = s
-    for mid in range(FAST_PATH_LEAF, size, FAST_PATH_LEAF):
-        h = mid & -mid
-        lo, hi = mid - h, min(mid + h, size)
-        w = hi - lo
-        if w <= FAST_PATH_DIRECT:
-            a[mid:hi] += toeplitz[h:w, :h] @ a[lo:mid]
-        else:
-            g_hat = spectra.get(h)
-            if g_hat is None:
-                g_hat = spectra[h] = np.fft.rfft(g[:2 * h], 2 * h)
-            conv = np.fft.irfft(np.fft.rfft(a[lo:mid], 2 * h) * g_hat, 2 * h)
-            a[mid:hi] += conv[h:w]
-        end = min(mid + FAST_PATH_LEAF, size)
-        a[mid:end] = _solve_leaf(t_s, t_r, a[mid:end], mid)
+    a[:min(d, size)] = _build_float_steps(small, None, min(d, size) - 1)
+    r = _build_float_steps(small, None, d - 1, -1.0)
+    m = d
+    while m < size:
+        r = _double(a, members, r, m)
+        m *= 2
 
     bad = np.flatnonzero(~(np.isfinite(a) & (a >= 0.0)))
     if bad.size:
@@ -368,7 +365,7 @@ def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
     members = spec.members_upto(n_max)  # raises if support too small
     p_exact = a_float = None
     if mode in ("exact", "both"):
-        p_exact = count_exact_upto(spec, n_max, exact_cap=exact_cap)
+        p_exact = tuple(count_exact_upto(spec, n_max, exact_cap=exact_cap))
     if mode in ("float", "both"):
         if n_max > float_cap:
             raise ResourceLimitError(
@@ -472,7 +469,7 @@ def count_brute_force(spec: CycleClassSpec, n: int) -> int:
 # -- partial sums and table output ---------------------------------------------
 
 
-def _exact_sums(p_exact: list):
+def _exact_sums(p_exact: tuple):
     """Yield (P_n, n!, num_n) for n = 0, 1, ..., with T_n = num_n / n!
     exactly: num_n = n*num_{n-1} + P_n sums P_k * n!/k! over k <= n."""
     num = 0

@@ -80,7 +80,7 @@ def test_criterion_01_oracle_equivalence(primes_spec):
 
 def test_criterion_02_known_small_values(table300):
     with criterion("criterion 02 (known small values)"):
-        assert table300.p_exact[:6] == [1, 0, 1, 2, 3, 44]
+        assert table300.p_exact[:6] == (1, 0, 1, 2, 3, 44)
         assert partial_sum(table300, 5) == Fraction(279, 120)
 
 

@@ -18,14 +18,12 @@ from primecycles.errors import (
     ResourceLimitError,
 )
 from primecycles.exact_enum import (
-    FAST_PATH_DIRECT,
-    FAST_PATH_LEAF,
+    FAST_PATH_BASE,
     PARTITION_CAP,
     _build_float_baseline,
     _build_float_fast,
     _build_float_steps,
-    _lower_toeplitz,
-    _solve_leaf,
+    _solve_block,
     big_str,
     build_table,
     count_brute_force,
@@ -56,7 +54,7 @@ GOLDEN_PRIMES_6 = (
 
 def test_prime_cycle_counts(primes_spec):
     tab = build_table(primes_spec, 5, "exact")
-    assert tab.p_exact == [1, 0, 1, 2, 3, 44]
+    assert tab.p_exact == (1, 0, 1, 2, 3, 44)
     assert [Fraction(p, math.factorial(n)) for n, p in enumerate(tab.p_exact)] == [
         Fraction(1), Fraction(0), Fraction(1, 2),
         Fraction(1, 3), Fraction(1, 8), Fraction(11, 30)]
@@ -69,7 +67,7 @@ def test_odd_cycle_counts():
 
 def test_all_lengths_counts():
     tab = build_table(ALL, 8, "both")
-    assert tab.p_exact == [math.factorial(n) for n in range(9)]
+    assert tab.p_exact == tuple(math.factorial(n) for n in range(9))
     assert all(Fraction(p, math.factorial(n)) == 1
                for n, p in enumerate(tab.p_exact))
     assert np.allclose(tab.a_float, 1.0, rtol=1e-12)
@@ -78,7 +76,7 @@ def test_all_lengths_counts():
 def test_fixed_point_only():
     tab = build_table(CycleClassSpec.singleton(1), 6, "exact")
     # only the identity permutation has all cycles of length 1
-    assert tab.p_exact == [1] * 7
+    assert tab.p_exact == (1,) * 7
     assert Fraction(tab.p_exact[4], math.factorial(4)) == Fraction(1, 24)
 
 
@@ -222,15 +220,17 @@ def test_fast_path_matches_baseline(primes_spec):
     assert (fast.a_float >= 0.0).all()
 
 
-W, D = FAST_PATH_LEAF, FAST_PATH_DIRECT
+# the ends of the doubling levels for a power-of-two base (128) and two
+# 5-smooth ones (120, 125): a table of size n_max + 1 = e ends a level
+# exactly, one of e - 1 cuts its last block short, and one of e + 1 picks
+# another base.  The widths where earlier routes switched stay as cases.
+EDGES = [d * 2 ** k for d in (FAST_PATH_BASE, 120, 125) for k in (0, 1, 3, 5)]
 
 
-@pytest.mark.parametrize("n_max", sorted({
-    0, 1, 2, 31, 32, 33, 63, 64, 65, 511, 512, 513, 1023, 1024, 1025, 4097,
-    30000, W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1, D - 1, D + 1}))
+@pytest.mark.parametrize("n_max", sorted(
+    {0, 1, 2, 31, 32, 33, 63, 64, 65, 511, 512, 513, 30000}
+    | {e + j for e in EDGES for j in (-2, -1, 0, 1)}))
 def test_fast_path_matches_baseline_at_switch_over_sizes(n_max):
-    # leaf, matrix-vector and middle-product nodes each meet their
-    # neighbours around these sizes, the last ones read off the constants
     members = CycleClassSpec.primes(build_sieve(30_000)).members_upto(n_max)
     base = _build_float_baseline(members, n_max)
     fast = _build_float_fast(members, n_max)
@@ -251,34 +251,45 @@ def _forward_substitution(members, pend, lo):
     return np.array(x)
 
 
-def _members_below_w():
-    return CycleClassSpec.primes(build_sieve(W)).members_upto(W - 1).tolist()
-
-
-@pytest.mark.parametrize("lo", [W, 1000, 10 ** 5])
-def test_leaf_closed_form_matches_forward_substitution(lo):
-    small = _members_below_w()
-    t_s = _lower_toeplitz(_build_float_steps(small, None, W - 1))
-    t_r = _lower_toeplitz(_build_float_steps(small, None, W - 1, -1.0))
+@pytest.mark.parametrize("lo", [FAST_PATH_BASE, 1000, 10 ** 5])
+def test_block_closed_form_matches_forward_substitution(lo):
+    # s and r to 120, a 5-smooth base, and blocks of widths up to it
+    small = CycleClassSpec.primes(build_sieve(120)).members_upto(119).tolist()
+    s = _build_float_steps(small, None, 119)
+    r = _build_float_steps(small, None, 119, -1.0)
+    s_hat = np.fft.rfft(s, 240)
     rng = np.random.default_rng(lo)
-    for w in (W, W // 2 + 1, 1):
+    for w in (120, 75, 61, 1):
         pend = rng.random(w)
         want = _forward_substitution(small, pend, lo)
-        got = _solve_leaf(t_s, t_r, pend, lo)
+        got, _ = _solve_block(s_hat, r, pend, lo)
         assert (np.abs(got - want) <= 1e-13 * want).all()
 
 
-def test_leaf_series_are_inverse():
-    # T(exp(phi)) T(exp(-phi)) = T(1) = I
-    small = _members_below_w()
-    s = _build_float_steps(small, None, W - 1)
-    r = _build_float_steps(small, None, W - 1, -1.0)
-    product = _lower_toeplitz(s) @ _lower_toeplitz(r)
-    assert np.abs(product - np.eye(W)).max() <= 1e-14
-    # s is the head of the table: a_1 = 0 exactly, every other a_n > 0
-    base = _build_float_baseline(np.array(small), W - 1)
-    assert s[1] == 0.0 and (s[2:] > 0.0).all()
-    assert np.abs(s - base).max() <= 1e-15 * base.max()
+@pytest.mark.parametrize("n_max", [128, 3839, 10 ** 5])
+def test_doubling_series_are_inverse(monkeypatch, n_max):
+    # every r a level solves with is the inverse of the table's head:
+    # (a r)[:len(r)] = 1, on the base and after each Newton step
+    seen = []
+
+    def spy(s_hat, r, pend, lo):
+        seen.append(r.copy())
+        return _solve_block(s_hat, r, pend, lo)
+
+    monkeypatch.setattr(exact_enum, "_solve_block", spy)
+    members = CycleClassSpec.primes(build_sieve(n_max)).members_upto(n_max)
+    a = _build_float_fast(members, n_max)
+    assert seen and [r.size for r in seen] == [seen[0].size * 2 ** j
+                                               for j in range(len(seen))]
+    d = seen[0].size
+    base = _build_float_baseline(members[members < d], d - 1)
+    assert np.abs(a[:d] - base).max() <= 1e-15 * base.max()
+    for r in seen:
+        k = r.size
+        product = np.fft.irfft(np.fft.rfft(a[:k], 2 * k) * np.fft.rfft(r, 2 * k),
+                               2 * k)[:k]
+        product[0] -= 1.0
+        assert np.abs(product).max() <= 1e-14
 
 
 def test_fast_path_leaves_no_garbage_for_the_cycle_collector():
@@ -302,9 +313,11 @@ def test_fast_path_leaves_no_garbage_for_the_cycle_collector():
 
 
 def test_fast_path_memory_at_1e6():
-    # the table, g, and the widest block's transforms and cached spectra
-    # come to a traced peak of 6.5 tables; a second full-size array of
-    # pending sums would take it to 7.5
+    # the last level sets the traced peak, 5.6 tables here: the table, the
+    # spectrum of a[:m] (m about half the table, at size 2m), two
+    # transforms of the block solve, and half-size r, pending sums and y.
+    # One more full-size temporary kept alive across the solve would
+    # pass 6
     n = 10 ** 6
     spec = CycleClassSpec.primes(build_sieve(n))
     tracemalloc.start()
@@ -314,7 +327,7 @@ def test_fast_path_memory_at_1e6():
     finally:
         tracemalloc.stop()
     assert table.a_float.size == n + 1
-    assert peak <= 7 * 8 * (n + 1)
+    assert peak <= 6 * 8 * (n + 1)
 
 
 def test_fast_path_even_spec_stays_clean():
@@ -326,7 +339,7 @@ def test_fast_path_even_spec_stays_clean():
 
 def test_fast_path_refuses_negative_coefficients():
     # the FFT's roundoff is absolute, so mod:3:0's structural zeros go
-    # negative (first at n = 500); that must raise, not be clamped away
+    # negative (first at n = 155); that must raise, not be clamped away
     members = CycleClassSpec.residue_classes(3, (0,)).members_upto(2000)
     with pytest.raises(InternalConsistencyError, match="negative"):
         _build_float_fast(members, 2000)
@@ -334,8 +347,9 @@ def test_fast_path_refuses_negative_coefficients():
 
 def test_fast_path_refuses_non_finite_coefficients(monkeypatch):
     # a NaN passes every comparison with 0, so it needs its own refusal
-    monkeypatch.setattr(exact_enum, "_solve_leaf",
-                        lambda t_s, t_r, pend, lo: np.full(pend.size, np.nan))
+    monkeypatch.setattr(exact_enum, "_solve_block",
+                        lambda s_hat, r, pend, lo: (np.full(pend.size, np.nan),
+                                                    np.full(pend.size, np.nan)))
     members = CycleClassSpec.primes(build_sieve(1000)).members_upto(1000)
     with pytest.raises(InternalConsistencyError, match="non-finite"):
         _build_float_fast(members, 1000)
@@ -410,3 +424,7 @@ def test_table_is_frozen(table300):
         table300.n_max = 5
     with pytest.raises(ValueError):
         table300.a_float[0] = 2.0
+    # the exact counts too: partial_sum and every Sampler read them
+    with pytest.raises(TypeError):
+        table300.p_exact[6] = 0
+    assert table300.p_exact[6] == 55
