@@ -11,7 +11,6 @@ import math
 import sys
 
 from primecycles.analytic import (
-    PhiSplitSums,
     f_eval,
     make_constants,
     phi_deriv,
@@ -28,36 +27,18 @@ from primecycles.exact_enum import (
     dump_table,
     partial_sum,
 )
-from primecycles.primes import (
-    NthPrimes,
-    build_sieve,
-    feed_primes,
-    iter_prime_blocks,
-)
+from primecycles.primes import build_sieve
 from primecycles.sampler import Sampler
 from primecycles.verify import (
     CHECK_NAMES,
     N_GRID_DEFAULT,
     T_GRID_DEFAULT,
-    check_hlk,
-    check_partial_sum,
-    check_phi,
-    check_pnt,
-    check_slowvar,
     emit_report,
-    hlk_comparison_table,
-    partial_sum_table,
-    phi_estimate_table,
-    pnt_table,
-    slow_variation_check,
+    run_verify,
 )
 
 # sample draws from exact tables up to this n, from float tables above
 SAMPLE_EXACT_MAX = 200
-
-PNT_GRID_DEFAULT = (1000, 10_000, 100_000, 1_000_000)
-SLOWVAR_U_DEFAULT = (0.1, 0.5, 1.0, 2.0, 10.0)
-SLOWVAR_T_DEFAULT = (1e2, 1e4, 1e6)
 
 
 def parse_spec(text: str, table=None) -> CycleClassSpec:
@@ -182,61 +163,20 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    selected = CHECK_NAMES if args.which == "all" else (args.which,)
-    n_grid = args.n_grid or N_GRID_DEFAULT
-    t_grid = args.t_grid or T_GRID_DEFAULT
-    constants = make_constants()
-    failures = []
-    emitted = {}
-
-    if "partial-sum" in selected or "hlk" in selected:
-        # the table reads members up to max(n_grid); the hlk model streams its own
-        spec = _make_spec("primes", max(n_grid))
-        count_table = build_table(spec, max(n_grid), mode="float")
-    if "partial-sum" in selected:
-        rows = partial_sum_table(count_table, n_grid, constants)
-        emitted["partial-sum"] = rows
-        _report_check("partial-sum", check_partial_sum(rows), failures)
-    if "hlk" in selected:
-        rows = hlk_comparison_table(count_table, n_grid, constants)
-        emitted["hlk"] = rows
-        _report_check("hlk", check_hlk(rows), failures)
-    # the phi and pnt checks read their primes off one stream
-    readers = {}
-    if "phi" in selected:
-        readers["phi"] = PhiSplitSums(t_grid)
-    if "pnt" in selected:
-        readers["pnt"] = NthPrimes(PNT_GRID_DEFAULT)
-    if readers:
-        stream = iter_prime_blocks(max(acc.limit for acc in readers.values()))
-        streamed = dict(zip(readers, feed_primes(stream, *readers.values())))
-    if "phi" in selected:
-        rows = phi_estimate_table(t_grid, constants, streamed["phi"])
-        emitted["phi"] = rows
-        _report_check("phi", check_phi(rows), failures)
-    if "pnt" in selected:
-        rows = pnt_table(PNT_GRID_DEFAULT, streamed["pnt"])
-        emitted["pnt"] = rows
-        _report_check("pnt", check_pnt(rows), failures)
-    if "slowvar" in selected:
-        report = slow_variation_check(SLOWVAR_U_DEFAULT, SLOWVAR_T_DEFAULT)
-        _report_check("slowvar", check_slowvar(report), failures)
-
+    which = CHECK_NAMES if args.which == "all" else (args.which,)
+    run = run_verify(args.n_grid or N_GRID_DEFAULT,
+                     args.t_grid or T_GRID_DEFAULT, which)
+    for v in run.verdicts:
+        print(f"{v.name}: ok" if v.reason is None
+              else f"{v.name}: FAIL ({v.reason})")
     if args.out:
-        for name, rows in emitted.items():
+        for name, rows in run.tables.items():
             emit_report(rows, args.format, f"{args.out}-{name}.{args.format}")
+    failures = [v.name for v in run.verdicts if v.reason is not None]
     if failures:
         print("failed checks: " + ", ".join(failures), file=sys.stderr)
         return 1
     return 0
-
-
-def _report_check(name, detail, failures):
-    if detail is None:
-        print(f"{name}: ok")
-    else:
-        print(f"{name}: FAIL ({detail})")
-        failures.append(name)
 
 
 def _csv_ints(text):
@@ -357,7 +297,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except PrimecyclesError as exc:
+    except (PrimecyclesError, OSError) as exc:
+        # OSError: an output file that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,10 @@ records the ratio plus a model-specific scaled residual.  Acceptance is
 property-based: residuals stay inside fixed safety-factor bands and ratios
 drift toward 1 along the default grids.  The safety factors compensate for
 unspecified constants in the error terms, they are not sharp claims.
+
+run_verify runs the checks of `primecycles verify` and returns each one's
+Verdict as data, beside the tables it emits; the command line only prints
+them.
 """
 
 import json
@@ -13,18 +17,27 @@ import os
 from dataclasses import dataclass, fields
 
 from primecycles.errors import InvalidArgumentError
-from primecycles.exact_enum import CountTable, partial_sums
+from primecycles.exact_enum import CountTable, build_table, partial_sums
 from primecycles.analytic import (
     Constants,
+    PhiSplitSums,
+    make_constants,
     odlyzko_sum_model,
     partial_sum_log_model,
-    phi_split_grid,
 )
-from primecycles.cycle_classes import KIND_PRIMES
-from primecycles.primes import nth_primes
+from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec
+from primecycles.primes import (
+    NthPrimes,
+    build_sieve,
+    feed_primes,
+    iter_prime_blocks,
+)
 
 N_GRID_DEFAULT = (100, 1000, 10_000, 100_000)
 T_GRID_DEFAULT = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+PNT_GRID_DEFAULT = (1000, 10_000, 100_000, 1_000_000)
+SLOWVAR_U_DEFAULT = (0.1, 0.5, 1.0, 2.0, 10.0)
+SLOWVAR_T_DEFAULT = (1e2, 1e4, 1e6)
 
 PARTIAL_SUM_RESIDUAL_BOUND = 2.0
 HLK_RATIO_BOUND = 0.1
@@ -53,6 +66,8 @@ def make_row(x: float, exact: float, model: float,
 
 def _checked_grid(grid) -> list:
     grid = list(grid)
+    if not grid:
+        raise InvalidArgumentError("grid must be nonempty")
     for x in grid:
         if x < 2:
             raise InvalidArgumentError(f"grid entries must be >= 2, got {x}")
@@ -94,32 +109,6 @@ def hlk_comparison_table(table: CountTable, n_grid, constants: Constants):
     return rows
 
 
-def slow_variation_check(u_list, t_grid) -> dict:
-    """For L = ln: max over u of |ln(u t)/ln(t) - 1| at the largest grid t.
-
-    The bound ln(10)/ln(max t) is what u in [0.1, 10] allows; u = 1 gives 0.
-    """
-    if not u_list:
-        raise InvalidArgumentError("u_list must be nonempty")
-    if any(u < 0.1 or u > 10.0 for u in u_list):
-        raise InvalidArgumentError("every u must lie in [0.1, 10]")
-    t_list = list(t_grid)
-    if sorted(t_list) != t_list or len(t_list) < 1:
-        raise InvalidArgumentError("t_grid must be increasing")
-    if max(t_list) < 1e6:
-        raise InvalidArgumentError("t_grid must reach at least 1e6")
-    t = float(max(t_list))
-    per_u = [(float(u), abs(math.log(u * t) / math.log(t) - 1.0)) for u in u_list]
-    max_dev = max(d for _, d in per_u)
-    bound = math.log(10.0) / math.log(t)
-    return {
-        "max_deviation": max_dev,
-        "bound": bound,
-        "ok": max_dev <= bound + 1e-15,
-        "per_u": per_u,
-    }
-
-
 @dataclass(frozen=True)
 class PhiEstimateRow:
     """One grid point of the phi(e^-t) split against its three estimates."""
@@ -136,25 +125,17 @@ class PhiEstimateRow:
     phi3_scaled: float
 
 
-def phi_estimate_table(t_grid, constants: Constants, splits=None):
+def phi_estimate_table(splits, constants: Constants):
     """Per t: the split, its recombination against phi_eval(e^-t), and the
     three residuals on their natural scales.
 
-    The whole grid shares one prime stream (analytic.phi_split_grid), run to
-    the largest truncation limit on the grid.  splits, if given, are the
-    grid's pairs as phi_split_grid(t_grid) returns them, so a caller can
-    take them off a stream it shares with other checks; splits for any
-    other t's are refused.
+    splits are (PhiSplit, phi_eval(e^-t)) pairs as analytic.phi_split_grid
+    or an analytic.PhiSplitSums fed from a shared stream returns them.
 
     phi1_scaled = (phi1 - lnln(1/t) - c) * ln(1/t)/lnln(1/t)
     phi2_scaled = phi2 * lnln(1/t)
     phi3_scaled = phi3 / (e^{-yt}/(yt))   (geometric-tail envelope)
     """
-    t_grid = list(t_grid)
-    if splits is None:
-        splits = phi_split_grid(t_grid)
-    elif [split.t for split, _ in splits] != t_grid:
-        raise InvalidArgumentError("splits are not those of t_grid")
     rows = []
     for split, direct in splits:
         t = split.t
@@ -177,17 +158,14 @@ def phi_estimate_table(t_grid, constants: Constants, splits=None):
     return rows
 
 
-def pnt_table(k_grid, primes=None):
+def pnt_table(k_grid, primes):
     """Rows of (k, p_k) against the model k ln k; scaled_residual = ratio - 1.
 
-    The primes come from one stream (primes.nth_primes) that stops at the
-    largest k on the grid.  primes, if given, are the grid's p_k as
-    nth_primes(k_grid) returns them.
+    primes are the grid's p_k, as primes.nth_primes(k_grid) or a
+    primes.NthPrimes fed from a shared stream returns them.
     """
     k_grid = _checked_grid(k_grid)
     rows = []
-    if primes is None:
-        primes = nth_primes(k_grid)
     for k, pk in zip(k_grid, primes, strict=True):
         model = k * math.log(k)
         ratio = pk / model
@@ -195,61 +173,164 @@ def pnt_table(k_grid, primes=None):
     return rows
 
 
-# -- verdicts: None if a table's rows pass, else the first failure's reason ----
+# -- verdicts ------------------------------------------------------------------
 
 
-def _not_converging(rows) -> bool:
-    """Whether the last ratio lies further from 1 than the first."""
-    return len(rows) > 1 and abs(rows[-1].ratio - 1.0) > abs(rows[0].ratio - 1.0)
+@dataclass(frozen=True)
+class Verdict:
+    """One check's outcome: reason is None if it passed, else why it failed.
+    bound is the numeric bound the check applied and share the largest
+    fraction of it that a row used; pnt's check is an ordering with no
+    numeric bound, so both are None there."""
+
+    name: str
+    reason: str | None
+    bound: float | None
+    share: float | None
 
 
-def check_partial_sum(rows):
-    bad = [r for r in rows
-           if abs(r.scaled_residual) > PARTIAL_SUM_RESIDUAL_BOUND]
-    if bad:
-        return f"scaled residual beyond {PARTIAL_SUM_RESIDUAL_BOUND} at x={bad[0].x:g}"
-    if _not_converging(rows):
+def _convergence(rows):
+    """The failure reason if the last ratio lies further from 1 than the
+    first, else None."""
+    if len(rows) > 1 and abs(rows[-1].ratio - 1.0) > abs(rows[0].ratio - 1.0):
         return "ratio not converging toward 1 across the grid"
     return None
 
 
-def check_hlk(rows):
+def partial_sum_verdict(rows) -> Verdict:
+    """Every scaled residual within the bound, the ratios converging."""
+    bound = PARTIAL_SUM_RESIDUAL_BOUND
+    bad = [r.x for r in rows if abs(r.scaled_residual) > bound]
+    reason = (f"scaled residual beyond {bound} at x={bad[0]:g}" if bad
+              else _convergence(rows))
+    worst = max(abs(r.scaled_residual) for r in rows)
+    return Verdict("partial-sum", reason, bound, worst / bound)
+
+
+def hlk_verdict(rows) -> Verdict:
+    """The last ratio within the bound of 1, the ratios converging; the
+    bound applies to the last row only, so share is that row's."""
+    bound = HLK_RATIO_BOUND
     off = abs(rows[-1].ratio - 1.0)
-    if off > HLK_RATIO_BOUND:
-        return f"|ratio-1| = {off:.3g} > {HLK_RATIO_BOUND} at the last row"
-    if _not_converging(rows):
-        return "ratio not converging toward 1 across the grid"
-    return None
+    reason = (f"|ratio-1| = {off:.3g} > {bound} at the last row"
+              if off > bound else _convergence(rows))
+    return Verdict("hlk", reason, bound, off / bound)
 
 
-def check_phi(rows):
+def phi_verdict(rows) -> Verdict:
+    """The bound is the safety factor on the three scaled residuals; the
+    recombination's relative tolerance is checked too, but not in share."""
+    bound = PHI_SAFETY_FACTOR
+    reason = None
     for r in rows:
         if abs(r.recombined - r.direct) > PHI_RECOMBINATION_RTOL * abs(r.direct):
-            return f"recombination off at t={r.t:g}"
-        if abs(r.phi1_scaled) > PHI_SAFETY_FACTOR:
-            return f"phi1 residual beyond safety factor at t={r.t:g}"
-        if abs(r.phi2_scaled) > PHI_SAFETY_FACTOR:
-            return f"phi2 beyond safety factor at t={r.t:g}"
-        if not 0.0 <= r.phi3_scaled <= PHI_SAFETY_FACTOR:
-            return f"phi3 beyond envelope safety factor at t={r.t:g}"
-    return None
+            reason = f"recombination off at t={r.t:g}"
+        elif abs(r.phi1_scaled) > bound:
+            reason = f"phi1 residual beyond safety factor at t={r.t:g}"
+        elif abs(r.phi2_scaled) > bound:
+            reason = f"phi2 beyond safety factor at t={r.t:g}"
+        elif not 0.0 <= r.phi3_scaled <= bound:
+            reason = f"phi3 beyond envelope safety factor at t={r.t:g}"
+        if reason:
+            break
+    worst = max((max(abs(r.phi1_scaled), abs(r.phi2_scaled),
+                     abs(r.phi3_scaled)) for r in rows), default=0.0)
+    return Verdict("phi", reason, bound, worst / bound)
 
 
-def check_pnt(rows):
-    for r in rows:
-        if not (math.isfinite(r.ratio) and r.ratio > 1.0):
-            return f"ratio not in (1, inf) at k={r.x:g}"
-    for a, b in zip(rows, rows[1:]):
-        if not b.ratio < a.ratio:
-            return f"ratio not strictly decreasing at k={b.x:g}"
-    return None
+def pnt_verdict(rows) -> Verdict:
+    """Every ratio in (1, inf), strictly decreasing along the grid."""
+    outside = [r.x for r in rows
+               if not (math.isfinite(r.ratio) and r.ratio > 1.0)]
+    rising = [b.x for a, b in zip(rows, rows[1:]) if not b.ratio < a.ratio]
+    reason = None
+    if outside:
+        reason = f"ratio not in (1, inf) at k={outside[0]:g}"
+    elif rising:
+        reason = f"ratio not strictly decreasing at k={rising[0]:g}"
+    return Verdict("pnt", reason, None, None)
 
 
-def check_slowvar(report):
-    if not report["ok"]:
-        return (f"max deviation {report['max_deviation']:.3g} beyond "
-                f"{report['bound']:.3g}")
-    return None
+def slow_variation_check(u_list, t_grid) -> Verdict:
+    """For L = ln: max over u of |ln(u t)/ln(t) - 1| at the largest grid t.
+
+    The bound ln(10)/ln(max t), plus 1e-15 for rounding, is what u in
+    [0.1, 10] allows; u = 1 gives 0.
+    """
+    if not u_list:
+        raise InvalidArgumentError("u_list must be nonempty")
+    if any(u < 0.1 or u > 10.0 for u in u_list):
+        raise InvalidArgumentError("every u must lie in [0.1, 10]")
+    t_list = list(t_grid)
+    if sorted(t_list) != t_list or len(t_list) < 1:
+        raise InvalidArgumentError("t_grid must be increasing")
+    if max(t_list) < 1e6:
+        raise InvalidArgumentError("t_grid must reach at least 1e6")
+    t = float(max(t_list))
+    worst = max(abs(math.log(u * t) / math.log(t) - 1.0) for u in u_list)
+    bound = math.log(10.0) / math.log(t) + 1e-15
+    reason = (None if worst <= bound
+              else f"max deviation {worst:.3g} beyond {bound:.3g}")
+    return Verdict("slowvar", reason, bound, worst / bound)
+
+
+_VERDICTS = {"partial-sum": partial_sum_verdict, "hlk": hlk_verdict,
+             "phi": phi_verdict, "pnt": pnt_verdict}
+
+
+@dataclass(frozen=True)
+class VerifyRun:
+    """What run_verify found: one Verdict per selected check, in CHECK_NAMES
+    order, and the row tables it emits, by check name (slowvar has none)."""
+
+    verdicts: tuple
+    tables: dict
+
+
+def run_verify(n_grid, t_grid, which) -> VerifyRun:
+    """Run the checks named in which, a subset of CHECK_NAMES.
+
+    partial-sum and hlk read one float count table over the primes to
+    max(n_grid); phi and pnt read their primes off one stream, to the
+    larger of the t grid's truncation limit and Rosser's bound for the
+    largest k on PNT_GRID_DEFAULT.  Every grid a selected check reads is
+    validated before any table is built or any prime streamed.
+    """
+    selected = set(which)
+    if not selected <= set(CHECK_NAMES):
+        raise InvalidArgumentError(
+            f"unknown checks {sorted(selected - set(CHECK_NAMES))}")
+    counts = selected & {"partial-sum", "hlk"}
+    if counts:
+        n_grid = _checked_grid(n_grid)
+    readers = {}
+    if "phi" in selected:
+        readers["phi"] = PhiSplitSums(t_grid)  # refuses a t out of domain
+    if "pnt" in selected:
+        readers["pnt"] = NthPrimes(PNT_GRID_DEFAULT)
+    constants = make_constants()
+    tables = {}
+    if counts:
+        # the table reads members up to max(n_grid); the hlk model streams its own
+        n_max = max(n_grid)
+        spec = CycleClassSpec.primes(build_sieve(max(n_max, 1000)))
+        count_table = build_table(spec, n_max, mode="float")
+    if "partial-sum" in selected:
+        tables["partial-sum"] = partial_sum_table(count_table, n_grid, constants)
+    if "hlk" in selected:
+        tables["hlk"] = hlk_comparison_table(count_table, n_grid, constants)
+    if readers:
+        stream = iter_prime_blocks(max(acc.limit for acc in readers.values()))
+        streamed = dict(zip(readers, feed_primes(stream, *readers.values())))
+    if "phi" in selected:
+        tables["phi"] = phi_estimate_table(streamed["phi"], constants)
+    if "pnt" in selected:
+        tables["pnt"] = pnt_table(PNT_GRID_DEFAULT, streamed["pnt"])
+    verdicts = [_VERDICTS[name](rows) for name, rows in tables.items()]
+    if "slowvar" in selected:
+        verdicts.append(slow_variation_check(SLOWVAR_U_DEFAULT,
+                                             SLOWVAR_T_DEFAULT))
+    return VerifyRun(tuple(verdicts), tables)
 
 
 # -- report emission ---------------------------------------------------------

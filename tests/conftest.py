@@ -4,6 +4,12 @@ from primecycles.analytic import make_constants
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.exact_enum import build_table
 from primecycles.primes import build_sieve
+from primecycles.verify import (
+    CHECK_NAMES,
+    N_GRID_DEFAULT,
+    T_GRID_DEFAULT,
+    run_verify,
+)
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +46,10 @@ def table300(primes_spec):
 @pytest.fixture(scope="session")
 def float_table_1e5(primes_spec_big):
     return build_table(primes_spec_big, 100_000, mode="float")
+
+
+@pytest.fixture(scope="session")
+def default_verify_run():
+    # every check on the default grids: the phi check streams the primes to
+    # about 3.3e9, so the tests that read this run share it
+    return run_verify(N_GRID_DEFAULT, T_GRID_DEFAULT, CHECK_NAMES)

@@ -46,7 +46,6 @@ from primecycles.verify import (
     T_GRID_DEFAULT,
     hlk_comparison_table,
     partial_sum_table,
-    phi_estimate_table,
 )
 
 ODD = CycleClassSpec.residue_classes(2, (1,))
@@ -124,9 +123,11 @@ def test_criterion_05_hlk_comparison(float_table_1e5, constants):
             assert r.ratio == (n + 1.0) / n
 
 
-def test_criterion_06_phi_split_estimates(constants):
+def test_criterion_06_phi_split_estimates(constants, default_verify_run):
     with criterion("criterion 06 (three-way split of phi(e^-t))"):
-        rows = phi_estimate_table(T_GRID_DEFAULT, constants)
+        # the phi table of `primecycles verify` on its default t grid
+        rows = default_verify_run.tables["phi"]
+        assert [r.t for r in rows] == list(T_GRID_DEFAULT)
         for r in rows:
             log_inv = math.log(1.0 / r.t)
             loglog = math.log(log_inv)

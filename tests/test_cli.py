@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from primecycles import cli, exact_enum, primes
+from primecycles import exact_enum, primes, verify
 from primecycles.analytic import PhiSplitSums
 from primecycles.cli import main, parse_spec
 from primecycles.cycle_classes import CycleClassSpec
@@ -192,6 +192,13 @@ def test_table_stdout(capsys):
     assert lines[6] == "5,44,0.36666666666666664,2.3250000000000002"
 
 
+def test_table_to_an_unwritable_path(tmp_path, capsys):
+    dest = tmp_path / "missing" / "t.csv"
+    rc, out, err = run(capsys, "table", "--n-max", "5", "--out", str(dest))
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "No such file" in err
+
+
 def test_table_file(tmp_path, capsys):
     dest = tmp_path / "t.csv"
     rc, out, _ = run(capsys, "table", "--n-max", "6", "--mode", "float",
@@ -337,13 +344,13 @@ def test_verify_reads_the_primes_once_for_phi_and_pnt(tmp_path, capsys,
                      "--t-grid", "1e-4,1e-5,1e-6,3e-7", "--out", str(prefix))
     assert rc == 0 and "phi: ok" in out and "pnt: ok" in out
     phi_limit = PhiSplitSums((1e-4, 1e-5, 1e-6, 3e-7)).limit
-    pnt_limit = NthPrimes(cli.PNT_GRID_DEFAULT).limit
+    pnt_limit = NthPrimes(verify.PNT_GRID_DEFAULT).limit
     assert phi_limit > pnt_limit
     assert len(streams) == 6
     assert [s for s in streams if s[0] >= pnt_limit] == \
         [[phi_limit, phi_limit // SEGMENT_SIZE + 1]]
     rows = parse_report(str(prefix) + "-pnt.csv", "csv")
-    assert [r.exact for r in rows] == nth_primes(cli.PNT_GRID_DEFAULT)
+    assert [r.exact for r in rows] == nth_primes(verify.PNT_GRID_DEFAULT)
     rows = parse_report(str(prefix) + "-phi.csv", "csv", PhiEstimateRow)
     assert [r.t for r in rows] == [1e-4, 1e-5, 1e-6, 3e-7]
 
@@ -371,6 +378,43 @@ def test_verify_bad_grid(capsys):
     rc, _, err = run(capsys, "verify", "--which", "partial-sum",
                      "--n-grid", "1,10")
     assert rc == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--which", "partial-sum", "--n-grid", "1,3000000"),
+     "error: grid entries must be >= 2, got 1\n"),
+    (("--which", "hlk", "--n-grid", "-5"),
+     "error: grid entries must be >= 2, got -5\n"),
+    (("--t-grid", "1e-3,1e-12"), "error: t must lie in"),
+], ids=["n-grid-small-entry", "n-grid-negative", "t-grid-out-of-domain"])
+def test_verify_refuses_a_bad_grid_before_any_work(capsys, monkeypatch,
+                                                   argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the grids were checked")
+
+    monkeypatch.setattr(verify, "build_table", refuse)
+    monkeypatch.setattr(verify, "build_sieve", refuse)
+    monkeypatch.setattr(verify, "iter_prime_blocks", refuse)
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith(message)
+
+
+def test_verify_bench_grids_print_the_lines_the_benchmark_parses(capsys):
+    # the benchmark's verify workload fails a pass whose "name: value" lines
+    # are not exactly these five, each "ok"
+    rc, out, err = run(capsys, "verify", "--n-grid", "100,1000,10000,50000",
+                       "--t-grid", "1e-4,1e-5,1e-6,3e-7")
+    assert rc == 0 and err == ""
+    assert out == ("partial-sum: ok\nhlk: ok\nphi: ok\npnt: ok\n"
+                   "slowvar: ok\n")
+
+
+def test_verify_to_an_unwritable_prefix(tmp_path, capsys):
+    prefix = tmp_path / "missing" / "p"
+    rc, out, err = run(capsys, "verify", "--which", "pnt", "--out", str(prefix))
+    assert rc == 1 and out == "pnt: ok\n"
+    assert err.startswith("error:") and "No such file" in err
 
 
 def test_module_entry_point():

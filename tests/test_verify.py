@@ -9,24 +9,33 @@ from primecycles import analytic, primes
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import build_table, partial_sum, partial_sums
-from primecycles.primes import NthPrimes, iter_prime_blocks
+from primecycles.primes import (
+    NthPrimes,
+    feed_primes,
+    iter_prime_blocks,
+    nth_primes,
+)
 from primecycles.verify import (
+    CHECK_NAMES,
+    HLK_RATIO_BOUND,
+    N_GRID_DEFAULT,
     PARTIAL_SUM_RESIDUAL_BOUND,
     PHI_SAFETY_FACTOR,
+    T_GRID_DEFAULT,
     ConvergenceRow,
     PhiEstimateRow,
-    check_hlk,
-    check_partial_sum,
-    check_phi,
-    check_pnt,
-    check_slowvar,
     emit_report,
     hlk_comparison_table,
+    hlk_verdict,
     make_row,
     parse_report,
     partial_sum_table,
+    partial_sum_verdict,
     phi_estimate_table,
+    phi_verdict,
     pnt_table,
+    pnt_verdict,
+    run_verify,
     slow_variation_check,
 )
 
@@ -73,6 +82,13 @@ def test_tables_take_the_grid_sums(float_table_1e5, constants):
         assert [r.exact for r in rows] == sums
 
 
+def test_run_verify_refuses_bad_arguments():
+    with pytest.raises(InvalidArgumentError, match="nonempty"):
+        run_verify((), T_GRID_DEFAULT, ("partial-sum",))
+    with pytest.raises(InvalidArgumentError, match="unknown checks"):
+        run_verify(N_GRID_DEFAULT, T_GRID_DEFAULT, ("partial-sum", "bogus"))
+
+
 def test_hlk_all_lengths_is_exact(constants):
     tab = build_table(ALL, 1000, "float")
     rows = hlk_comparison_table(tab, (4, 10, 100, 1000), constants)
@@ -99,18 +115,19 @@ def test_hlk_validation(float_table_1e5, constants):
 
 
 def test_slow_variation_identity():
-    out = slow_variation_check([1.0], (1e2, 1e4, 1e6))
-    assert out["max_deviation"] == 0.0
-    assert out["ok"] is True
-    assert out["per_u"] == [(1.0, 0.0)]
+    verdict = slow_variation_check([1.0], (1e2, 1e4, 1e6))
+    assert verdict.name == "slowvar" and verdict.reason is None
+    assert verdict.share == 0.0
 
 
 def test_slow_variation_extremes():
-    out = slow_variation_check([0.1, 1.0, 10.0], (1e2, 1e4, 1e6))
-    # ln(10 * 1e6)/ln(1e6) = 7/6, so the deviation meets the bound exactly
-    assert out["max_deviation"] == pytest.approx(1.0 / 6.0, rel=1e-12)
-    assert out["bound"] == pytest.approx(1.0 / 6.0, rel=1e-12)
-    assert out["ok"] is True
+    verdict = slow_variation_check([0.1, 1.0, 10.0], (1e2, 1e4, 1e6))
+    # ln(10 * 1e6)/ln(1e6) = 7/6, so the deviation meets the bound exactly;
+    # the bound's 1e-15 of room for rounding keeps it within
+    assert verdict.reason is None
+    assert verdict.bound == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert verdict.share == pytest.approx(1.0, rel=1e-12)
+    assert verdict.share <= 1.0
 
 
 def test_slow_variation_validation():
@@ -127,7 +144,7 @@ def test_slow_variation_validation():
 
 
 def test_phi_estimate_rows(constants):
-    rows = phi_estimate_table((1e-3, 1e-4), constants)
+    rows = phi_estimate_table(analytic.phi_split_grid((1e-3, 1e-4)), constants)
     for row in rows:
         assert abs(row.recombined - row.direct) <= 1e-9
         log_inv = math.log(1.0 / row.t)
@@ -150,13 +167,14 @@ def test_phi_estimate_table_streams_once(constants, monkeypatch):
         return iter_prime_blocks(limit, *args, **kwargs)
 
     monkeypatch.setattr(analytic, "iter_prime_blocks", counting)
-    rows = phi_estimate_table((1e-3, 1e-4, 1e-5), constants)
+    rows = phi_estimate_table(analytic.phi_split_grid((1e-3, 1e-4, 1e-5)),
+                              constants)
     assert len(rows) == 3
     assert limits == [analytic._series_limit(math.exp(-1e-5))]
 
 
 def test_pnt_rows():
-    rows = pnt_table((25, 100, 1000))
+    rows = pnt_table((25, 100, 1000), nth_primes((25, 100, 1000)))
     assert rows[0].exact == 97.0
     assert rows[0].ratio == pytest.approx(1.2053897730456469, rel=1e-12)
     assert rows[0].scaled_residual == rows[0].ratio - 1.0
@@ -164,7 +182,7 @@ def test_pnt_rows():
     assert all(q > 1.0 for q in ratios)
     assert ratios == sorted(ratios, reverse=True)
     with pytest.raises(InvalidArgumentError):
-        pnt_table((1,))
+        pnt_table((1,), [2])
 
 
 def test_pnt_table_alone_stops_at_the_block_of_its_largest_k(monkeypatch):
@@ -179,26 +197,22 @@ def test_pnt_table_alone_stops_at_the_block_of_its_largest_k(monkeypatch):
             yield block
 
     monkeypatch.setattr(primes, "iter_prime_blocks", recording)
-    rows = pnt_table((1000, 10_000, 100_000, 1_000_000))
+    grid = (1000, 10_000, 100_000, 1_000_000)
+    rows = pnt_table(grid, nth_primes(grid))
     assert rows[-1].exact == 15_485_863.0
     assert len(read) == 15_485_863 // segment + 1
     assert NthPrimes([10**6]).limit // segment + 1 > len(read)
 
 
 def test_tables_take_primes_read_elsewhere(constants):
-    grid = (1e-3, 1e-4)
-    splits = analytic.phi_split_grid(grid)
-    assert phi_estimate_table(grid, constants, splits) == \
-        phi_estimate_table(grid, constants)
-    # splits for other t's are refused, not read in place of the grid
-    for other in ((1e-3,), (1e-4, 1e-3), (1e-3, 1e-4, 1e-5)):
-        with pytest.raises(InvalidArgumentError):
-            phi_estimate_table(other, constants, splits)
-    with pytest.raises(InvalidArgumentError):
-        phi_estimate_table((1e-3,), constants,
-                           analytic.phi_split_grid((1e-4,)))
-    ks = (25, 100, 1000)
-    assert pnt_table(ks, [97, 541, 7919]) == pnt_table(ks)
+    # one stream shared by the phi and pnt accumulators gives the tables
+    # what each one's own stream gives
+    grid, ks = (1e-3, 1e-4), (25, 100, 1000)
+    sums, kth = analytic.PhiSplitSums(grid), NthPrimes(ks)
+    splits, found = feed_primes(iter_prime_blocks(sums.limit), sums, kth)
+    assert phi_estimate_table(splits, constants) == \
+        phi_estimate_table(analytic.phi_split_grid(grid), constants)
+    assert pnt_table(ks, found) == pnt_table(ks, [97, 541, 7919])
     with pytest.raises(ValueError):
         pnt_table(ks, [97, 541])
 
@@ -217,41 +231,80 @@ def _phi(**changes):
     return [_PHI_OK, dataclasses.replace(_PHI_OK, t=1e-4, **changes)]
 
 
-@pytest.mark.parametrize("check, rows, reason", [
-    (check_partial_sum, _rows(0.9, 0.95), None),
-    (check_partial_sum, _rows(0.9, 0.95, residual=2.5),
+class _Skewed(float):
+    """A u of 10 that passes slow_variation_check's range check but
+    multiplies t into t^1.2: |ln u|/ln t never exceeds the bound for a true
+    u in [0.1, 10], so only such a u reaches the failing verdict."""
+
+    def __mul__(self, t):
+        return t ** 1.2
+
+
+@pytest.mark.parametrize("verdict, args, reason", [
+    (partial_sum_verdict, (_rows(0.9, 0.95),), None),
+    (partial_sum_verdict, (_rows(0.9, 0.95, residual=2.5),),
      "scaled residual beyond 2.0 at x=100"),
-    (check_partial_sum, _rows(0.95, 0.9),
+    (partial_sum_verdict, (_rows(0.95, 0.9),),
      "ratio not converging toward 1 across the grid"),
-    (check_hlk, _rows(1.05, 1.01), None),
-    (check_hlk, _rows(1.05, 1.2), "|ratio-1| = 0.2 > 0.1 at the last row"),
-    (check_hlk, _rows(1.01, 1.05),
+    (hlk_verdict, (_rows(1.05, 1.01),), None),
+    (hlk_verdict, (_rows(1.05, 1.2),), "|ratio-1| = 0.2 > 0.1 at the last row"),
+    (hlk_verdict, (_rows(1.01, 1.05),),
      "ratio not converging toward 1 across the grid"),
-    (check_phi, _phi(), None),
-    (check_phi, _phi(recombined=1.91 * (1.0 + 1e-8)),
+    (phi_verdict, (_phi(),), None),
+    (phi_verdict, ([],), None),
+    (phi_verdict, (_phi(recombined=1.91 * (1.0 + 1e-8)),),
      "recombination off at t=0.0001"),
-    (check_phi, _phi(phi1_scaled=-5.5),
+    (phi_verdict, (_phi(phi1_scaled=-5.5),),
      "phi1 residual beyond safety factor at t=0.0001"),
-    (check_phi, _phi(phi2_scaled=5.5),
+    (phi_verdict, (_phi(phi2_scaled=5.5),),
      "phi2 beyond safety factor at t=0.0001"),
-    (check_phi, _phi(phi3_scaled=-0.1),
+    (phi_verdict, (_phi(phi3_scaled=-0.1),),
      "phi3 beyond envelope safety factor at t=0.0001"),
-    (check_phi, _phi(phi3_scaled=5.5),
+    (phi_verdict, (_phi(phi3_scaled=5.5),),
      "phi3 beyond envelope safety factor at t=0.0001"),
-    (check_pnt, _rows(1.2, 1.1), None),
-    (check_pnt, _rows(1.2, 1.0), "ratio not in (1, inf) at k=1000"),
-    (check_pnt, _rows(1.2, math.inf), "ratio not in (1, inf) at k=1000"),
-    (check_pnt, _rows(1.1, 1.2), "ratio not strictly decreasing at k=1000"),
-    (check_slowvar, slow_variation_check((0.1, 1.0, 10.0), (1e6,)), None),
-    (check_slowvar, {"max_deviation": 0.2, "bound": 1 / 6, "ok": False},
+    (pnt_verdict, (_rows(1.2, 1.1),), None),
+    (pnt_verdict, (_rows(1.2, 1.0),), "ratio not in (1, inf) at k=1000"),
+    (pnt_verdict, (_rows(1.2, math.inf),), "ratio not in (1, inf) at k=1000"),
+    (pnt_verdict, (_rows(1.1, 1.2),), "ratio not strictly decreasing at k=1000"),
+    (slow_variation_check, ((0.1, 1.0, 10.0), (1e6,)), None),
+    (slow_variation_check, ((0.1, _Skewed(10.0)), (1e6,)),
      "max deviation 0.2 beyond 0.167"),
+    (slow_variation_check, ((math.nan,), (1e6,)),
+     "max deviation nan beyond 0.167"),
 ], ids=["partial-sum-ok", "partial-sum-residual", "partial-sum-diverging",
-        "hlk-ok", "hlk-bound", "hlk-diverging", "phi-ok", "phi-recombination",
+        "hlk-ok", "hlk-bound", "hlk-diverging", "phi-ok", "phi-empty",
+        "phi-recombination",
         "phi-phi1", "phi-phi2", "phi-phi3-negative", "phi-phi3-large",
         "pnt-ok", "pnt-ratio", "pnt-infinite", "pnt-increasing",
-        "slowvar-ok", "slowvar-bound"])
-def test_verdicts(check, rows, reason):
-    assert check(rows) == reason
+        "slowvar-ok", "slowvar-bound", "slowvar-nan"])
+def test_verdicts(verdict, args, reason):
+    assert verdict(*args).reason == reason
+
+
+def test_verdicts_of_the_default_grids_as_data(default_verify_run):
+    # every verdict's bound and share, read off the run, not its printout
+    verdicts = {v.name: v for v in default_verify_run.verdicts}
+    assert [v.name for v in default_verify_run.verdicts] == list(CHECK_NAMES)
+    assert list(default_verify_run.tables) == list(CHECK_NAMES[:4])
+    bounds = {"partial-sum": PARTIAL_SUM_RESIDUAL_BOUND,
+              "hlk": HLK_RATIO_BOUND, "phi": PHI_SAFETY_FACTOR,
+              "slowvar": math.log(10.0) / math.log(1e6) + 1e-15}
+    for name, bound in bounds.items():
+        v = verdicts[name]
+        assert v.reason is None and v.bound == bound, v
+        assert 0.0 <= v.share <= 1.0, v
+    assert (verdicts["pnt"].reason, verdicts["pnt"].bound,
+            verdicts["pnt"].share) == (None, None, None)
+    # each share is the worst row's use of its bound
+    tables = default_verify_run.tables
+    assert verdicts["partial-sum"].share == max(
+        abs(r.scaled_residual) for r in tables["partial-sum"]) \
+        / PARTIAL_SUM_RESIDUAL_BOUND
+    assert verdicts["hlk"].share == \
+        abs(tables["hlk"][-1].ratio - 1.0) / HLK_RATIO_BOUND
+    assert verdicts["phi"].share == max(
+        max(abs(r.phi1_scaled), abs(r.phi2_scaled), abs(r.phi3_scaled))
+        for r in tables["phi"]) / PHI_SAFETY_FACTOR
 
 
 def _sample_rows(float_table_1e5, constants):
@@ -278,7 +331,7 @@ def test_report_roundtrip_json(float_table_1e5, constants):
 
 
 def test_report_roundtrip_phi_rows(constants):
-    rows = phi_estimate_table((1e-3, 1e-4), constants)
+    rows = phi_estimate_table(analytic.phi_split_grid((1e-3, 1e-4)), constants)
     names = [f.name for f in dataclasses.fields(PhiEstimateRow)]
     for fmt in ("csv", "json"):
         buf = io.StringIO()
