@@ -234,16 +234,17 @@ def _smooth_at_least(k: int) -> int:
 
 
 def _solve_block(s_hat: np.ndarray, r: np.ndarray, pend: np.ndarray,
-                 lo: int):
+                 lo: int, r_hat: Optional[np.ndarray] = None):
     """(x, y): x = a[lo:lo + w] from its pending sums, lo > 0, as T(s) y,
     y = (T(r) pend) / (lo + j); _build_float_fast derives it.  s_hat is
     rfft(s[:L], 2L) for some L >= w, r holds at least w terms of
-    exp(-phi), and both products are cut to w terms.
+    exp(-phi), and both products are cut to w terms.  r_hat, if given, is
+    rfft(r[:w], 2L), which is then not taken again.
     """
     size = 2 * s_hat.size - 2
     w = pend.size
     spec = np.fft.rfft(pend, size)
-    spec *= np.fft.rfft(r[:w], size)
+    spec *= np.fft.rfft(r[:w], size) if r_hat is None else r_hat
     # a copy, so the transform's full-size output is freed at once
     y = np.fft.irfft(spec, size)[:w].copy()
     y /= np.arange(lo, lo + w)
@@ -257,6 +258,9 @@ def _double(a: np.ndarray, members: np.ndarray, r: np.ndarray,
     """Fill a[m:2m], cut at the table's end, from a[:m] and r[:m]; return
     r[:2m], or r once the table is full.  Each temporary is dropped once
     used: the last level's set the peak memory, 5.6 tables at n = 10^6.
+    Below the last level w = m, so the solve's T(r) and the Newton step
+    share one spectrum of r; at the last level the solve takes its own,
+    freed as soon as it is read, so that the peak does not rise.
     """
     size = 2 * m
     w = min(m, a.size - m)
@@ -268,10 +272,11 @@ def _double(a: np.ndarray, members: np.ndarray, r: np.ndarray,
     spec *= s_hat
     pend = np.fft.irfft(spec, size)[m:m + w].copy()
     del spec
-    a[m:m + w], y = _solve_block(s_hat, r, pend, m)
-    if m + w == a.size:
+    last = m + w == a.size
+    r_hat = None if last else np.fft.rfft(r, size)
+    a[m:m + w], y = _solve_block(s_hat, r, pend, m, r_hat)
+    if last:
         return r
-    r_hat = np.fft.rfft(r, size)
     s_hat *= r_hat  # now the spectrum of a[:m] r[:m]
     e = np.fft.irfft(s_hat, size)[m:] + y
     spec = np.fft.rfft(e, size)

@@ -305,6 +305,9 @@ def run_verify(n_grid, t_grid, which) -> VerifyRun:
         n_grid = _checked_grid(n_grid)
     readers = {}
     if "phi" in selected:
+        t_grid = list(t_grid)
+        if not t_grid:  # a phi check over no t would judge nothing
+            raise InvalidArgumentError("t grid must be nonempty")
         readers["phi"] = PhiSplitSums(t_grid)  # refuses a t out of domain
     if "pnt" in selected:
         readers["pnt"] = NthPrimes(PNT_GRID_DEFAULT)

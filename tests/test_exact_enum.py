@@ -272,9 +272,9 @@ def test_doubling_series_are_inverse(monkeypatch, n_max):
     # (a r)[:len(r)] = 1, on the base and after each Newton step
     seen = []
 
-    def spy(s_hat, r, pend, lo):
+    def spy(s_hat, r, pend, lo, r_hat=None):
         seen.append(r.copy())
-        return _solve_block(s_hat, r, pend, lo)
+        return _solve_block(s_hat, r, pend, lo, r_hat)
 
     monkeypatch.setattr(exact_enum, "_solve_block", spy)
     members = CycleClassSpec.primes(build_sieve(n_max)).members_upto(n_max)
@@ -348,8 +348,8 @@ def test_fast_path_refuses_negative_coefficients():
 def test_fast_path_refuses_non_finite_coefficients(monkeypatch):
     # a NaN passes every comparison with 0, so it needs its own refusal
     monkeypatch.setattr(exact_enum, "_solve_block",
-                        lambda s_hat, r, pend, lo: (np.full(pend.size, np.nan),
-                                                    np.full(pend.size, np.nan)))
+                        lambda s_hat, r, pend, lo, r_hat=None: (
+                            np.full(pend.size, np.nan), np.full(pend.size, np.nan)))
     members = CycleClassSpec.primes(build_sieve(1000)).members_upto(1000)
     with pytest.raises(InternalConsistencyError, match="non-finite"):
         _build_float_fast(members, 1000)

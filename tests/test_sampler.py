@@ -198,6 +198,20 @@ def test_empirical_frequencies(table300):
     assert abs(hits / rounds - 6 / 11) <= 0.05
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_sample_refuses_a_non_integral_n(mode, primes_spec):
+    sam = Sampler(build_table(primes_spec, 20, mode), seed=2)
+    for n in (5.0, 7.5, "7", None):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            sam.sample(n)
+    # a numpy integer draws as the int it equals, and the record holds an int
+    got = sam.sample(np.int64(7))
+    assert type(got.n) is int and got.n == 7
+    assert got == Sampler(build_table(primes_spec, 20, mode), seed=2).sample(7)
+    with pytest.raises(InvalidArgumentError):
+        sam.sample(np.int64(0))
+
+
 def test_sample_record_is_frozen(table300):
     s = sample_cycle_type(table300, 5, seed=1)
     with pytest.raises(FrozenInstanceError):
@@ -376,8 +390,10 @@ def test_cache_evicts_least_recently_used(table300, monkeypatch):
 
 
 def test_sampler_cache_memory_at_1e5():
-    # one 8-byte cumulative array per cached size: a traced peak of 6.1 MB
-    # for these draws, where a lengths array beside each took 11.6 MB
+    # one 8-byte cumulative array per cached size, and an array of more than
+    # ADMIT_AT_ONCE_COEFFS lengths cached only on its size's second request:
+    # a traced peak of about 1.4 MB for these draws, where caching every
+    # array on its first request took 6.1 MB
     n = 100_000
     table = build_table(CycleClassSpec.primes(build_sieve(n)), n, "float")
     tracemalloc.start()
@@ -388,7 +404,63 @@ def test_sampler_cache_memory_at_1e5():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8_000_000
+    assert peak < 3_000_000
+
+
+def test_large_size_is_cached_on_its_second_request():
+    # odd lengths: A(m) has (m + 1) // 2 members, 1025 at m = 2049
+    table = build_table(ODD, 3000, "float")
+    sam = Sampler(table, seed=0)
+    assert sampler_module.ADMIT_AT_ONCE_COEFFS == 1024
+    first = sam._cumulative(2049)
+    assert len(first[0]) == 1025
+    assert list(sam._cum) == [] and list(sam._once) == [2049]
+    second = sam._cumulative(2049)
+    assert list(sam._cum) == [2049] and list(sam._once) == []
+    assert second[0].tolist() == first[0].tolist()
+    assert second[1] == first[1]
+    assert sam._cumulative(2049) is second
+
+
+def test_small_sizes_are_cached_on_their_first_request(table300):
+    # 1024 lengths at m = 2047, at the threshold; every prime size to 300
+    sam = Sampler(build_table(ODD, 3000, "float"), seed=0)
+    sam._cumulative(2047)
+    assert list(sam._cum) == [2047] and not sam._once
+    sam = Sampler(table300, seed=0)
+    for m in (2, 10, 300):
+        sam._cumulative(m)
+    assert list(sam._cum) == [2, 10, 300] and not sam._once
+
+
+def test_record_of_sizes_built_once_is_bounded(monkeypatch):
+    table = build_table(ODD, 6000, "float")
+    assert sampler_module.ONCE_MAX_SIZES == 2048
+    sam = Sampler(table, seed=0)
+    for m in range(2049, 6001):  # 3952 large sizes, each requested once
+        sam._cumulative(m)
+        assert len(sam._once) <= 2048
+    # the oldest sizes left it, and none of the sizes was cached
+    assert list(sam._once) == list(range(6001 - 2048, 6001))
+    assert not sam._cum
+    # a long stream of draws at many n keeps the record at its bound and
+    # draws as a sampler that caches every array at once
+    rng = random.Random(1)
+    ns = [rng.randrange(1, 6001) for _ in range(300)]
+    monkeypatch.setattr(sampler_module, "ADMIT_AT_ONCE_COEFFS", 1 << 21)
+    eager = Sampler(table, seed=9)
+    expected = [eager.sample(n) for n in ns]
+    assert not eager._once
+    monkeypatch.setattr(sampler_module, "ADMIT_AT_ONCE_COEFFS", 16)
+    monkeypatch.setattr(sampler_module, "ONCE_MAX_SIZES", 8)
+    sam = Sampler(table, seed=9)
+    full = 0
+    for n, want in zip(ns, expected):
+        assert sam.sample(n) == want
+        assert len(sam._once) <= 8
+        full += len(sam._once) == 8
+        assert sam._cached == _cached_size(sam)
+    assert full > 100  # so the bound bites
 
 
 class _ScriptedRng:

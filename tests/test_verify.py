@@ -6,6 +6,7 @@ import math
 import pytest
 
 from primecycles import analytic, primes
+from primecycles import verify as verify_module
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import build_table, partial_sum, partial_sums
@@ -82,11 +83,24 @@ def test_tables_take_the_grid_sums(float_table_1e5, constants):
         assert [r.exact for r in rows] == sums
 
 
-def test_run_verify_refuses_bad_arguments():
+def test_run_verify_refuses_bad_arguments(monkeypatch):
     with pytest.raises(InvalidArgumentError, match="nonempty"):
         run_verify((), T_GRID_DEFAULT, ("partial-sum",))
     with pytest.raises(InvalidArgumentError, match="unknown checks"):
         run_verify(N_GRID_DEFAULT, T_GRID_DEFAULT, ("partial-sum", "bogus"))
+
+    # an empty t grid would leave phi nothing to judge; it is refused before
+    # any table is built or any prime streamed
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the t grid was checked")
+
+    for name in ("build_sieve", "build_table", "iter_prime_blocks"):
+        monkeypatch.setattr(verify_module, name, refuse)
+    for which in (("phi", "pnt"), ("partial-sum", "phi")):
+        with pytest.raises(InvalidArgumentError, match="t grid must be nonempty"):
+            run_verify((100,), (), which)
+        with pytest.raises(InvalidArgumentError, match="t grid must be nonempty"):
+            run_verify((100,), iter(()), which)
 
 
 def test_hlk_all_lengths_is_exact(constants):
