@@ -123,6 +123,7 @@ class CycleClassSpec:
 
     def members_upto(self, n: int) -> np.ndarray:
         """All members <= n, ascending, as an int64 array."""
+        n = _integer(n, "n")
         if n < 0:
             raise InvalidArgumentError(f"n must be >= 0, got {n}")
         if self.kind == KIND_PRIMES:

@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec
+from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec, _integer
 from primecycles.errors import (
     InternalConsistencyError,
     InvalidArgumentError,
@@ -172,6 +172,7 @@ def count_exact_upto(spec: CycleClassSpec, n_max: int,
     The primes take the scaled-integer recurrence; every other spec takes
     the step recurrence on its steps and period.
     """
+    n_max = _integer(n_max, "n_max")
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
     if n_max > exact_cap:
@@ -341,42 +342,44 @@ def _build_float_fast(members: np.ndarray, n_max: int) -> np.ndarray:
     return a
 
 
-def _build_float(spec: CycleClassSpec, members: np.ndarray,
-                 n_max: int) -> np.ndarray:
+def _build_float(spec: CycleClassSpec, n_max: int) -> np.ndarray:
     if spec.kind == KIND_PRIMES:
-        return _build_float_fast(members, n_max)
+        # raises if the prime table is too short for n_max
+        return _build_float_fast(spec.members_upto(n_max), n_max)
     return _build_float_steps(spec.steps, spec.period, n_max)
 
 
 def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
-                exact_cap: int = EXACT_CAP_DEFAULT,
-                float_cap: int = FLOAT_CAP_DEFAULT) -> CountTable:
+                exact_cap: int = EXACT_CAP_DEFAULT) -> CountTable:
     """Coefficient table a_0..a_{n_max} in the requested mode.
 
     mode is one of "exact", "float", "both".  The float route follows
     spec.kind, as the module docstring explains: the FFT convolution for
-    the primes, the step recurrence for every other spec.
+    the primes, the step recurrence for every other spec.  The caps, the
+    exact cap and FLOAT_CAP_DEFAULT, are checked before anything is
+    allocated.
 
     A float coefficient in the subnormal range raises OutOfRangeError.  A
     nonzero a_n is at least a_{n-k}/n for some nonzero a_{n-k}, and up to
-    the float cap that factor is far inside the 2^52 span of the
+    FLOAT_CAP_DEFAULT that factor is far inside the 2^52 span of the
     subnormals, so a coefficient on its way to underflow is caught there
     before it could round to a false 0.
     """
     if mode not in ("exact", "float", "both"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
+    n_max = _integer(n_max, "n_max")
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
-    members = spec.members_upto(n_max)  # raises if support too small
+    if mode != "exact" and n_max > FLOAT_CAP_DEFAULT:
+        raise ResourceLimitError(
+            f"float enumeration capped at n <= {FLOAT_CAP_DEFAULT}, got {n_max}"
+        )
     p_exact = a_float = None
     if mode in ("exact", "both"):
+        # count_exact_upto checks the exact cap before it allocates
         p_exact = tuple(count_exact_upto(spec, n_max, exact_cap=exact_cap))
     if mode in ("float", "both"):
-        if n_max > float_cap:
-            raise ResourceLimitError(
-                f"float enumeration capped at n <= {float_cap}, got {n_max}"
-            )
-        a_float = _build_float(spec, members, n_max)
+        a_float = _build_float(spec, n_max)
         tiny = np.flatnonzero((a_float > 0.0) & (a_float < np.finfo(float).tiny))
         if tiny.size:
             raise OutOfRangeError(
@@ -400,6 +403,7 @@ def count_by_cycle_types_upto(spec: CycleClassSpec, n_max: int) -> list:
     k-cycle yet.  w_m is w_{m-1} times k falling factors over k*m, an exact
     division, so a remainder can only mean a fault here and is raised.
     """
+    n_max = _integer(n_max, "n_max")
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
     if n_max > PARTITION_CAP:
@@ -458,6 +462,7 @@ def _cycle_type_census(n: int) -> dict:
 
 def count_brute_force(spec: CycleClassSpec, n: int) -> int:
     """Exhaustive count over all permutations of [n]; n is capped at 9."""
+    n = _integer(n, "n")
     if n < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")
     if n > BRUTE_FORCE_CAP:
@@ -494,7 +499,7 @@ def partial_sums(table: CountTable, ns) -> list:
     every IEEE machine.  That costs the sum of the distinct n, not the
     largest n.
     """
-    ns = list(ns)
+    ns = [_integer(n, "n") for n in ns]
     for n in ns:
         if n < 0:
             raise InvalidArgumentError(f"n must be >= 0, got {n}")

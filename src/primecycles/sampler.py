@@ -19,13 +19,13 @@ array for a uniform fraction of its last entry and reads the length at that
 index from a memoryview of the member array, so it makes no numpy scalars.
 
 The cache is least-recently-used and holds at most CACHE_MAX_COEFFS lengths
-in total.  An array of at most ADMIT_AT_ONCE_COEFFS lengths is cached on its
-size's first request; a larger one only on the second.  On the first it is
-built, used for that draw and dropped, and its size is noted in a record of
-sizes built once, which keeps at most ONCE_MAX_SIZES sizes and forgets the
-oldest when full.  In a stream of draws at one n most large sizes come up
-once, while the small sizes recur, so the cache holds what is read again,
-and a long stream of draws runs in bounded memory.
+in total.  A new array is cached if it has at most ADMIT_AT_ONCE_COEFFS
+lengths or its size is the draw's own n; a larger array for an inner size
+is built, used for that draw and dropped.  For the primes a_m is about
+e^c/m, so the first cycle leaves a size m with probability about
+proportional to 1/m: the inner sizes spread roughly log-uniformly, and
+apart from n itself only the small sizes come back.  The cache so holds
+what is read again, and a long stream of draws runs in bounded memory.
 
 The RNG is the standard library's Mersenne Twister (random.Random), seeded
 explicitly; identical seeds give identical samples.
@@ -33,14 +33,13 @@ explicitly; identical seeds give identical samples.
 
 import bisect
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from primecycles.cycle_classes import CycleClassSpec
+from primecycles.cycle_classes import CycleClassSpec, _integer
 from primecycles.errors import (
     EmptySupportError,
     InternalConsistencyError,
@@ -52,14 +51,11 @@ from primecycles.exact_enum import CountTable
 RENORM_TOLERANCE = 1e-9
 # most lengths one Sampler caches, summed over its sizes: 16 MB as one
 # 8-byte array, far above the about 0.11M a run of 600 draws at n = 10^5
-# holds
+# holds (its own n's array and the small sizes' arrays)
 CACHE_MAX_COEFFS = 1 << 21
-# a size's array of more lengths than this (8 KB) is cached on its second
-# request, not its first
+# an inner size's array of more lengths than this (8 KB) is never cached;
+# the draw's own size's array is, however long, up to CACHE_MAX_COEFFS
 ADMIT_AT_ONCE_COEFFS = 1024
-# most sizes the record of sizes built once holds: 2048, as many arrays
-# just over ADMIT_AT_ONCE_COEFFS lengths as the cache could hold
-ONCE_MAX_SIZES = CACHE_MAX_COEFFS // ADMIT_AT_ONCE_COEFFS
 
 _new = object.__new__
 
@@ -158,18 +154,15 @@ class Sampler:
         self._ks_view = memoryview(self._ks)
         self._cum = {}  # m -> (cum, cum[-1]), least recently used first
         self._cached = 0  # total len(cum) over the cache
-        self._once = {}  # large sizes built once and not cached, oldest first
 
-    def _cumulative(self, m: int):
+    def _cumulative(self, m: int, keep: bool):
         """(cum, cum[-1]) for size m; cum[i] / cum[-1] is the probability
         that the first cycle is no longer than the i-th member.
 
-        A new entry of at most ADMIT_AT_ONCE_COEFFS lengths is cached at
-        once, as the most recently used; a larger one only if its size is
-        in the record of sizes built once, which it then leaves.  Otherwise
-        the size joins the record, the oldest size leaving it when it holds
-        ONCE_MAX_SIZES, and the entry is returned uncached.  An entry of
-        more than CACHE_MAX_COEFFS lengths is never cached.
+        A new entry is cached, as the most recently used, if keep is true
+        (m is the draw's own n) or it has at most ADMIT_AT_ONCE_COEFFS
+        lengths; otherwise it is returned uncached.  An entry of more than
+        CACHE_MAX_COEFFS lengths is never cached.
         """
         cache = self._cum
         entry = cache.pop(m, None)
@@ -189,14 +182,8 @@ class Sampler:
             size = len(cum)
             if size > CACHE_MAX_COEFFS:
                 return entry
-            if size > ADMIT_AT_ONCE_COEFFS:
-                once = self._once
-                if m not in once:
-                    if len(once) >= ONCE_MAX_SIZES:
-                        del once[next(iter(once))]
-                    once[m] = None
-                    return entry
-                del once[m]
+            if size > ADMIT_AT_ONCE_COEFFS and not keep:
+                return entry
             while self._cached + size > CACHE_MAX_COEFFS:
                 self._cached -= len(cache.pop(next(iter(cache)))[0])
             self._cached += size
@@ -204,10 +191,7 @@ class Sampler:
         return entry
 
     def sample(self, n: int) -> CycleTypeSample:
-        try:
-            n = operator.index(n)  # a Python int, also from a numpy integer
-        except TypeError:
-            raise InvalidArgumentError(f"n must be an integer, got {n!r}") from None
+        n = _integer(n, "n")  # a Python int, also from a numpy integer
         if n < 1:
             raise InvalidArgumentError(f"n must be >= 1, got {n}")
         cache = self._cum
@@ -218,7 +202,7 @@ class Sampler:
         while m > 0:
             entry = cache.pop(m, None)
             if entry is None:
-                entry = self._cumulative(m)
+                entry = self._cumulative(m, m == n)
             else:
                 cache[m] = entry
             cum, total = entry
@@ -257,6 +241,7 @@ def expand_type_distribution(table: CountTable, n: int):
     """
     if table.p_exact is None:
         raise InvalidArgumentError("expansion requires an exact-mode table")
+    n = _integer(n, "n")
     if n < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")
     if n > table.n_max:

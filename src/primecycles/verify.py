@@ -25,7 +25,7 @@ from primecycles.analytic import (
     odlyzko_sum_model,
     partial_sum_log_model,
 )
-from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec
+from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec, _integer
 from primecycles.primes import (
     NthPrimes,
     build_sieve,
@@ -65,7 +65,7 @@ def make_row(x: float, exact: float, model: float,
 
 
 def _checked_grid(grid) -> list:
-    grid = list(grid)
+    grid = [_integer(x, "grid entry") for x in grid]
     if not grid:
         raise InvalidArgumentError("grid must be nonempty")
     for x in grid:

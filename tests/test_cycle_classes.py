@@ -84,6 +84,13 @@ def test_members_upto_primes(primes_spec):
     assert primes_spec.members_upto(0).size == 0
     with pytest.raises(OutOfRangeError):
         primes_spec.members_upto(10_001)
+    # a float is refused, not truncated
+    for spec in (primes_spec, ODD, CycleClassSpec.explicit((2, 3))):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            spec.members_upto(5.5)
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            spec.members_upto(5.0)
+    assert primes_spec.members_upto(np.int64(10)).tolist() == [2, 3, 5, 7]
 
 
 def test_residue_density_scan():

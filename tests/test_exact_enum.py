@@ -122,23 +122,45 @@ def test_count_examples(primes_spec):
     assert count_brute_force(ALL, 5) == 120
 
 
-def test_caps(primes_spec):
+def test_caps(primes_spec, monkeypatch):
     with pytest.raises(ResourceLimitError):
         count_exact(primes_spec, 2001)
     with pytest.raises(ResourceLimitError):
         count_by_cycle_types(primes_spec, PARTITION_CAP + 1)
     with pytest.raises(ResourceLimitError):
         count_brute_force(primes_spec, 10)
+    monkeypatch.setattr(exact_enum, "FLOAT_CAP_DEFAULT", 100)
     with pytest.raises(ResourceLimitError):
-        build_table(ALL, 101, "float", float_cap=100)
-    with pytest.raises(InvalidArgumentError):
-        count_exact(primes_spec, -1)
-    with pytest.raises(InvalidArgumentError):
-        count_by_cycle_types(primes_spec, -1)
-    with pytest.raises(InvalidArgumentError):
-        count_brute_force(primes_spec, -1)
-    with pytest.raises(InvalidArgumentError):
-        build_table(primes_spec, -1, "exact")
+        build_table(ALL, 101, "float")
+    assert build_table(ALL, 100, "float").n_max == 100
+    for n in (-1, 5.0):
+        with pytest.raises(InvalidArgumentError):
+            count_exact(primes_spec, n)
+        with pytest.raises(InvalidArgumentError):
+            count_by_cycle_types(primes_spec, n)
+        with pytest.raises(InvalidArgumentError):
+            count_brute_force(primes_spec, n)
+        with pytest.raises(InvalidArgumentError):
+            build_table(primes_spec, n, "exact")
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        build_table(ALL, 5.0, "float")
+    # a numpy integer is the int it equals
+    assert count_exact(primes_spec, np.int64(7)) == count_exact(primes_spec, 7)
+
+
+def test_over_cap_table_is_refused_before_it_allocates(primes_spec,
+                                                       monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("members_upto ran before the caps were checked")
+
+    monkeypatch.setattr(CycleClassSpec, "members_upto", refuse)
+    for spec in (ALL, primes_spec):
+        for mode in ("float", "both"):
+            with pytest.raises(ResourceLimitError, match="float"):
+                build_table(spec, 2 * 10 ** 7, mode)
+        for mode in ("exact", "both"):
+            with pytest.raises(ResourceLimitError, match="exact"):
+                build_table(spec, 10 ** 6, mode)
 
 
 def test_cap_overrides(primes_spec):
@@ -197,11 +219,16 @@ def test_partial_sums_one_pass_matches_each_n(table300, float_table_1e5):
         partial_sums(table300, [5, -1])
 
 
-def test_partial_sum_domain(table300):
+def test_partial_sum_domain(table300, float_table_1e5):
     with pytest.raises(OutOfRangeError):
         partial_sum(table300, 301)
     with pytest.raises(InvalidArgumentError):
         partial_sum(table300, -1)
+    for table in (table300, float_table_1e5):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            partial_sum(table, 5.0)
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            partial_sums(table, [7, 5.0])
 
 
 def test_even_spec_parity_zeros():

@@ -204,6 +204,11 @@ def test_sample_refuses_a_non_integral_n(mode, primes_spec):
     for n in (5.0, 7.5, "7", None):
         with pytest.raises(InvalidArgumentError, match="integer"):
             sam.sample(n)
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            first_cycle_distribution(sam.table, n)
+    if mode == "exact":
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            expand_type_distribution(sam.table, 5.0)
     # a numpy integer draws as the int it equals, and the record holds an int
     got = sam.sample(np.int64(7))
     assert type(got.n) is int and got.n == 7
@@ -382,18 +387,18 @@ def test_cache_evicts_least_recently_used(table300, monkeypatch):
     monkeypatch.setattr(sampler_module, "CACHE_MAX_COEFFS", 11)
     sam = Sampler(table300, seed=0)
     for m in (10, 11, 10, 13):
-        sam._cumulative(m)
+        sam._cumulative(m, False)
     assert list(sam._cum) == [10, 13]
-    # an entry above the cap alone is used but not kept
-    sam._cumulative(300)
+    # an entry above the cap alone is used but not kept, even at a draw's n
+    sam._cumulative(300, True)
     assert list(sam._cum) == [10, 13]
 
 
 def test_sampler_cache_memory_at_1e5():
-    # one 8-byte cumulative array per cached size, and an array of more than
-    # ADMIT_AT_ONCE_COEFFS lengths cached only on its size's second request:
-    # a traced peak of about 1.4 MB for these draws, where caching every
-    # array on its first request took 6.1 MB
+    # one 8-byte cumulative array per cached size, and of the arrays of more
+    # than ADMIT_AT_ONCE_COEFFS lengths only n's own: a traced peak of about
+    # 1.3 MB for these draws, where caching every array on its first
+    # request took 6.1 MB
     n = 100_000
     table = build_table(CycleClassSpec.primes(build_sieve(n)), n, "float")
     tracemalloc.start()
@@ -407,60 +412,75 @@ def test_sampler_cache_memory_at_1e5():
     assert peak < 3_000_000
 
 
-def test_large_size_is_cached_on_its_second_request():
+def test_long_stream_at_1e5_keeps_few_lengths_cached(float_table_1e5):
+    # the inner sizes of draws at n spread roughly log-uniformly, so a cache
+    # of the sizes requested twice held 0.80M-0.86M lengths after these
+    # draws; n's array and the small sizes' arrays are about 0.5M
+    sam = Sampler(float_table_1e5, seed=1)
+    for _ in range(5000):
+        sam.sample(100_000)
+    assert sam._cached == _cached_size(sam) < 650_000
+
+
+def test_draws_own_size_is_cached_after_one_draw():
+    n = 10_000
+    sam = Sampler(build_table(CycleClassSpec.primes(build_sieve(n)), n,
+                              "float"), seed=0)
+    sam.sample(n)
+    assert len(sam._cum[n][0]) == 1229
+
+
+def test_inner_large_size_is_never_cached():
     # odd lengths: A(m) has (m + 1) // 2 members, 1025 at m = 2049
     table = build_table(ODD, 3000, "float")
     sam = Sampler(table, seed=0)
     assert sampler_module.ADMIT_AT_ONCE_COEFFS == 1024
-    first = sam._cumulative(2049)
+    first = sam._cumulative(2049, False)
     assert len(first[0]) == 1025
-    assert list(sam._cum) == [] and list(sam._once) == [2049]
-    second = sam._cumulative(2049)
-    assert list(sam._cum) == [2049] and list(sam._once) == []
+    second = sam._cumulative(2049, False)
+    assert list(sam._cum) == []
     assert second[0].tolist() == first[0].tolist()
     assert second[1] == first[1]
-    assert sam._cumulative(2049) is second
+    # as a draw's own size it is cached
+    own = sam._cumulative(2049, True)
+    assert list(sam._cum) == [2049]
+    assert own[0].tolist() == first[0].tolist()
+    assert sam._cumulative(2049, False) is own
 
 
 def test_small_sizes_are_cached_on_their_first_request(table300):
     # 1024 lengths at m = 2047, at the threshold; every prime size to 300
     sam = Sampler(build_table(ODD, 3000, "float"), seed=0)
-    sam._cumulative(2047)
-    assert list(sam._cum) == [2047] and not sam._once
+    sam._cumulative(2047, False)
+    assert list(sam._cum) == [2047]
     sam = Sampler(table300, seed=0)
     for m in (2, 10, 300):
-        sam._cumulative(m)
-    assert list(sam._cum) == [2, 10, 300] and not sam._once
+        sam._cumulative(m, False)
+    assert list(sam._cum) == [2, 10, 300]
 
 
-def test_record_of_sizes_built_once_is_bounded(monkeypatch):
+def test_long_stream_at_many_n_stays_within_the_cap(monkeypatch):
+    # a long stream of draws at many n draws as a sampler that caches every
+    # array at once, and keeps no inner size's array of more lengths than
+    # ADMIT_AT_ONCE_COEFFS
     table = build_table(ODD, 6000, "float")
-    assert sampler_module.ONCE_MAX_SIZES == 2048
-    sam = Sampler(table, seed=0)
-    for m in range(2049, 6001):  # 3952 large sizes, each requested once
-        sam._cumulative(m)
-        assert len(sam._once) <= 2048
-    # the oldest sizes left it, and none of the sizes was cached
-    assert list(sam._once) == list(range(6001 - 2048, 6001))
-    assert not sam._cum
-    # a long stream of draws at many n keeps the record at its bound and
-    # draws as a sampler that caches every array at once
     rng = random.Random(1)
     ns = [rng.randrange(1, 6001) for _ in range(300)]
     monkeypatch.setattr(sampler_module, "ADMIT_AT_ONCE_COEFFS", 1 << 21)
     eager = Sampler(table, seed=9)
     expected = [eager.sample(n) for n in ns]
-    assert not eager._once
+    cap = 10_000
+    assert _cached_size(eager) > 20 * cap  # so the cap bites
     monkeypatch.setattr(sampler_module, "ADMIT_AT_ONCE_COEFFS", 16)
-    monkeypatch.setattr(sampler_module, "ONCE_MAX_SIZES", 8)
+    monkeypatch.setattr(sampler_module, "CACHE_MAX_COEFFS", cap)
     sam = Sampler(table, seed=9)
-    full = 0
+    drawn = set()
     for n, want in zip(ns, expected):
         assert sam.sample(n) == want
-        assert len(sam._once) <= 8
-        full += len(sam._once) == 8
-        assert sam._cached == _cached_size(sam)
-    assert full > 100  # so the bound bites
+        drawn.add(n)
+        assert sam._cached == _cached_size(sam) <= cap
+        assert all(len(cum) <= 16 or m in drawn
+                   for m, (cum, _) in sam._cum.items())
 
 
 class _ScriptedRng:

@@ -101,6 +101,10 @@ def test_run_verify_refuses_bad_arguments(monkeypatch):
             run_verify((100,), (), which)
         with pytest.raises(InvalidArgumentError, match="t grid must be nonempty"):
             run_verify((100,), iter(()), which)
+    # so is an n that is not an integer
+    for which in (("partial-sum",), ("hlk",)):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            run_verify((100.0, 1000), T_GRID_DEFAULT, which)
 
 
 def test_hlk_all_lengths_is_exact(constants):
