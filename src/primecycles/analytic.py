@@ -22,6 +22,7 @@ from primecycles.errors import (
     InvalidArgumentError,
     OutOfDomainError,
     UnsupportedSpecError,
+    _integer,
 )
 from primecycles.primes import feed_primes, iter_prime_blocks
 
@@ -115,8 +116,7 @@ def mertens_direct(limit: int):
     term against about 1 ns, and the summands share one sign, so the
     rounding error, below 10^-13 of the sum, is far below the tail bound.
     """
-    if limit < 2:
-        raise InvalidArgumentError(f"limit must be >= 2, got {limit}")
+    limit = _integer(limit, "limit", 2)
     total = 0.0
     for block in iter_prime_blocks(limit):
         inv = 1.0 / block.astype(np.float64)
@@ -129,8 +129,7 @@ def mertens_zeta(k_max: int) -> float:
 
     Tail below 2 * 2^-k_max; k_max = 60 reaches full double precision.
     """
-    if k_max < 10:
-        raise InvalidArgumentError(f"k_max must be >= 10, got {k_max}")
+    k_max = _integer(k_max, "k_max", 10)
     acc = 0.0
     for k in range(k_max, 1, -1):
         acc += prime_zeta(float(k)) / k
@@ -482,8 +481,7 @@ def phi_split_grid(t_grid):
 
 def partial_sum_log_model(n: int, constants: Constants) -> float:
     """Model for T_n = sum_{k<=n} P_k/k! with prime cycle lengths: e^c ln n."""
-    if n < 2:
-        raise InvalidArgumentError(f"n must be >= 2, got {n}")
+    n = _integer(n, "n", 2)
     return constants.e_to_c * math.log(n)
 
 
@@ -500,8 +498,7 @@ def yakimiv_log_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
 
     with L(n) the harmonic offset of the cycle-length set.  Needs rho > 0.
     """
-    if n < 2:
-        raise InvalidArgumentError(f"n must be >= 2, got {n}")
+    n = _integer(n, "n", 2)
     rho = spec.density()
     if rho == 0:
         raise UnsupportedSpecError(
@@ -522,8 +519,7 @@ def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
     is f_eval(1 - 1/n) exactly; for period 1, all lengths, the closed form
     f_A(z) = 1/(1-z) = n is used instead, making the model exact.
     """
-    if n < 2:
-        raise InvalidArgumentError(f"n must be >= 2, got {n}")
+    n = _integer(n, "n", 2)
     if spec.period == 1:
         f_val = float(n)
     else:

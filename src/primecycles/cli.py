@@ -18,7 +18,7 @@ from primecycles.analytic import (
     phi_split,
 )
 from primecycles.cycle_classes import KIND_STEPS, CycleClassSpec
-from primecycles.errors import InvalidArgumentError, PrimecyclesError
+from primecycles.errors import InvalidArgumentError, PrimecyclesError, _integer
 from primecycles.exact_enum import (
     EXACT_CAP_DEFAULT,
     big_str,
@@ -187,6 +187,18 @@ def _csv_floats(text):
     return tuple(float(v) for v in text.split(","))
 
 
+def _integer_at_least(minimum: int):
+    """An argparse type: an int of at least minimum.  Below it is a usage
+    error that names the bound; text that is no int reads "invalid integer
+    value"."""
+    def integer(text):
+        try:
+            return _integer(int(text), "value", minimum)
+        except InvalidArgumentError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primecycles",
@@ -194,13 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "with constrained cycle lengths.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec(p, needs_n=True, n_flag="--n"):
+    def add_spec(p, n_flag="--n", n_min=0):
         p.add_argument("--spec", default="primes",
                        help="primes | all | odd | even | mod:m:r1,r2,... "
                             "| set:k1,k2,...")
-        if needs_n:
-            p.add_argument(n_flag, type=int, required=True,
-                           help="permutation size")
+        p.add_argument(n_flag, type=_integer_at_least(n_min), required=True,
+                       help="permutation size")
         p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
                        help="largest n allowed in exact mode")
 
@@ -250,23 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("sample", help="sample cycle types, one per line")
-    add_spec(p)
+    add_spec(p, n_min=1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_integer_at_least(1), default=1)
     p.set_defaults(handler=cmd_sample)
 
     return parser
 
 
 def _validate(args, parser) -> None:
-    n_val = getattr(args, "n", None)
-    if n_val is not None and n_val < 0:
-        parser.error(f"--n must be >= 0, got {n_val}")
-    n_max = getattr(args, "n_max", None)
-    if n_max is not None and n_max < 0:
-        parser.error(f"--n-max must be >= 0, got {n_max}")
-    if getattr(args, "count", None) is not None and args.count < 1:
-        parser.error(f"--count must be >= 1, got {args.count}")
     if args.command == "phi":
         if args.split:
             if args.t is None:
@@ -277,8 +280,6 @@ def _validate(args, parser) -> None:
             parser.error("phi needs --z (or --split with --t)")
         elif args.t is not None:
             parser.error("--t is read only with --split")
-    if args.command == "sample" and args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
 
 
 def main(argv=None) -> int:

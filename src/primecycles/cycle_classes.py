@@ -17,25 +17,15 @@ values and safe to share.
 """
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
 
-from primecycles.errors import InvalidArgumentError, OutOfRangeError
+from primecycles.errors import InvalidArgumentError, OutOfRangeError, _integer
 from primecycles.primes import PrimeTable
 
 KIND_PRIMES = "primes"
 KIND_STEPS = "steps"
-
-
-def _integer(x, what: str) -> int:
-    """x as an int by operator.index, so numpy ints pass and a float is
-    refused rather than truncated."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise InvalidArgumentError(f"{what} must be an integer, got {x!r}") from None
 
 
 class CycleClassSpec:
@@ -75,16 +65,12 @@ class CycleClassSpec:
 
     @classmethod
     def explicit(cls, values) -> "CycleClassSpec":
-        vals = tuple(sorted({_integer(v, "explicit set member") for v in values}))
-        if any(v < 1 for v in vals):
-            raise InvalidArgumentError("explicit set members must be >= 1")
+        vals = tuple(sorted({_integer(v, "explicit set member", 1) for v in values}))
         return cls(KIND_STEPS, steps=vals)
 
     @classmethod
     def residue_classes(cls, modulus: int, residues) -> "CycleClassSpec":
-        modulus = _integer(modulus, "modulus")
-        if modulus < 1:
-            raise InvalidArgumentError(f"modulus must be >= 1, got {modulus}")
+        modulus = _integer(modulus, "modulus", 1)
         rset = tuple(sorted({_integer(r, "residue") for r in residues}))
         if not rset:
             raise InvalidArgumentError("residue set must be nonempty")
@@ -97,17 +83,14 @@ class CycleClassSpec:
 
     @classmethod
     def singleton(cls, k: int) -> "CycleClassSpec":
-        k = _integer(k, "singleton length")
-        if k < 1:
-            raise InvalidArgumentError(f"singleton length must be >= 1, got {k}")
+        k = _integer(k, "singleton length", 1)
         return cls.explicit((k,))
 
     # -- membership ---------------------------------------------------------
 
     def contains(self, k: int) -> bool:
         """True iff k belongs to the set.  Out-of-range is an error, never False."""
-        if k < 1:
-            raise InvalidArgumentError(f"k must be a positive integer, got {k}")
+        k = _integer(k, "k", 1)
         if self.kind == KIND_PRIMES:
             return self.table.is_prime(k)
         if self.period is None:
@@ -123,9 +106,7 @@ class CycleClassSpec:
 
     def members_upto(self, n: int) -> np.ndarray:
         """All members <= n, ascending, as an int64 array."""
-        n = _integer(n, "n")
-        if n < 0:
-            raise InvalidArgumentError(f"n must be >= 0, got {n}")
+        n = _integer(n, "n", 0)
         if self.kind == KIND_PRIMES:
             if n > self.table.limit:
                 raise OutOfRangeError(
@@ -155,8 +136,7 @@ class CycleClassSpec:
         The reciprocals are doubles, added exactly by math.fsum and rounded
         once.
         """
-        if n < 1:
-            raise InvalidArgumentError(f"n must be >= 1, got {n}")
+        n = _integer(n, "n", 1)
         rho = self.density()
         members = self.members_upto(n)
         return math.fsum(memoryview(1.0 / members)) - float(rho) * math.log(n)

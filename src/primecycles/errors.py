@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an
+integer argument."""
+
+import operator
 
 
 class PrimecyclesError(Exception):
@@ -31,3 +34,15 @@ class EmptySupportError(PrimecyclesError, ValueError):
 
 class InternalConsistencyError(PrimecyclesError, RuntimeError):
     """Two internal computations of the same quantity disagree beyond budget."""
+
+
+def _integer(x, what: str, minimum=None) -> int:
+    """x as an int by operator.index, so numpy integers and bools pass and
+    a float is refused rather than truncated; so is a value below minimum."""
+    try:
+        value = operator.index(x)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be an integer, got {x!r}") from None
+    if minimum is not None and value < minimum:
+        raise InvalidArgumentError(f"{what} must be >= {minimum}, got {value}")
+    return value

@@ -57,12 +57,13 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec, _integer
+from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec
 from primecycles.errors import (
     InternalConsistencyError,
     InvalidArgumentError,
     OutOfRangeError,
     ResourceLimitError,
+    _integer,
 )
 
 EXACT_CAP_DEFAULT = 2000
@@ -172,9 +173,7 @@ def count_exact_upto(spec: CycleClassSpec, n_max: int,
     The primes take the scaled-integer recurrence; every other spec takes
     the step recurrence on its steps and period.
     """
-    n_max = _integer(n_max, "n_max")
-    if n_max < 0:
-        raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
+    n_max = _integer(n_max, "n_max", 0)
     if n_max > exact_cap:
         raise ResourceLimitError(
             f"exact enumeration capped at n <= {exact_cap}, got {n_max}"
@@ -367,9 +366,7 @@ def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
     """
     if mode not in ("exact", "float", "both"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
-    n_max = _integer(n_max, "n_max")
-    if n_max < 0:
-        raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
+    n_max = _integer(n_max, "n_max", 0)
     if mode != "exact" and n_max > FLOAT_CAP_DEFAULT:
         raise ResourceLimitError(
             f"float enumeration capped at n <= {FLOAT_CAP_DEFAULT}, got {n_max}"
@@ -403,9 +400,7 @@ def count_by_cycle_types_upto(spec: CycleClassSpec, n_max: int) -> list:
     k-cycle yet.  w_m is w_{m-1} times k falling factors over k*m, an exact
     division, so a remainder can only mean a fault here and is raised.
     """
-    n_max = _integer(n_max, "n_max")
-    if n_max < 0:
-        raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
+    n_max = _integer(n_max, "n_max", 0)
     if n_max > PARTITION_CAP:
         raise ResourceLimitError(
             f"partition enumeration capped at n <= {PARTITION_CAP}, got {n_max}"
@@ -462,9 +457,7 @@ def _cycle_type_census(n: int) -> dict:
 
 def count_brute_force(spec: CycleClassSpec, n: int) -> int:
     """Exhaustive count over all permutations of [n]; n is capped at 9."""
-    n = _integer(n, "n")
-    if n < 0:
-        raise InvalidArgumentError(f"n must be >= 0, got {n}")
+    n = _integer(n, "n", 0)
     if n > BRUTE_FORCE_CAP:
         raise ResourceLimitError(
             f"brute force capped at n <= {BRUTE_FORCE_CAP}, got {n}"
@@ -499,10 +492,8 @@ def partial_sums(table: CountTable, ns) -> list:
     every IEEE machine.  That costs the sum of the distinct n, not the
     largest n.
     """
-    ns = [_integer(n, "n") for n in ns]
+    ns = [_integer(n, "n", 0) for n in ns]
     for n in ns:
-        if n < 0:
-            raise InvalidArgumentError(f"n must be >= 0, got {n}")
         if n > table.n_max:
             raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
     if not ns:

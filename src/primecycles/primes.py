@@ -31,9 +31,9 @@ import numpy as np
 
 from primecycles.errors import (
     InternalConsistencyError,
-    InvalidArgumentError,
     OutOfRangeError,
     ResourceLimitError,
+    _integer,
 )
 
 DEFAULT_MEMORY_CAP = 2**31
@@ -79,8 +79,7 @@ class PrimeTable:
         return PrimeTable, (self.limit, self._primes)
 
     def is_prime(self, k: int) -> bool:
-        if k < 1:
-            raise InvalidArgumentError(f"k must be a positive integer, got {k}")
+        k = _integer(k, "k", 1)
         if k > self.limit:
             raise OutOfRangeError(f"k={k} exceeds sieve limit {self.limit}")
         i = int(np.searchsorted(self._primes, k))
@@ -92,8 +91,7 @@ class PrimeTable:
 
     def prime_count(self, y: int) -> int:
         """pi(y), the number of primes not exceeding y."""
-        if y < 1:
-            raise InvalidArgumentError(f"y must be a positive integer, got {y}")
+        y = _integer(y, "y", 1)
         if y > self.limit:
             raise OutOfRangeError(f"y={y} exceeds sieve limit {self.limit}")
         return int(np.searchsorted(self._primes, y, side="right"))
@@ -101,8 +99,7 @@ class PrimeTable:
     def nth_prime(self, k: int) -> int:
         """The k-th smallest prime (1-indexed)."""
         index = self._primes
-        if k < 1:
-            raise InvalidArgumentError(f"k must be a positive integer, got {k}")
+        k = _integer(k, "k", 1)
         if k > index.size:
             raise OutOfRangeError(
                 f"only {index.size} primes <= {self.limit}, cannot take k={k}"
@@ -117,8 +114,7 @@ def build_sieve(limit: int) -> PrimeTable:
     Raises InvalidArgumentError for limit < 2 and ResourceLimitError above
     ``DEFAULT_MEMORY_CAP``.
     """
-    if limit < 2:
-        raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
+    limit = _integer(limit, "sieve limit", 2)
     if limit > DEFAULT_MEMORY_CAP:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds memory cap {DEFAULT_MEMORY_CAP}"
@@ -149,6 +145,7 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
     of a longer one, and a sum taken block by block over the primes up to
     some y comes out the same, bit for bit, whatever the stream's limit.
     """
+    limit = _integer(limit, "limit")
     if limit < 2:
         return
     base = np.flatnonzero(_simple_mask(max(math.isqrt(limit), 2)))
@@ -213,10 +210,7 @@ class NthPrimes:
     """
 
     def __init__(self, ks):
-        self.ks = list(ks)
-        for k in self.ks:
-            if k < 1:
-                raise InvalidArgumentError(f"k must be a positive integer, got {k}")
+        self.ks = [_integer(k, "k", 1) for k in ks]
         kmax = max(self.ks, default=0)
         self.limit = 11  # p_5
         if kmax >= 6:

@@ -39,12 +39,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from primecycles.cycle_classes import CycleClassSpec, _integer
+from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import (
     EmptySupportError,
     InternalConsistencyError,
     InvalidArgumentError,
     OutOfRangeError,
+    _integer,
 )
 from primecycles.exact_enum import CountTable
 
@@ -70,9 +71,7 @@ class CycleTypeSample:
 
 
 def _check_n(table: CountTable, n: int):
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    if n > table.n_max:
+    if _integer(n, "n", 1) > table.n_max:
         raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
 
 
@@ -191,9 +190,7 @@ class Sampler:
         return entry
 
     def sample(self, n: int) -> CycleTypeSample:
-        n = _integer(n, "n")  # a Python int, also from a numpy integer
-        if n < 1:
-            raise InvalidArgumentError(f"n must be >= 1, got {n}")
+        n = _integer(n, "n", 1)  # a Python int, also from a numpy integer
         cache = self._cum
         ks = self._ks_view
         draw = self._rng.random
@@ -241,9 +238,7 @@ def expand_type_distribution(table: CountTable, n: int):
     """
     if table.p_exact is None:
         raise InvalidArgumentError("expansion requires an exact-mode table")
-    n = _integer(n, "n")
-    if n < 0:
-        raise InvalidArgumentError(f"n must be >= 0, got {n}")
+    n = _integer(n, "n", 0)
     if n > table.n_max:
         raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
 
@@ -267,8 +262,7 @@ def expand_type_distribution(table: CountTable, n: int):
 def uniform_type_distribution(spec: CycleClassSpec, n: int):
     """Reference distribution: each cycle type with all parts in A gets
     probability (n! / prod(l^m_l * m_l!)) / P_n, in exact rationals."""
-    if n < 0:
-        raise InvalidArgumentError(f"n must be >= 0, got {n}")
+    n = _integer(n, "n", 0)
     parts = sorted((int(k) for k in spec.members_upto(n)), reverse=True)
     nf = math.factorial(n)
     weights = {}

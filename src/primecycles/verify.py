@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from primecycles.errors import InvalidArgumentError
+from primecycles.errors import InvalidArgumentError, _integer
 from primecycles.exact_enum import CountTable, build_table, partial_sums
 from primecycles.analytic import (
     Constants,
@@ -25,7 +25,7 @@ from primecycles.analytic import (
     odlyzko_sum_model,
     partial_sum_log_model,
 )
-from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec, _integer
+from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec
 from primecycles.primes import (
     NthPrimes,
     build_sieve,
@@ -65,12 +65,9 @@ def make_row(x: float, exact: float, model: float,
 
 
 def _checked_grid(grid) -> list:
-    grid = [_integer(x, "grid entry") for x in grid]
+    grid = [_integer(x, "grid entries", 2) for x in grid]
     if not grid:
         raise InvalidArgumentError("grid must be nonempty")
-    for x in grid:
-        if x < 2:
-            raise InvalidArgumentError(f"grid entries must be >= 2, got {x}")
     return grid
 
 
@@ -316,7 +313,7 @@ def run_verify(n_grid, t_grid, which) -> VerifyRun:
     if counts:
         # the table reads members up to max(n_grid); the hlk model streams its own
         n_max = max(n_grid)
-        spec = CycleClassSpec.primes(build_sieve(max(n_max, 1000)))
+        spec = CycleClassSpec.primes(build_sieve(n_max))
         count_table = build_table(spec, n_max, mode="float")
     if "partial-sum" in selected:
         tables["partial-sum"] = partial_sum_table(count_table, n_grid, constants)

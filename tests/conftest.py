@@ -2,6 +2,7 @@ import pytest
 
 from primecycles.analytic import make_constants
 from primecycles.cycle_classes import CycleClassSpec
+from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import build_table
 from primecycles.primes import build_sieve
 from primecycles.verify import (
@@ -10,6 +11,17 @@ from primecycles.verify import (
     T_GRID_DEFAULT,
     run_verify,
 )
+
+
+@pytest.fixture(scope="session")
+def refuses_non_integers():
+    """check(call): call(5.0) and call(5.5) each raise InvalidArgumentError
+    naming "integer", so a whole float is refused rather than truncated."""
+    def check(call):
+        for x in (5.0, 5.5):
+            with pytest.raises(InvalidArgumentError, match="integer"):
+                call(x)
+    return check
 
 
 @pytest.fixture(scope="session")

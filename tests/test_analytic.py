@@ -85,20 +85,26 @@ def test_mertens_constant_against_mpmath():
     assert abs(make_constants().mertens_c - float(mpmath.mertens)) <= 1e-13
 
 
-def test_mertens_constant_via_zeta():
+def test_mertens_constant_via_zeta(refuses_non_integers):
     c = mertens_zeta(60)
     assert c == pytest.approx(0.26149721284764278, abs=1e-15)
     assert EULER_GAMMA - c == pytest.approx(0.3157184520538901, rel=1e-12)
     with pytest.raises(InvalidArgumentError):
         mertens_zeta(9)
+    # 20.0 and 20.5, above the least k_max
+    refuses_non_integers(lambda k: mertens_zeta(k + 15))
+    refuses_non_integers(lambda k: make_constants(k_max=k + 15))
+    assert mertens_zeta(np.int64(60)) == c
 
 
-def test_mertens_direct_smallest_case():
+def test_mertens_direct_smallest_case(refuses_non_integers):
     est, tail = mertens_direct(2)
     assert est == pytest.approx(EULER_GAMMA + math.log(0.5) + 0.5, rel=1e-15)
     assert tail == 1.0
     with pytest.raises(InvalidArgumentError):
         mertens_direct(1)
+    refuses_non_integers(mertens_direct)
+    assert mertens_direct(np.int64(2)) == (est, tail)
 
 
 def test_mertens_routes_agree():
@@ -303,11 +309,13 @@ def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
     assert calls == []
 
 
-def test_partial_sum_log_model(constants):
+def test_partial_sum_log_model(constants, refuses_non_integers):
     got = partial_sum_log_model(10 ** 5, constants)
     assert got == pytest.approx(14.953831737820485, rel=1e-12)
     with pytest.raises(InvalidArgumentError):
         partial_sum_log_model(1, constants)
+    refuses_non_integers(lambda n: partial_sum_log_model(n, constants))
+    assert partial_sum_log_model(np.int64(10 ** 5), constants) == got
 
 
 def test_model_f_asym(constants):
@@ -333,13 +341,17 @@ def test_yakimiv_odd_matches_exact(constants):
     assert ratio == pytest.approx(1.0, abs=0.01)
 
 
-def test_yakimiv_rejects_density_zero(primes_spec, constants):
+def test_yakimiv_rejects_density_zero(primes_spec, constants,
+                                      refuses_non_integers):
     with pytest.raises(UnsupportedSpecError):
         yakimiv_log_model(primes_spec, 100, constants)
     with pytest.raises(UnsupportedSpecError):
         yakimiv_log_model(CycleClassSpec.explicit({2, 3}), 100, constants)
     with pytest.raises(InvalidArgumentError):
         yakimiv_log_model(ODD, 1, constants)
+    refuses_non_integers(lambda n: yakimiv_log_model(ODD, n, constants))
+    assert (yakimiv_log_model(ODD, np.int64(100), constants)
+            == yakimiv_log_model(ODD, 100, constants))
 
 
 def test_odlyzko_all_lengths_exact(constants):
@@ -415,9 +427,13 @@ def test_series_share_one_truncation_limit(primes_spec, constants,
     assert len(set(own)) == 4
 
 
-def test_odlyzko_validation(primes_spec, constants):
+def test_odlyzko_validation(primes_spec, constants, refuses_non_integers):
     with pytest.raises(InvalidArgumentError):
         odlyzko_sum_model(ALL, 1, constants)
+    for spec in (primes_spec, ALL, ODD):
+        refuses_non_integers(lambda n: odlyzko_sum_model(spec, n, constants))
+        assert (odlyzko_sum_model(spec, np.int64(100), constants)
+                == odlyzko_sum_model(spec, 100, constants))
 
 
 def test_constants_record_is_frozen(constants):

@@ -79,17 +79,18 @@ def test_members_match_contains(spec):
         assert (k in members) == spec.contains(k)
 
 
-def test_members_upto_primes(primes_spec):
+def test_members_upto_primes(primes_spec, refuses_non_integers):
     assert primes_spec.members_upto(10).tolist() == [2, 3, 5, 7]
     assert primes_spec.members_upto(0).size == 0
     with pytest.raises(OutOfRangeError):
         primes_spec.members_upto(10_001)
-    # a float is refused, not truncated
-    for spec in (primes_spec, ODD, CycleClassSpec.explicit((2, 3))):
-        with pytest.raises(InvalidArgumentError, match="integer"):
-            spec.members_upto(5.5)
-        with pytest.raises(InvalidArgumentError, match="integer"):
-            spec.members_upto(5.0)
+    # a float is refused, not truncated, and a numpy integer is its int
+    for spec in (primes_spec, ODD, ALL, CycleClassSpec.explicit((2, 3))):
+        refuses_non_integers(spec.members_upto)
+        refuses_non_integers(spec.contains)
+        refuses_non_integers(spec.harmonic_offset)
+        assert spec.contains(np.int64(3)) is True
+        assert spec.harmonic_offset(np.int64(10)) == spec.harmonic_offset(10)
     assert primes_spec.members_upto(np.int64(10)).tolist() == [2, 3, 5, 7]
 
 

@@ -133,7 +133,7 @@ def test_caps(primes_spec, monkeypatch):
     with pytest.raises(ResourceLimitError):
         build_table(ALL, 101, "float")
     assert build_table(ALL, 100, "float").n_max == 100
-    for n in (-1, 5.0):
+    for n in (-1, 5.0, 5.5):
         with pytest.raises(InvalidArgumentError):
             count_exact(primes_spec, n)
         with pytest.raises(InvalidArgumentError):
@@ -146,6 +146,9 @@ def test_caps(primes_spec, monkeypatch):
         build_table(ALL, 5.0, "float")
     # a numpy integer is the int it equals
     assert count_exact(primes_spec, np.int64(7)) == count_exact(primes_spec, 7)
+    assert count_by_cycle_types(primes_spec, np.int64(7)) == 1434
+    assert count_brute_force(ALL, np.int64(5)) == 120
+    assert build_table(primes_spec, np.int64(7), "both").n_max == 7
 
 
 def test_over_cap_table_is_refused_before_it_allocates(primes_spec,
@@ -219,16 +222,15 @@ def test_partial_sums_one_pass_matches_each_n(table300, float_table_1e5):
         partial_sums(table300, [5, -1])
 
 
-def test_partial_sum_domain(table300, float_table_1e5):
+def test_partial_sum_domain(table300, float_table_1e5, refuses_non_integers):
     with pytest.raises(OutOfRangeError):
         partial_sum(table300, 301)
     with pytest.raises(InvalidArgumentError):
         partial_sum(table300, -1)
     for table in (table300, float_table_1e5):
-        with pytest.raises(InvalidArgumentError, match="integer"):
-            partial_sum(table, 5.0)
-        with pytest.raises(InvalidArgumentError, match="integer"):
-            partial_sums(table, [7, 5.0])
+        refuses_non_integers(lambda n: partial_sum(table, n))
+        refuses_non_integers(lambda n: partial_sums(table, [7, n]))
+        assert partial_sums(table, [np.int64(7)]) == partial_sums(table, [7])
 
 
 def test_even_spec_parity_zeros():

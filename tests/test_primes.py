@@ -39,14 +39,16 @@ def test_build_examples():
     assert build_sieve(2).primes().tolist() == [2]
 
 
-def test_build_domain_errors():
+def test_build_domain_errors(refuses_non_integers):
     with pytest.raises(InvalidArgumentError):
         build_sieve(1)
     with pytest.raises(ResourceLimitError):
         build_sieve(2**31 + 1)
+    refuses_non_integers(build_sieve)
+    assert build_sieve(np.int64(10)).primes().tolist() == [2, 3, 5, 7]
 
 
-def test_is_prime(sieve_small):
+def test_is_prime(sieve_small, refuses_non_integers):
     assert sieve_small.is_prime(2)
     assert not sieve_small.is_prime(1)
     assert not sieve_small.is_prime(91)  # 7 * 13
@@ -54,6 +56,10 @@ def test_is_prime(sieve_small):
         sieve_small.is_prime(0)
     with pytest.raises(OutOfRangeError):
         sieve_small.is_prime(10_001)
+    refuses_non_integers(sieve_small.is_prime)
+    # a numpy integer is answered as the int it equals, with a Python bool
+    assert sieve_small.is_prime(np.int64(7)) is True
+    assert sieve_small.is_prime(np.int64(91)) is False
 
 
 def test_membership_matches_trial_division(sieve_small):
@@ -61,7 +67,7 @@ def test_membership_matches_trial_division(sieve_small):
         assert sieve_small.is_prime(k) == trial_division(k), k
 
 
-def test_prime_count(sieve_small):
+def test_prime_count(sieve_small, refuses_non_integers):
     assert sieve_small.prime_count(10) == 4
     assert sieve_small.prime_count(1) == 0
     assert sieve_small.prime_count(100) == 25
@@ -69,6 +75,8 @@ def test_prime_count(sieve_small):
         sieve_small.prime_count(10_001)
     with pytest.raises(InvalidArgumentError):
         sieve_small.prime_count(0)
+    refuses_non_integers(sieve_small.prime_count)
+    assert sieve_small.prime_count(np.int64(10)) == 4
 
 
 def test_prime_count_matches_direct_scan(sieve_small):
@@ -79,7 +87,7 @@ def test_prime_count_matches_direct_scan(sieve_small):
         assert sieve_small.prime_count(y) == direct
 
 
-def test_nth_prime(sieve_small):
+def test_nth_prime(sieve_small, refuses_non_integers):
     assert sieve_small.nth_prime(1) == 2
     assert sieve_small.nth_prime(4) == 7
     assert sieve_small.nth_prime(25) == 97
@@ -87,6 +95,8 @@ def test_nth_prime(sieve_small):
         sieve_small.nth_prime(10_000)
     with pytest.raises(InvalidArgumentError):
         sieve_small.nth_prime(0)
+    refuses_non_integers(sieve_small.nth_prime)
+    assert sieve_small.nth_prime(np.int64(4)) == 7
 
 
 def test_nth_prime_inverts_prime_count(sieve_small):
@@ -160,8 +170,12 @@ def test_presieved_blocks_match_the_plain_sieve(segment):
     assert set(PRESIEVED) <= set(first.tolist())
 
 
-def test_iter_prime_blocks_empty_below_two():
-    assert list(iter_prime_blocks(1)) == []
+def test_iter_prime_blocks_empty_below_two(refuses_non_integers):
+    for limit in (1, 0, -5, np.int64(1)):
+        assert list(iter_prime_blocks(limit)) == []
+    # a generator: the limit is checked when the stream is first read
+    refuses_non_integers(lambda limit: list(iter_prime_blocks(limit)))
+    assert [b.tolist() for b in iter_prime_blocks(np.int64(10))] == [[2, 3, 5, 7]]
 
 
 def test_table_immutable(sieve_small):
@@ -223,11 +237,13 @@ def test_nth_primes_order_and_duplicates(sieve_small):
     assert nth_primes([10**6, 10**3]) == [15_485_863, 7919]
 
 
-def test_nth_primes_domain():
+def test_nth_primes_domain(refuses_non_integers):
     assert nth_primes([]) == []
     for bad in ([0], [5, -1], [3, 0, 7]):
         with pytest.raises(InvalidArgumentError):
             nth_primes(bad)
+    refuses_non_integers(lambda k: nth_primes([3, k]))
+    assert nth_primes([np.int64(4), 2]) == [7, 3]
 
 
 def test_nth_primes_refuses_a_short_stream(monkeypatch):

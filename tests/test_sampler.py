@@ -199,16 +199,23 @@ def test_empirical_frequencies(table300):
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
-def test_sample_refuses_a_non_integral_n(mode, primes_spec):
+def test_sample_refuses_a_non_integral_n(mode, primes_spec,
+                                         refuses_non_integers):
     sam = Sampler(build_table(primes_spec, 20, mode), seed=2)
     for n in (5.0, 7.5, "7", None):
         with pytest.raises(InvalidArgumentError, match="integer"):
             sam.sample(n)
         with pytest.raises(InvalidArgumentError, match="integer"):
             first_cycle_distribution(sam.table, n)
+    assert (first_cycle_distribution(sam.table, np.int64(7))
+            == first_cycle_distribution(sam.table, 7))
+    refuses_non_integers(lambda n: uniform_type_distribution(primes_spec, n))
+    assert (uniform_type_distribution(primes_spec, np.int64(7))
+            == uniform_type_distribution(primes_spec, 7))
     if mode == "exact":
-        with pytest.raises(InvalidArgumentError, match="integer"):
-            expand_type_distribution(sam.table, 5.0)
+        refuses_non_integers(lambda n: expand_type_distribution(sam.table, n))
+        assert (expand_type_distribution(sam.table, np.int64(7))
+                == expand_type_distribution(sam.table, 7))
     # a numpy integer draws as the int it equals, and the record holds an int
     got = sam.sample(np.int64(7))
     assert type(got.n) is int and got.n == 7

@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from primecycles import analytic, primes
@@ -66,12 +67,18 @@ def test_partial_sum_rows(float_table_1e5, constants):
     assert all(0.8 < q < 1.0 for q in ratios)
 
 
-def test_partial_sum_table_validation(float_table_1e5, constants):
+def test_partial_sum_table_validation(float_table_1e5, constants,
+                                     refuses_non_integers):
     all_tab = build_table(ALL, 100, "float")
     with pytest.raises(InvalidArgumentError):
         partial_sum_table(all_tab, (10,), constants)
     with pytest.raises(InvalidArgumentError):
         partial_sum_table(float_table_1e5, (1, 10), constants)
+    for table in (partial_sum_table, hlk_comparison_table):
+        refuses_non_integers(
+            lambda n: table(float_table_1e5, (10, n), constants))
+        assert (table(float_table_1e5, (np.int64(10),), constants)
+                == table(float_table_1e5, (10,), constants))
 
 
 def test_tables_take_the_grid_sums(float_table_1e5, constants):
@@ -83,7 +90,7 @@ def test_tables_take_the_grid_sums(float_table_1e5, constants):
         assert [r.exact for r in rows] == sums
 
 
-def test_run_verify_refuses_bad_arguments(monkeypatch):
+def test_run_verify_refuses_bad_arguments(monkeypatch, refuses_non_integers):
     with pytest.raises(InvalidArgumentError, match="nonempty"):
         run_verify((), T_GRID_DEFAULT, ("partial-sum",))
     with pytest.raises(InvalidArgumentError, match="unknown checks"):
@@ -103,8 +110,27 @@ def test_run_verify_refuses_bad_arguments(monkeypatch):
             run_verify((100,), iter(()), which)
     # so is an n that is not an integer
     for which in (("partial-sum",), ("hlk",)):
-        with pytest.raises(InvalidArgumentError, match="integer"):
-            run_verify((100.0, 1000), T_GRID_DEFAULT, which)
+        refuses_non_integers(
+            lambda n: run_verify((100 * n, 1000), T_GRID_DEFAULT, which))
+
+
+def test_run_verify_sieves_to_the_largest_grid_entry(monkeypatch, constants):
+    limits = []
+
+    def recording(limit):
+        limits.append(limit)
+        return primes.build_sieve(limit)
+
+    monkeypatch.setattr(verify_module, "build_sieve", recording)
+    run = run_verify((300, 100), T_GRID_DEFAULT, ("partial-sum", "hlk"))
+    assert limits == [300]
+    # the tables read no member past max(n_grid), so a longer sieve gives
+    # the same rows
+    longer = build_table(CycleClassSpec.primes(primes.build_sieve(1000)), 300,
+                         "float")
+    assert run.tables == {
+        "partial-sum": partial_sum_table(longer, (300, 100), constants),
+        "hlk": hlk_comparison_table(longer, (300, 100), constants)}
 
 
 def test_hlk_all_lengths_is_exact(constants):
