@@ -342,7 +342,8 @@ def phi_deriv(z: float, order: int) -> float:
     test bounds the tail, and a Rosser-Schoenfeld count of the primes in
     (M, 2M], M = 1/(1-z), bounds the derivative below.
     """
-    if order not in (1, 2, 3):
+    order = _integer(order, "order", 1)
+    if order > 3:
         raise InvalidArgumentError(f"order must be 1, 2 or 3, got {order}")
     if z == 0.0:
         return {1: 0.0, 2: 1.0, 3: 2.0}[order]

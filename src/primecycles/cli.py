@@ -72,10 +72,23 @@ def parse_spec(text: str, table=None) -> CycleClassSpec:
     raise InvalidArgumentError(f"unknown spec {text!r}")
 
 
-def _make_spec(text: str, needed: int) -> CycleClassSpec:
-    """parse_spec, with a sieve to max(needed, 1000) for the primes."""
-    table = build_sieve(max(needed, 1000)) if text == "primes" else None
-    return parse_spec(text, table)
+def _spec_arg(text: str):
+    """An argparse type: the parsed spec, or None for the primes, whose
+    sieve waits for n.  A spec that does not parse is a usage error."""
+    if text == "primes":
+        return None
+    try:
+        return parse_spec(text)
+    except InvalidArgumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _make_spec(spec, needed: int) -> CycleClassSpec:
+    """The parsed --spec, or for the primes (None) a spec over a sieve to
+    max(needed, 1000)."""
+    if spec is None:
+        return CycleClassSpec.primes(build_sieve(max(needed, 1000)))
+    return spec
 
 
 def _print_float_count(n: int, a: float) -> None:
@@ -207,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec(p, n_flag="--n", n_min=0):
-        p.add_argument("--spec", default="primes",
+        p.add_argument("--spec", type=_spec_arg, default="primes",
                        help="primes | all | odd | even | mod:m:r1,r2,... "
                             "| set:k1,k2,...")
         p.add_argument(n_flag, type=_integer_at_least(n_min), required=True,
@@ -287,13 +300,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate(args, parser)
-        needs_spec = args.command in ("count", "table", "sum", "sample")
-        if needs_spec and args.spec != "primes":
-            # spec syntax errors are usage errors, not domain errors
-            try:
-                parse_spec(args.spec)
-            except InvalidArgumentError as exc:
-                parser.error(str(exc))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -17,7 +17,9 @@ values and safe to share.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -28,32 +30,20 @@ KIND_PRIMES = "primes"
 KIND_STEPS = "steps"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CycleClassSpec:
     """One cycle-length set, with membership, density and member iteration.
 
     A primes spec holds its sieve table; any other holds steps, a sorted
     tuple, and period, an int or None (the module docstring has the form).
-    Its slots are set once, here, and assignment or deletion raises.
+    A frozen dataclass: assigning or deleting a field raises
+    dataclasses.FrozenInstanceError, an AttributeError.
     """
 
-    __slots__ = ("kind", "table", "steps", "period")
-
-    def __init__(self, kind, table=None, steps=None, period=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "period", period)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CycleClassSpec is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"CycleClassSpec is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not slot assignment
-        return CycleClassSpec, (self.kind, self.table, self.steps, self.period)
+    kind: str
+    table: Optional[PrimeTable] = None
+    steps: Optional[tuple] = None
+    period: Optional[int] = None
 
     @classmethod
     def primes(cls, table: PrimeTable) -> "CycleClassSpec":
@@ -96,13 +86,6 @@ class CycleClassSpec:
         if self.period is None:
             return k in self.steps
         return (k - 1) % self.period + 1 in self.steps
-
-    @property
-    def support_limit(self):
-        """Largest k with decidable membership, or None when unbounded."""
-        if self.kind == KIND_PRIMES:
-            return self.table.limit
-        return None
 
     def members_upto(self, n: int) -> np.ndarray:
         """All members <= n, ascending, as an int64 array."""

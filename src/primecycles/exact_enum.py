@@ -47,6 +47,7 @@ direct summation, is kept only as the tests' reference for the FFT.
 """
 
 import array
+import contextlib
 import decimal
 import math
 import os
@@ -525,22 +526,17 @@ def dump_table(table: CountTable, dest) -> None:
     a_n, an integer in units of 2^-1074, over 2^1074.  dest is a writable
     text file object or a path.
     """
-    close = isinstance(dest, (str, bytes, os.PathLike))
-    if close:
-        dest = open(dest, "w")
-    try:
+    with (open(dest, "w") if isinstance(dest, (str, bytes, os.PathLike))
+          else contextlib.nullcontext(dest)) as out:
         if table.p_exact is not None:
-            dest.write("n,P_n,a_n,T_n\n")
+            out.write("n,P_n,a_n,T_n\n")
             for n, (p, fact, num) in enumerate(_exact_sums(table.p_exact)):
                 # int / int is correctly rounded, whatever the operands' size
-                dest.write(f"{n},{big_str(p)},{p / fact:.17g},{num / fact:.17g}\n")
+                out.write(f"{n},{big_str(p)},{p / fact:.17g},{num / fact:.17g}\n")
         else:
-            dest.write("n,a_n,T_n\n")
+            out.write("n,a_n,T_n\n")
             total = 0  # the exact sum so far, in units of 2^-1074
             for n, a in enumerate(table.a_float.tolist()):
                 num, den = a.as_integer_ratio()  # den: a power of 2, <= 2^1074
                 total += num * _SUBNORMAL_UNITS // den
-                dest.write(f"{n},{a:.17g},{total / _SUBNORMAL_UNITS:.17g}\n")
-    finally:
-        if close:
-            dest.close()
+                out.write(f"{n},{a:.17g},{total / _SUBNORMAL_UNITS:.17g}\n")

@@ -26,6 +26,7 @@ do not depend on its limit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,28 +55,23 @@ def _simple_mask(limit: int) -> np.ndarray:
     return mask
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PrimeTable:
     """Every prime in [2, limit] as one ascending, read-only int64 array.
 
-    Its slots are set once, here, and assignment or deletion raises.
+    A frozen dataclass: assigning or deleting a field raises
+    dataclasses.FrozenInstanceError, an AttributeError.
     """
 
-    __slots__ = ("limit", "_primes")
+    limit: int
+    _primes: np.ndarray
 
-    def __init__(self, limit: int, primes: np.ndarray):
-        primes.flags.writeable = False
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "_primes", primes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PrimeTable is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"PrimeTable is immutable; cannot delete {name!r}")
+    def __post_init__(self):
+        self._primes.flags.writeable = False
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, not slot assignment
+        # a copied or unpickled array comes back writeable; __post_init__
+        # makes it read-only again
         return PrimeTable, (self.limit, self._primes)
 
     def is_prime(self, k: int) -> bool:

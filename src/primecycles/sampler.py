@@ -214,7 +214,7 @@ class Sampler:
             m -= chosen
         lengths.sort()
         # the record as CycleTypeSample(n=..., lengths=..., seed=...) builds
-        # it, without the frozen __init__'s object.__setattr__ per field
+        # it, without the per-field setattr of a frozen dataclass __init__
         record = _new(CycleTypeSample)
         fields = record.__dict__
         fields["n"] = n
@@ -291,7 +291,5 @@ def uniform_type_distribution(spec: CycleClassSpec, n: int):
     rec(n, 0, 1, [])
     total = sum(weights.values())
     if total == 0:
-        raise EmptySupportError(
-            f"no permutation of [{n}] has all cycle lengths allowed"
-        )
+        raise _empty_support(n)
     return {t: Fraction(w, total) for t, w in weights.items()}

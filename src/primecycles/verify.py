@@ -11,6 +11,7 @@ Verdict as data, beside the tables it emits; the command line only prints
 them.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -349,23 +350,19 @@ def emit_report(rows, format: str, destination) -> None:
     if format not in ("csv", "json"):
         raise InvalidArgumentError(f"unknown format {format!r}")
     names = [f.name for f in fields(rows[0])]
-    close = isinstance(destination, (str, bytes, os.PathLike))
-    if close:
-        destination = open(destination, "w")
-    try:
+    with (open(destination, "w")
+          if isinstance(destination, (str, bytes, os.PathLike))
+          else contextlib.nullcontext(destination)) as out:
         if format == "csv":
-            destination.write(",".join(names) + "\n")
+            out.write(",".join(names) + "\n")
             for r in rows:
-                destination.write(",".join(f"{getattr(r, name):.17g}"
-                                           for name in names) + "\n")
+                out.write(",".join(f"{getattr(r, name):.17g}"
+                                   for name in names) + "\n")
         else:
             payload = [{name: getattr(r, name) for name in names}
                        for r in rows]
-            json.dump(payload, destination, indent=1)
-            destination.write("\n")
-    finally:
-        if close:
-            destination.close()
+            json.dump(payload, out, indent=1)
+            out.write("\n")
 
 
 def parse_report(source, format: str, row_type=ConvergenceRow):

@@ -172,6 +172,11 @@ def test_phi_deriv_values():
         phi_deriv(0.5, 4)
     with pytest.raises(InvalidArgumentError):
         phi_deriv(0.5, 0)
+    # a float order gave a value at z = 0 and a TypeError elsewhere
+    for z in (0.0, 0.5):
+        with pytest.raises(InvalidArgumentError):
+            phi_deriv(z, 2.0)
+        assert phi_deriv(z, np.int64(2)) == phi_deriv(z, 2)
 
 
 def test_phi_deriv_finite_differences():

@@ -122,7 +122,10 @@ def test_usage_errors(capsys):
     assert run(capsys, "count", "--n", "-3")[0] == 2
     assert run(capsys, "count", "--fast", "--n", "5")[0] == 2
     assert run(capsys, "count", "--sieve-limit", "200", "--n", "5")[0] == 2
-    assert run(capsys, "count", "--spec", "bogus", "--n", "5")[0] == 2
+    for argv in (("count", "--n", "5"), ("table", "--n-max", "5"),
+                 ("sum", "--n", "5"), ("sample", "--n", "5", "--seed", "1")):
+        rc, out, err = run(capsys, *argv, "--spec", "bogus")
+        assert rc == 2 and out == "" and "bogus" in err
     assert run(capsys, "count", "--spec", "mod:a:1", "--n", "5")[0] == 2
     assert run(capsys, "table", "--n-max", "6", "--mode", "both")[0] == 2
     assert run(capsys, "sample", "--n", "0", "--seed", "1")[0] == 2

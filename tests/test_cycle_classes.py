@@ -132,12 +132,6 @@ def test_harmonic_offset_small_values():
         ODD.harmonic_offset(0)
 
 
-def test_support_limit(primes_spec):
-    assert primes_spec.support_limit == 10_000
-    assert ALL.support_limit is None
-    assert ODD.support_limit is None
-
-
 def test_describe(primes_spec):
     assert primes_spec.describe() == "primes"
     assert ALL.describe() == "all"
