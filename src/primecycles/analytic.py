@@ -342,9 +342,7 @@ def phi_deriv(z: float, order: int) -> float:
     test bounds the tail, and a Rosser-Schoenfeld count of the primes in
     (M, 2M], M = 1/(1-z), bounds the derivative below.
     """
-    order = _integer(order, "order", 1)
-    if order > 3:
-        raise InvalidArgumentError(f"order must be 1, 2 or 3, got {order}")
+    order = _integer(order, "order", 1, 3, InvalidArgumentError)
     if z == 0.0:
         return {1: 0.0, 2: 1.0, 3: 2.0}[order]
     return _series(z, order)

@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "| set:k1,k2,...")
         p.add_argument(n_flag, type=_integer_at_least(n_min), required=True,
                        help="permutation size")
-        p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
+        p.add_argument("--exact-cap", type=_integer_at_least(0),
+                       default=EXACT_CAP_DEFAULT,
                        help="largest n allowed in exact mode")
 
     p = sub.add_parser("count", help="exact or estimated count of valid permutations")
@@ -246,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="shared constants as JSON")
     p.add_argument("--method", choices=("zeta", "direct"), default="zeta")
-    p.add_argument("--k-max", type=int, default=60)
-    p.add_argument("--limit", type=int, default=10_000_000,
+    p.add_argument("--k-max", type=_integer_at_least(10), default=60)
+    p.add_argument("--limit", type=_integer_at_least(2), default=10_000_000,
                    help="prime summation limit for --method direct")
     p.set_defaults(handler=cmd_constants)
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from primecycles.errors import InvalidArgumentError, OutOfRangeError, _integer
+from primecycles.errors import InvalidArgumentError, _integer
 from primecycles.primes import PrimeTable
 
 KIND_PRIMES = "primes"
@@ -89,14 +89,11 @@ class CycleClassSpec:
 
     def members_upto(self, n: int) -> np.ndarray:
         """All members <= n, ascending, as an int64 array."""
-        n = _integer(n, "n", 0)
         if self.kind == KIND_PRIMES:
-            if n > self.table.limit:
-                raise OutOfRangeError(
-                    f"n={n} exceeds prime table limit {self.table.limit}"
-                )
+            n = _integer(n, "n", 0, self.table.limit)
             idx = self.table.primes()
             return idx[: int(np.searchsorted(idx, n, side="right"))]
+        n = _integer(n, "n", 0)
         if self.period is None:
             steps = np.asarray(self.steps, dtype=np.int64)
             return steps[steps <= n]

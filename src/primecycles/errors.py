@@ -36,13 +36,18 @@ class InternalConsistencyError(PrimecyclesError, RuntimeError):
     """Two internal computations of the same quantity disagree beyond budget."""
 
 
-def _integer(x, what: str, minimum=None) -> int:
+def _integer(x, what: str, minimum=None, maximum=None,
+             above=OutOfRangeError) -> int:
     """x as an int by operator.index, so numpy integers and bools pass and
-    a float is refused rather than truncated; so is a value below minimum."""
+    a float is refused rather than truncated; so is a value below minimum.
+    A value past maximum raises above: OutOfRangeError past a table's
+    range, ResourceLimitError past a size cap."""
     try:
         value = operator.index(x)
     except TypeError:
         raise InvalidArgumentError(f"{what} must be an integer, got {x!r}") from None
     if minimum is not None and value < minimum:
         raise InvalidArgumentError(f"{what} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise above(f"{what} must be <= {maximum}, got {value}")
     return value

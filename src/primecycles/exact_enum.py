@@ -174,11 +174,7 @@ def count_exact_upto(spec: CycleClassSpec, n_max: int,
     The primes take the scaled-integer recurrence; every other spec takes
     the step recurrence on its steps and period.
     """
-    n_max = _integer(n_max, "n_max", 0)
-    if n_max > exact_cap:
-        raise ResourceLimitError(
-            f"exact enumeration capped at n <= {exact_cap}, got {n_max}"
-        )
+    n_max = _integer(n_max, "exact n_max", 0, exact_cap, ResourceLimitError)
     if spec.kind == KIND_PRIMES:
         return _count_scaled(spec.members_upto(n_max).tolist(), n_max)
     return _count_steps(spec.steps, spec.period, n_max)
@@ -367,11 +363,9 @@ def build_table(spec: CycleClassSpec, n_max: int, mode: str = "exact",
     """
     if mode not in ("exact", "float", "both"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
-    n_max = _integer(n_max, "n_max", 0)
-    if mode != "exact" and n_max > FLOAT_CAP_DEFAULT:
-        raise ResourceLimitError(
-            f"float enumeration capped at n <= {FLOAT_CAP_DEFAULT}, got {n_max}"
-        )
+    exact = mode == "exact"
+    n_max = _integer(n_max, "n_max" if exact else "float n_max", 0,
+                     None if exact else FLOAT_CAP_DEFAULT, ResourceLimitError)
     p_exact = a_float = None
     if mode in ("exact", "both"):
         # count_exact_upto checks the exact cap before it allocates
@@ -401,11 +395,8 @@ def count_by_cycle_types_upto(spec: CycleClassSpec, n_max: int) -> list:
     k-cycle yet.  w_m is w_{m-1} times k falling factors over k*m, an exact
     division, so a remainder can only mean a fault here and is raised.
     """
-    n_max = _integer(n_max, "n_max", 0)
-    if n_max > PARTITION_CAP:
-        raise ResourceLimitError(
-            f"partition enumeration capped at n <= {PARTITION_CAP}, got {n_max}"
-        )
+    n_max = _integer(n_max, "partition n_max", 0, PARTITION_CAP,
+                     ResourceLimitError)
     P = [1] + [0] * n_max
     for k in spec.members_upto(n_max).tolist():
         for j in range(n_max, k - 1, -1):
@@ -458,11 +449,7 @@ def _cycle_type_census(n: int) -> dict:
 
 def count_brute_force(spec: CycleClassSpec, n: int) -> int:
     """Exhaustive count over all permutations of [n]; n is capped at 9."""
-    n = _integer(n, "n", 0)
-    if n > BRUTE_FORCE_CAP:
-        raise ResourceLimitError(
-            f"brute force capped at n <= {BRUTE_FORCE_CAP}, got {n}"
-        )
+    n = _integer(n, "brute force n", 0, BRUTE_FORCE_CAP, ResourceLimitError)
     total = 0
     for lengths, mult in _cycle_type_census(n).items():
         if all(spec.contains(l) for l in lengths):
@@ -493,10 +480,7 @@ def partial_sums(table: CountTable, ns) -> list:
     every IEEE machine.  That costs the sum of the distinct n, not the
     largest n.
     """
-    ns = [_integer(n, "n", 0) for n in ns]
-    for n in ns:
-        if n > table.n_max:
-            raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
+    ns = [_integer(n, "n", 0, table.n_max) for n in ns]
     if not ns:
         return []
     if table.p_exact is None:

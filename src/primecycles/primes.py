@@ -32,7 +32,6 @@ import numpy as np
 
 from primecycles.errors import (
     InternalConsistencyError,
-    OutOfRangeError,
     ResourceLimitError,
     _integer,
 )
@@ -75,9 +74,7 @@ class PrimeTable:
         return PrimeTable, (self.limit, self._primes)
 
     def is_prime(self, k: int) -> bool:
-        k = _integer(k, "k", 1)
-        if k > self.limit:
-            raise OutOfRangeError(f"k={k} exceeds sieve limit {self.limit}")
+        k = _integer(k, "k", 1, self.limit)
         i = int(np.searchsorted(self._primes, k))
         return i < self._primes.size and int(self._primes[i]) == k
 
@@ -87,20 +84,13 @@ class PrimeTable:
 
     def prime_count(self, y: int) -> int:
         """pi(y), the number of primes not exceeding y."""
-        y = _integer(y, "y", 1)
-        if y > self.limit:
-            raise OutOfRangeError(f"y={y} exceeds sieve limit {self.limit}")
+        y = _integer(y, "y", 1, self.limit)
         return int(np.searchsorted(self._primes, y, side="right"))
 
     def nth_prime(self, k: int) -> int:
         """The k-th smallest prime (1-indexed)."""
         index = self._primes
-        k = _integer(k, "k", 1)
-        if k > index.size:
-            raise OutOfRangeError(
-                f"only {index.size} primes <= {self.limit}, cannot take k={k}"
-            )
-        return int(index[k - 1])
+        return int(index[_integer(k, "k", 1, index.size) - 1])
 
 
 def build_sieve(limit: int) -> PrimeTable:
@@ -110,11 +100,8 @@ def build_sieve(limit: int) -> PrimeTable:
     Raises InvalidArgumentError for limit < 2 and ResourceLimitError above
     ``DEFAULT_MEMORY_CAP``.
     """
-    limit = _integer(limit, "sieve limit", 2)
-    if limit > DEFAULT_MEMORY_CAP:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds memory cap {DEFAULT_MEMORY_CAP}"
-        )
+    limit = _integer(limit, "sieve limit", 2, DEFAULT_MEMORY_CAP,
+                     ResourceLimitError)
     return PrimeTable(limit, np.concatenate(list(iter_prime_blocks(limit))))
 
 

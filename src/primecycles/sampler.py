@@ -44,7 +44,6 @@ from primecycles.errors import (
     EmptySupportError,
     InternalConsistencyError,
     InvalidArgumentError,
-    OutOfRangeError,
     _integer,
 )
 from primecycles.exact_enum import CountTable
@@ -70,11 +69,6 @@ class CycleTypeSample:
     seed: int
 
 
-def _check_n(table: CountTable, n: int):
-    if _integer(n, "n", 1) > table.n_max:
-        raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
-
-
 def _empty_support(n: int) -> EmptySupportError:
     return EmptySupportError(
         f"no permutation of [{n}] has all cycle lengths allowed"
@@ -88,7 +82,7 @@ def _float_cumulative(table: CountTable, n: int, ks: np.ndarray) -> np.ndarray:
     step where a_{n-k_i} = 0.  The last entry is checked against n * a_n,
     which it equals in exact arithmetic; a running sum of nonnegative terms
     is within about len(ks) * eps of its exact value."""
-    _check_n(table, n)
+    n = _integer(n, "n", 1, table.n_max)
     a = table.a_float
     # both tests are written so that a NaN fails them
     if not a[n] > 0.0:
@@ -109,7 +103,7 @@ def _float_cumulative(table: CountTable, n: int, ks: np.ndarray) -> np.ndarray:
 def _exact_first_cycle(table: CountTable, n: int, ks: np.ndarray):
     """(numerators, P_n) for the members ks, as for _float_cumulative: length
     k has probability P_{n-k} (n-1)!/(n-k)! / P_n = a_{n-k} / (n * a_n)."""
-    _check_n(table, n)
+    n = _integer(n, "n", 1, table.n_max)
     P = table.p_exact
     if P[n] == 0:
         raise _empty_support(n)
@@ -238,9 +232,7 @@ def expand_type_distribution(table: CountTable, n: int):
     """
     if table.p_exact is None:
         raise InvalidArgumentError("expansion requires an exact-mode table")
-    n = _integer(n, "n", 0)
-    if n > table.n_max:
-        raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
+    n = _integer(n, "n", 0, table.n_max)
 
     memo = {0: {(): Fraction(1)}}
 

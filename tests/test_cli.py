@@ -131,6 +131,11 @@ def test_usage_errors(capsys):
     assert run(capsys, "sample", "--n", "0", "--seed", "1")[0] == 2
     assert run(capsys, "sample", "--n", "5", "--seed", "1",
                "--count", "0")[0] == 2
+    for argv in (("constants", "--k-max", "5"),
+                 ("constants", "--method", "direct", "--limit", "1"),
+                 ("count", "--n", "5", "--exact-cap", "-1")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and "must be >=" in err
     assert run(capsys)[0] == 2
 
 
