@@ -7,12 +7,14 @@ of phi(e^-t) used for small-t estimates, and the closed-form models the
 verification harness compares against exact enumeration.
 
 Everything here is a pure function of its arguments; prime sums stream
-through iter_prime_blocks so no call materializes a large table.
+through iter_prime_blocks so no call materializes a large table, and their
+accumulators, SeriesSum and PhiSplitSums, can share one stream through
+feed_primes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -82,6 +84,22 @@ def _mobius(j: int) -> int:
     return m
 
 
+def _log_zeta(s: float) -> float:
+    """ln zeta(s), for s >= 1.5."""
+    return math.log1p(zeta_minus_1(s))
+
+
+def _prime_zeta(s: float, log_zeta=_log_zeta) -> float:
+    total = 0.0
+    j = 1
+    while j * s <= 64.0:
+        mu = _mobius(j)
+        if mu:
+            total += mu / j * log_zeta(j * s)
+        j += 1
+    return total
+
+
 def prime_zeta(s: float) -> float:
     """P(s) = sum over primes of p^-s, via sum_j mu(j)/j * ln zeta(js).
 
@@ -90,14 +108,7 @@ def prime_zeta(s: float) -> float:
     """
     if s < 2.0:
         raise OutOfDomainError(f"prime_zeta requires s >= 2, got {s}")
-    total = 0.0
-    j = 1
-    while j * s <= 64.0:
-        mu = _mobius(j)
-        if mu:
-            total += mu / j * math.log1p(zeta_minus_1(j * s))
-        j += 1
-    return total
+    return _prime_zeta(s)
 
 
 # -- the Mertens constant by two routes ------------------------------------------
@@ -112,7 +123,7 @@ def mertens_direct(limit: int):
     sum_{p>limit} 1/p^2 <= 1/(limit-1), which is the returned bound.
 
     Unlike _series, it adds numpy's pairwise block sums in doubles rather
-    than rounding the exact sum once: math.fsum would cost about 65 ns a
+    than rounding the exact sum once: an exact sum costs about 15 ns a
     term against about 1 ns, and the summands share one sign, so the
     rounding error, below 10^-13 of the sum, is far below the tail bound.
     """
@@ -128,11 +139,15 @@ def mertens_zeta(k_max: int) -> float:
     """The same constant as gamma - sum_{k>=2} P(k)/k, truncated at k_max.
 
     Tail below 2 * 2^-k_max; k_max = 60 reaches full double precision.
+    Each P(k) is prime_zeta's sum, in its order, but ln zeta(m) is taken
+    once for each of the 62 integers m = jk <= 64 the sums read, not once
+    per read (168 times at k_max = 60).
     """
     k_max = _integer(k_max, "k_max", 10)
+    log_zeta = functools.cache(_log_zeta)
     acc = 0.0
     for k in range(k_max, 1, -1):
-        acc += prime_zeta(float(k)) / k
+        acc += _prime_zeta(float(k), log_zeta) / k
     return EULER_GAMMA - acc
 
 
@@ -194,6 +209,9 @@ _LOG_BUDGET = -53.0 * math.log(2.0)
 # and pi(x) < _PI_UPPER x/ln x for x > 1
 _PI_LOWER_FROM = 17.0
 _PI_UPPER = 1.25506
+# Rosser & Schoenfeld (1962), Theorem 1: x/ln x (1 + 1/(2 ln x)) < pi(x)
+# for x >= 59, and pi(x) < x/ln x (1 + 3/(2 ln x)) for x > 1
+_PI_TIGHT_FROM = 59
 
 
 def _log_term(k: float, lnz: float, order: int) -> float:
@@ -203,6 +221,14 @@ def _log_term(k: float, lnz: float, order: int) -> float:
     if order == 0:
         return k * lnz - math.log(k)
     return sum(math.log(k - j) for j in range(1, order)) + (k - order) * lnz
+
+
+def _log_term_slope(k: float, lnz: float, order: int) -> float:
+    """d/dk of _log_term(k, lnz, order); above order 0 it falls as k grows,
+    and at order 0 it is below ln z < 0 everywhere."""
+    if order == 0:
+        return lnz - 1.0 / k
+    return lnz + sum(1.0 / (k - j) for j in range(1, order))
 
 
 def _log_sum_exp(logs) -> float:
@@ -227,42 +253,66 @@ def _series_limit(z: float, order: int = 0,
     """Smallest L >= _SERIES_FLOOR at which the series of the order-th
     derivative of sum_{k in A} z^k/k, A the members of spec (the primes by
     default), drops a tail of at most 2^-53 times the whole sum, as proven
-    by the two bounds below; then the tail is under one ulp of the sum.
+    by the bounds below; then the tail is under one ulp of the sum.
 
-    Write T_k for the k-th term (z^k/k, or (k-1)...(k-order+1) z^(k-order)).
+    Write T(k) for the k-th term (z^k/k, or (k-1)...(k-order+1) z^(k-order)),
+    a smooth function of a real k > order - 1.
 
     - The tail over A is at most the tail over all integers k > L.  There
-      T_{k+1}/T_k = z k/(k - order + 1), which is below z for order 0, z
+      T(k+1)/T(k) = z k/(k - order + 1), which is below z for order 0, z
       for order 1, and falls as k grows above.  So for k > L it is at most
       rho = z max(1, (L+1)/(L+2-order)), and where rho < 1 the tail is at
-      most the geometric sum T_{L+1}/(1 - rho); for order 0 that is
+      most the geometric sum T(L+1)/(1 - rho); for order 0 that is
       z^(L+1)/((L+1)(1-z)).
-    - The whole sum is at least its head, the members L always sums
-      (_series_head): for the primes, sum_{p<=100} T_p.  For the primes it
-      is also at least a count of the primes in (M, 2M], M = 1/(1-z), times
-      the least T_k there.  By Rosser & Schoenfeld, "Approximate formulas
-      for some functions of prime numbers" (Illinois J. Math. 6, 1962),
-      (3.5) and (3.6), that count exceeds 2M/ln(2M) - 1.25506 M/ln M for
-      2M >= 17.  ln T_k is concave in k, so the least T_k on [M, 2M] is at
-      an end; L is kept >= 2M so that those primes are summed.  The head
-      alone bounds phi's sum well, but not the derivatives', whose terms
-      grow towards k ~ order/(1-z).
+    - Over the primes the tail is also bounded through pi(x).  Rosser &
+      Schoenfeld, "Approximate formulas for some functions of prime
+      numbers" (Illinois J. Math. 6, 1962), Theorem 1, give V(x) < pi(x)
+      for x >= 59 and pi(x) < U(x) for x > 1, with V(x) = x/ln x (1 +
+      1/(2 ln x)) and U(x) = x/ln x (1 + 3/(2 ln x)).  Let L >= 59 and T
+      decrease on [L, inf), which holds where d ln T/dk <= 0 at L, since
+      that slope falls in k (_log_term_slope).  By partial summation, then
+      by pi <= U and -T' >= 0, and by parts again,
 
-    The tail bound decreases in L wherever rho < 1, so L is found by
-    doubling and bisection.  It lies near u/(1-z), with u = 32.7 for order 0
-    at every t of the verify grids, and about 42, 45 and 49 for orders 1-3
-    there.
+          sum_{p>L} T(p) = -T(L) pi(L) + int_L^inf pi(x) (-T'(x)) dx
+                         <= -T(L) V(L) + T(L) U(L) + int_L^inf U'(x) T(x) dx.
+
+      U(L) - V(L) = L/ln^2 L.  U'(x) = 1/ln x + 1/(2 ln^2 x) - 3/ln^3 x
+      falls for x >= 13, so it is at most 1/ln L + 1/(2 ln^2 L) on [L, inf).
+      T decreases, so int_L^inf T <= sum_{k>=L} T(k) <= T(L) (1 + 1/(1 -
+      rho)), rho as above.  Together, the tail is at most
+
+          T(L) [L/ln^2 L + (1/ln L + 1/(2 ln^2 L)) (1 + 1/(1 - rho))],
+
+      about ln L times below the integer bound, and L is accepted where
+      either bound is within the budget.
+    - The whole sum is at least its head, the members L always sums
+      (_series_head): for the primes, sum_{p<=100} T(p).  For the primes it
+      is also at least a count of the primes in (M, 2M], M = 1/(1-z), times
+      the least T(k) there.  By Rosser & Schoenfeld (1962), (3.5) and
+      (3.6), that count exceeds 2M/ln(2M) - 1.25506 M/ln M for 2M >= 17.
+      ln T is concave in k, so the least T(k) on [M, 2M] is at an end; L
+      is kept >= 2M so that those primes are summed.  The head alone
+      bounds phi's sum well, but not the derivatives', whose terms grow
+      towards k ~ order/(1-z).
+
+    Both tail bounds decrease in L where rho < 1 and L is past the terms'
+    peak, so L is found by doubling and bisection; every L returned meets
+    one of the bounds.  Over the primes it lies near u/(1-z), z = e^-t,
+    with u = 31.8 to 30.5 for order 0 as t runs from 1e-3 to 1e-8 (30.8 at
+    t = 3e-7), and about 40, 43 and 47 for orders 1-3; the first bound
+    alone gave u = 32.7 for order 0 and about 42, 45 and 49 above.
     The bounds are evaluated in floating point, which moves the budget by
     a few ulps of itself, not its order.
     """
     lnz = math.log(z)
     head = _series_head(spec)
+    over_primes = spec is None or spec.kind == KIND_PRIMES
     floor = max(_SERIES_FLOOR, head[-1])
     log_lower = _log_sum_exp([_log_term(k, lnz, order) for k in head
                               if k > order - 1])
     gap = 1.0 - z
     big_m = 1.0 / gap
-    if (spec is None or spec.kind == KIND_PRIMES) and 2.0 * big_m >= _PI_LOWER_FROM:
+    if over_primes and 2.0 * big_m >= _PI_LOWER_FROM:
         count = (2.0 * big_m / math.log(2.0 * big_m)
                  - _PI_UPPER * big_m / math.log(big_m))
         if count > 0.0:
@@ -275,8 +325,17 @@ def _series_limit(z: float, order: int = 0,
     def within(L: int) -> bool:
         # 1 - rho, written without cancelling
         margin = min(gap, ((L + 1) * gap + (1 - order)) / (L + 2 - order))
-        return margin > 0.0 and (
-            _log_term(L + 1.0, lnz, order) - math.log(margin) <= budget)
+        if margin <= 0.0:
+            return False
+        if _log_term(L + 1.0, lnz, order) - math.log(margin) <= budget:
+            return True
+        if not (over_primes and L >= _PI_TIGHT_FROM
+                and _log_term_slope(L, lnz, order) <= 0.0):
+            return False
+        lnl = math.log(L)
+        factor = (L / lnl ** 2
+                  + (1.0 / lnl + 0.5 / lnl ** 2) * (1.0 + 1.0 / margin))
+        return _log_term(float(L), lnz, order) + math.log(factor) <= budget
 
     if within(floor):
         return floor
@@ -303,33 +362,94 @@ def _power_terms(kf: np.ndarray, lnz: float, order: int = 0) -> np.ndarray:
     return falling * np.exp((kf - order) * lnz)
 
 
-def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> float:
-    """The sum of _power_terms over the members k <= _series_limit(z,
-    order, spec) of spec, the primes by default; primes stream through
-    iter_prime_blocks, so no table caps z.  The dropped tail is at most
-    2^-53 times the whole sum, under one ulp of it.
+class _ExactSum:
+    """The exact sum of the doubles added to it, held as one integer per
+    binary exponent, so its memory does not grow with the number of terms;
+    value() rounds it once, to the nearest double, ties to even.  That is
+    the value math.fsum returns for the same doubles in any order, since
+    fsum also rounds the exact sum once."""
 
-    math.fsum adds the terms exactly and rounds once, so the result is the
-    double nearest their sum on every IEEE machine, however the stream cuts
-    its blocks.  It reads one block's terms at a time.
+    # terms per pass: their arrays stay in a core's L2 cache, and their
+    # integer halves, each below 2^27, sum below 2^53, where doubles add
+    # integers exactly
+    _CHUNK = 1 << 14
+
+    def __init__(self):
+        self._by_exponent = {}
+
+    def add(self, x: np.ndarray) -> None:
+        for lo in range(0, x.size, self._CHUNK):
+            # x = q 2^(e-53) with q = m 2^53 an integer below 2^53, split as
+            # q = hi 2^26 + low with 0 <= low < 2^26
+            m, e = np.frexp(x[lo : lo + self._CHUNK])
+            q = np.ldexp(m, 53)
+            hi = np.floor(np.ldexp(q, -26))
+            low = q - np.ldexp(hi, 26)
+            e_min = int(e.min())
+            sums = zip(np.bincount(e - e_min, hi).tolist(),
+                       np.bincount(e - e_min, low).tolist())
+            held = self._by_exponent
+            for i, (h, l) in enumerate(sums):
+                if h or l:
+                    held[e_min + i] = held.get(e_min + i, 0) + (int(h) << 26) + int(l)
+
+    def value(self) -> float:
+        if not self._by_exponent:
+            return 0.0
+        e_min = min(self._by_exponent)
+        num = sum(q << (e - e_min) for e, q in self._by_exponent.items())
+        # int / int rounds the exact quotient once
+        shift = 53 - e_min
+        return num / (1 << shift) if shift >= 0 else float(num << -shift)
+
+
+class SeriesSum:
+    """Prime-stream accumulator for _series(z, order, spec): the sum of
+    _power_terms over the members k <= _series_limit(z, order, spec) of
+    spec, the primes by default, whose dropped tail is at most 2^-53 times
+    the whole sum.  z is checked and the limit found on construction, so
+    before any prime is streamed.
+
+    The terms are added exactly and the sum rounded once (_ExactSum), so
+    the result is the double nearest their sum, the one math.fsum gives, on
+    every IEEE machine, however the stream cuts its blocks; its memory is
+    a few integers, whatever the limit.
     """
-    _check_z(z)
-    limit = _series_limit(z, order, spec)
+
+    def __init__(self, z: float, order: int = 0,
+                 spec: Optional[CycleClassSpec] = None):
+        _check_z(z)
+        self.limit = _series_limit(z, order, spec)
+        self._lnz = math.log(z)
+        self._order = order
+        self._sum = _ExactSum()
+
+    def add(self, block) -> bool:
+        self._sum.add(_power_terms(block.astype(np.float64), self._lnz,
+                                   self._order))
+        return False
+
+    def result(self) -> float:
+        return self._sum.value()
+
+
+def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> float:
+    """The one-accumulator case of SeriesSum: the primes stream through
+    iter_prime_blocks to its limit, so no table caps z; any other spec
+    hands it its members up to the limit in one block."""
+    acc = SeriesSum(z, order, spec)
     if spec is None or spec.kind == KIND_PRIMES:
-        blocks = iter_prime_blocks(limit)
-    else:
-        blocks = (spec.members_upto(limit),)
-    lnz = math.log(z)
-    return math.fsum(chain.from_iterable(
-        memoryview(_power_terms(block.astype(np.float64), lnz, order))
-        for block in blocks))
+        return feed_primes(iter_prime_blocks(acc.limit), acc)[0]
+    acc.add(spec.members_upto(acc.limit))
+    return acc.result()
 
 
 def phi_eval(z: float) -> float:
     """sum over primes of z^p / p, truncated at _series_limit(z), which
     drops a tail of at most 2^-53 times phi: the sum of the primes up to
-    100 bounds phi below, the tail over all integers bounds the dropped
-    one above."""
+    100 bounds phi below, and a Rosser-Schoenfeld bound on the tail over
+    the primes, or the tail over all integers, bounds the dropped one
+    above."""
     return _series(z) if z != 0.0 else 0.0
 
 
@@ -338,8 +458,9 @@ def phi_deriv(z: float, order: int) -> float:
 
     Term sums: sum_p z^{p-1}, sum_p (p-1)z^{p-2}, sum_p (p-1)(p-2)z^{p-3},
     each truncated at its own _series_limit(z, order), which drops a tail
-    of at most 2^-53 times the derivative throughout the domain: the ratio
-    test bounds the tail, and a Rosser-Schoenfeld count of the primes in
+    of at most 2^-53 times the derivative throughout the domain: partial
+    summation against Rosser-Schoenfeld bounds on pi(x), or the ratio
+    test, bounds the tail, and a Rosser-Schoenfeld count of the primes in
     (M, 2M], M = 1/(1-z), bounds the derivative below.
     """
     order = _integer(order, "order", 1, 3, InvalidArgumentError)
@@ -383,11 +504,11 @@ def phi_split(t: float) -> PhiSplit:
 
     phi1 = sum_{p<=y} 1/p, phi2 = -sum_{p<=y} (1-e^{-pt})/p,
     phi3 = sum_{p>y} e^{-pt}/p, the last truncated at phi's own limit
-    _series_limit(e^-t).  So phi3's dropped tail is bounded absolutely, by
-    2^-53 phi(e^-t), not relative to phi3: phi3 is small, so its own
-    relative truncation error may reach 2^-53 phi/phi3, about 3e-11 at
-    t = 1e-8.  The
-    one-point case of phi_split_grid.
+    _series_limit(e^-t), near 31.8/t at t = 1e-3 and 30.5/t at t = 1e-8.
+    So phi3's dropped tail is bounded absolutely, by 2^-53 phi(e^-t), not
+    relative to phi3: phi3 is small, so its own relative truncation error
+    may reach 2^-53 phi/phi3, about 3e-11 at t = 1e-8.  The one-point case
+    of phi_split_grid.
     """
     return phi_split_grid((t,))[0][0]
 
@@ -399,14 +520,15 @@ class PhiSplitSums:
     is at most 2^-53 phi(e^-t).
 
     Every t is checked on construction, so before any prime is streamed.
-    The limit is the largest truncation limit on the grid.  Each block's
+    The limit is the largest truncation limit on the grid, about 30.8/t
+    at t = 3e-7 (1.03e8) and 30.5/t at t = 1e-8 (3.05e9).  Each block's
     reciprocals 1/p are taken once and shared by every t and every sum,
     and every t works in place in one row; the rows are allocated once,
     for the largest block.
 
     Unlike _series, each sum adds numpy's pairwise block sums in doubles
     rather than rounding the exact sum once.  A verify pass sums tens of
-    millions of terms here, where math.fsum would cost about 65 ns a term
+    millions of terms here, where an exact sum costs about 15 ns a term
     against about 1 ns.  The terms of each sum share one sign, so its
     rounding error is below 10^-13 of it, far below the 1e-9 tolerance that
     compares the recombined split with the direct sum.
@@ -509,18 +631,23 @@ def yakimiv_log_model(spec: CycleClassSpec, n: int, constants: Constants) -> flo
             - constants.euler_gamma * r - math.lgamma(r))
 
 
-def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants) -> float:
+def odlyzko_sum_model(spec: CycleClassSpec, n: int, constants: Constants,
+                      series: Optional[float] = None) -> float:
     """Partial-sum model f_A(1 - 1/n) / Gamma(rho + 1).
 
     f_A is exp of the series over members k <= _series_limit(1 - 1/n, 0,
     spec), whose dropped tail is at most 2^-53 times the series, the
     primes streamed as phi_eval streams them, so for the primes the model
     is f_eval(1 - 1/n) exactly; for period 1, all lengths, the closed form
-    f_A(z) = 1/(1-z) = n is used instead, making the model exact.
+    f_A(z) = 1/(1-z) = n is used instead, making the model exact.  series,
+    if given, is that series as SeriesSum(1 - 1/n, spec=spec) fed from a
+    shared stream returns it; by default it is summed here.
     """
     n = _integer(n, "n", 2)
     if spec.period == 1:
         f_val = float(n)
     else:
-        f_val = math.exp(_series(1.0 - 1.0 / n, spec=spec))
+        if series is None:
+            series = _series(1.0 - 1.0 / n, spec=spec)
+        f_val = math.exp(series)
     return f_val / math.exp(math.lgamma(float(spec.density()) + 1.0))

@@ -11,6 +11,7 @@ import math
 import sys
 
 from primecycles.analytic import (
+    _check_t,
     f_eval,
     make_constants,
     phi_deriv,
@@ -18,7 +19,12 @@ from primecycles.analytic import (
     phi_split,
 )
 from primecycles.cycle_classes import KIND_STEPS, CycleClassSpec
-from primecycles.errors import InvalidArgumentError, PrimecyclesError, _integer
+from primecycles.errors import (
+    InvalidArgumentError,
+    OutOfDomainError,
+    PrimecyclesError,
+    _integer,
+)
 from primecycles.exact_enum import (
     EXACT_CAP_DEFAULT,
     big_str,
@@ -192,24 +198,35 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _csv_ints(text):
-    return tuple(int(v) for v in text.split(","))
-
-
-def _csv_floats(text):
-    return tuple(float(v) for v in text.split(","))
-
-
-def _integer_at_least(minimum: int):
+def _integer_at_least(minimum: int, what: str = "value"):
     """An argparse type: an int of at least minimum.  Below it is a usage
     error that names the bound; text that is no int reads "invalid integer
     value"."""
     def integer(text):
         try:
-            return _integer(int(text), "value", minimum)
+            return _integer(int(text), what, minimum)
         except InvalidArgumentError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return integer
+
+
+def _t_value(text):
+    """An argparse type: a float t in phi_split's domain; outside it is a
+    usage error that names the domain."""
+    t = float(text)
+    try:
+        _check_t(t)
+    except OutOfDomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return t
+
+
+def _csv_of(item):
+    """An argparse type: comma-separated entries, each parsed by the type
+    item, as a tuple."""
+    def grid(text):
+        return tuple(item(v) for v in text.split(","))
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which",
                    choices=("all",) + CHECK_NAMES,
                    default="all")
-    p.add_argument("--n-grid", type=_csv_ints, default=None,
-                   help="comma-separated n grid")
-    p.add_argument("--t-grid", type=_csv_floats, default=None,
-                   help="comma-separated t grid")
+    p.add_argument("--n-grid",
+                   type=_csv_of(_integer_at_least(2, "grid entries")),
+                   default=None, help="comma-separated n grid, each n >= 2")
+    p.add_argument("--t-grid", type=_csv_of(_t_value), default=None,
+                   help="comma-separated t grid, each t in "
+                        "[-ln(1 - 1e-9), e^-e)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None,
                    help="prefix for emitted per-check tables")

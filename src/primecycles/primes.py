@@ -13,6 +13,7 @@ with a ``limit`` (the largest prime it reads), ``add(block)`` and
 each cut at its own limit, so checks that need the primes to different
 limits read them once.  :class:`NthPrimes` is one: it counts block sizes
 to find p_k, so its working memory is one segment however large k is.
+:class:`PrimesUpTo` is another, the one behind :func:`build_sieve`.
 
 A segment spans ``SEGMENT_SIZE`` = 2^21 integers, whose odd-only mask is
 1 MB: it stays in a 2 MB per-core L2 cache while every base prime strikes
@@ -91,18 +92,6 @@ class PrimeTable:
         """The k-th smallest prime (1-indexed)."""
         index = self._primes
         return int(index[_integer(k, "k", 1, index.size) - 1])
-
-
-def build_sieve(limit: int) -> PrimeTable:
-    """The table of all primes up to ``limit`` (inclusive), read off the
-    prime stream.
-
-    Raises InvalidArgumentError for limit < 2 and ResourceLimitError above
-    ``DEFAULT_MEMORY_CAP``.
-    """
-    limit = _integer(limit, "sieve limit", 2, DEFAULT_MEMORY_CAP,
-                     ResourceLimitError)
-    return PrimeTable(limit, np.concatenate(list(iter_prime_blocks(limit))))
 
 
 def _presieved_pattern(width: int) -> np.ndarray:
@@ -220,6 +209,36 @@ class NthPrimes:
                 f"primes, short of k={self._pending[-1]}"
             )
         return [self._found[k] for k in self.ks]
+
+
+class PrimesUpTo:
+    """Accumulator for build_sieve(limit): it keeps the blocks up to limit
+    and joins them into a PrimeTable.
+
+    Raises InvalidArgumentError for limit < 2 and ResourceLimitError above
+    ``DEFAULT_MEMORY_CAP`` on construction, so before any prime is streamed.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = _integer(limit, "sieve limit", 2, DEFAULT_MEMORY_CAP,
+                              ResourceLimitError)
+        self._blocks = []
+
+    def add(self, block) -> bool:
+        # a copy: a block cut at the limit is a view that would keep the
+        # stream's whole block alive
+        self._blocks.append(block.copy())
+        return False
+
+    def result(self) -> PrimeTable:
+        return PrimeTable(self.limit, np.concatenate(self._blocks))
+
+
+def build_sieve(limit: int) -> PrimeTable:
+    """The table of all primes up to ``limit`` (inclusive): the
+    one-accumulator case of :class:`PrimesUpTo`."""
+    acc = PrimesUpTo(limit)
+    return feed_primes(iter_prime_blocks(acc.limit), acc)[0]
 
 
 def nth_primes(ks) -> list:

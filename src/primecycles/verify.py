@@ -17,11 +17,21 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from primecycles.errors import InvalidArgumentError, _integer
-from primecycles.exact_enum import CountTable, build_table, partial_sums
+from primecycles.errors import (
+    InvalidArgumentError,
+    ResourceLimitError,
+    _integer,
+)
+from primecycles.exact_enum import (
+    FLOAT_CAP_DEFAULT,
+    CountTable,
+    build_table,
+    partial_sums,
+)
 from primecycles.analytic import (
     Constants,
     PhiSplitSums,
+    SeriesSum,
     make_constants,
     odlyzko_sum_model,
     partial_sum_log_model,
@@ -29,7 +39,7 @@ from primecycles.analytic import (
 from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec
 from primecycles.primes import (
     NthPrimes,
-    build_sieve,
+    PrimesUpTo,
     feed_primes,
     iter_prime_blocks,
 )
@@ -72,8 +82,12 @@ def _checked_grid(grid) -> list:
     return grid
 
 
-def partial_sum_table(table: CountTable, n_grid, constants: Constants):
+def partial_sum_table(table: CountTable, n_grid, constants: Constants,
+                      sums=None):
     """Rows comparing T_n against e^c ln n over the grid.
+
+    sums, if given, are partial_sums(table, n_grid), taken once for both
+    partial-sum tables; by default they are taken here.
 
     scaled_residual = (T_n/ln n - e^c) * ln ln n, the natural scale of the
     model's error term.
@@ -81,8 +95,10 @@ def partial_sum_table(table: CountTable, n_grid, constants: Constants):
     if table.spec.kind != KIND_PRIMES:
         raise InvalidArgumentError("partial-sum table is defined for the primes spec")
     n_grid = _checked_grid(n_grid)
+    if sums is None:
+        sums = partial_sums(table, n_grid)
     rows = []
-    for n, total in zip(n_grid, partial_sums(table, n_grid)):
+    for n, total in zip(n_grid, sums, strict=True):
         exact = float(total)
         model = partial_sum_log_model(n, constants)
         resid = (exact / math.log(n) - constants.e_to_c) * math.log(math.log(n))
@@ -90,18 +106,28 @@ def partial_sum_table(table: CountTable, n_grid, constants: Constants):
     return rows
 
 
-def hlk_comparison_table(table: CountTable, n_grid, constants: Constants):
+def hlk_comparison_table(table: CountTable, n_grid, constants: Constants,
+                         sums=None, series=None):
     """Rows comparing T_n against f_A(1 - 1/n) / Gamma(rho + 1), as
     odlyzko_sum_model gives it for every spec; for the primes that is
     f_eval(1 - 1/n) itself (density 0, Gamma(1) = 1).
 
+    sums, if given, are partial_sums(table, n_grid), and series, if given,
+    the series over table.spec at each 1 - 1/n, as analytic.SeriesSum
+    accumulators fed from a shared stream return them; by default both are
+    taken here.
+
     scaled_residual = (ratio - 1) * ln ln n.
     """
     n_grid = _checked_grid(n_grid)
+    if sums is None:
+        sums = partial_sums(table, n_grid)
+    if series is None:
+        series = [None] * len(n_grid)
     rows = []
-    for n, total in zip(n_grid, partial_sums(table, n_grid)):
+    for n, total, f_series in zip(n_grid, sums, series, strict=True):
         exact = float(total)
-        model = odlyzko_sum_model(table.spec, n, constants)
+        model = odlyzko_sum_model(table.spec, n, constants, f_series)
         resid = (exact / model - 1.0) * math.log(math.log(n))
         rows.append(make_row(n, exact, model, resid))
     return rows
@@ -288,45 +314,58 @@ class VerifyRun:
 def run_verify(n_grid, t_grid, which) -> VerifyRun:
     """Run the checks named in which, a subset of CHECK_NAMES.
 
-    partial-sum and hlk read one float count table over the primes to
-    max(n_grid); phi and pnt read their primes off one stream, to the
-    larger of the t grid's truncation limit and Rosser's bound for the
-    largest k on PNT_GRID_DEFAULT.  Every grid a selected check reads is
-    validated before any table is built or any prime streamed.
+    Every prime the checks read comes off one stream, to the largest limit
+    among its accumulators:
+    - primes.PrimesUpTo(max(n_grid)) fills the float count table over the
+      primes that partial-sum and hlk read; the two share one partial_sums
+      call
+    - one analytic.SeriesSum per n takes the hlk model's series at 1 - 1/n
+    - analytic.PhiSplitSums takes the phi split over the t grid
+    - primes.NthPrimes takes p_k for k on PNT_GRID_DEFAULT, for pnt
+    Every grid a selected check reads is validated, and the count table's
+    float cap checked, before any table is built or any prime streamed.
     """
     selected = set(which)
     if not selected <= set(CHECK_NAMES):
         raise InvalidArgumentError(
             f"unknown checks {sorted(selected - set(CHECK_NAMES))}")
-    counts = selected & {"partial-sum", "hlk"}
-    if counts:
+    readers = {}  # name -> its accumulators on the shared stream
+    if selected & {"partial-sum", "hlk"}:
         n_grid = _checked_grid(n_grid)
-    readers = {}
+        n_max = _integer(max(n_grid), "float n_max",
+                         maximum=FLOAT_CAP_DEFAULT, above=ResourceLimitError)
+        readers["members"] = [PrimesUpTo(n_max)]
+    if "hlk" in selected:
+        readers["hlk"] = [SeriesSum(1.0 - 1.0 / n) for n in n_grid]
     if "phi" in selected:
         t_grid = list(t_grid)
         if not t_grid:  # a phi check over no t would judge nothing
             raise InvalidArgumentError("t grid must be nonempty")
-        readers["phi"] = PhiSplitSums(t_grid)  # refuses a t out of domain
+        readers["phi"] = [PhiSplitSums(t_grid)]  # refuses a t out of domain
     if "pnt" in selected:
-        readers["pnt"] = NthPrimes(PNT_GRID_DEFAULT)
+        readers["pnt"] = [NthPrimes(PNT_GRID_DEFAULT)]
     constants = make_constants()
+    accs = [acc for group in readers.values() for acc in group]
+    if accs:
+        stream = iter_prime_blocks(max(acc.limit for acc in accs))
+        results = iter(feed_primes(stream, *accs))
+        got = {name: [next(results) for _ in group]
+               for name, group in readers.items()}
     tables = {}
-    if counts:
-        # the table reads members up to max(n_grid); the hlk model streams its own
-        n_max = max(n_grid)
-        spec = CycleClassSpec.primes(build_sieve(n_max))
-        count_table = build_table(spec, n_max, mode="float")
+    if "members" in readers:
+        count_table = build_table(CycleClassSpec.primes(got["members"][0]),
+                                  n_max, mode="float")
+        sums = partial_sums(count_table, n_grid)
     if "partial-sum" in selected:
-        tables["partial-sum"] = partial_sum_table(count_table, n_grid, constants)
+        tables["partial-sum"] = partial_sum_table(count_table, n_grid,
+                                                  constants, sums)
     if "hlk" in selected:
-        tables["hlk"] = hlk_comparison_table(count_table, n_grid, constants)
-    if readers:
-        stream = iter_prime_blocks(max(acc.limit for acc in readers.values()))
-        streamed = dict(zip(readers, feed_primes(stream, *readers.values())))
+        tables["hlk"] = hlk_comparison_table(count_table, n_grid, constants,
+                                             sums, got["hlk"])
     if "phi" in selected:
-        tables["phi"] = phi_estimate_table(streamed["phi"], constants)
+        tables["phi"] = phi_estimate_table(got["phi"][0], constants)
     if "pnt" in selected:
-        tables["pnt"] = pnt_table(PNT_GRID_DEFAULT, streamed["pnt"])
+        tables["pnt"] = pnt_table(PNT_GRID_DEFAULT, got["pnt"][0])
     verdicts = [_VERDICTS[name](rows) for name, rows in tables.items()]
     if "slowvar" in selected:
         verdicts.append(slow_variation_check(SLOWVAR_U_DEFAULT,

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from primecycles import primes
 from primecycles.analytic import make_constants
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError
@@ -63,5 +66,27 @@ def float_table_1e5(primes_spec_big):
 @pytest.fixture(scope="session")
 def default_verify_run():
     # every check on the default grids: the phi check streams the primes to
-    # about 3.3e9, so the tests that read this run share it
+    # about 3.05e9, so the tests that read this run share it
     return run_verify(N_GRID_DEFAULT, T_GRID_DEFAULT, CHECK_NAMES)
+
+
+@pytest.fixture
+def record_streams(monkeypatch):
+    """Swap every binding of iter_prime_blocks in the package for one that
+    records each stream as [limit, blocks read]; the list of records."""
+    streams = []
+    original = primes.iter_prime_blocks
+
+    def recording(limit, *args, **kwargs):
+        stream = [limit, 0]
+        streams.append(stream)
+        for block in original(limit, *args, **kwargs):
+            stream[1] += 1
+            yield block
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("primecycles"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    return streams

@@ -5,9 +5,9 @@ formula mod q.
 Run with `pytest -v tests/test_acceptance.py` to get one line per criterion;
 each test also prints its own pass/fail line (visible with -s or -rA).
 Tolerances here are contractual; nothing is tuned to force a pass.  Several
-criteria are deliberately heavy (prime streaming to 5e9, an FFT table to
+criteria are deliberately heavy (prime streaming to 3.05e9, an FFT table to
 1e6, the exact counts of eleven specs to n = 2000): the module takes about
-25 s and the whole suite about 40 s on a 2-vCPU Xeon.
+18 s and the whole suite about 33 s on a 2-vCPU Xeon.
 """
 
 import math

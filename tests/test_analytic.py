@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -32,7 +33,7 @@ from primecycles.errors import (
     UnsupportedSpecError,
 )
 from primecycles.exact_enum import count_exact
-from primecycles.primes import iter_prime_blocks
+from primecycles.primes import feed_primes, iter_prime_blocks
 from primecycles.verify import T_GRID_DEFAULT
 
 ODD = CycleClassSpec.residue_classes(2, (1,))
@@ -105,6 +106,25 @@ def test_mertens_direct_smallest_case(refuses_non_integers):
         mertens_direct(1)
     refuses_non_integers(mertens_direct)
     assert mertens_direct(np.int64(2)) == (est, tail)
+
+
+def test_mertens_zeta_takes_each_zeta_once(monkeypatch):
+    # the 168 reads of ln zeta(m) at k_max = 60 take 62 distinct m = jk
+    # <= 64, each evaluated once, and the constant is the same double
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return zeta_minus_1(s)
+
+    monkeypatch.setattr(analytic, "zeta_minus_1", counting)
+    assert mertens_zeta(60) == 0.2614972128476428
+    assert len(calls) == len(set(calls)) == 62
+    assert make_constants().mertens_c == 0.2614972128476428
+    # prime_zeta still sums its own terms
+    calls.clear()
+    assert prime_zeta(2.0) == pytest.approx(0.4522474200410654985, rel=1e-14)
+    assert len(calls) == 20
 
 
 def test_mertens_routes_agree():
@@ -192,21 +212,26 @@ def test_phi_deriv_finite_differences():
 
 def _dropped_tail(z, order, limit):
     """math.fsum of the order-th derivative's terms over the primes in
-    (limit, 2 limit]: the part of the tail a sum to twice the limit adds."""
-    terms = []
-    for block in iter_prime_blocks(2 * limit):
+    (limit, 2 limit]: the part of the tail a sum to twice the limit adds.
+    It reads one block's terms at a time."""
+    def block_terms(block):
         kf = block[block > limit].astype(np.float64)
         falling = 1.0 / kf if order == 0 else np.ones_like(kf)
         for j in range(1, order):
             falling *= kf - j
-        terms.extend((falling * np.exp((kf - order) * math.log(z))).tolist())
-    return math.fsum(terms)
+        return memoryview(falling * np.exp((kf - order) * math.log(z)))
+
+    return math.fsum(itertools.chain.from_iterable(
+        map(block_terms, iter_prime_blocks(2 * limit))))
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_series_drop_under_their_budget(order):
-    # each series stops where at most 2^-53 of itself, under one ulp, is left
-    for z in (0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-5, 1.0 - 1e-6):
+    # each series stops where at most 2^-53 of itself, under one ulp, is
+    # left; for phi also at the bench grid's least t, where verify's
+    # stream ends
+    zs = (0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-5, 1.0 - 1e-6)
+    for z in zs + ((1.0 - 3e-7,) if order == 0 else ()):
         whole = phi_deriv(z, order) if order else phi_eval(z)
         limit = analytic._series_limit(z, order)
         assert _dropped_tail(z, order, limit) <= 2.0 ** -53 * whole
@@ -230,11 +255,64 @@ def test_series_is_the_rounded_exact_sum(spec, order, z):
     assert analytic._series(z, order, spec) == math.fsum(terms.tolist())
 
 
+def test_series_read_off_a_shared_stream():
+    # SeriesSum accumulators cut from one longer stream give the doubles
+    # their own streams give
+    sums = [analytic.SeriesSum(0.999), analytic.SeriesSum(0.9999, 2),
+            analytic.SeriesSum(0.99, 0, ODD)]
+    with pytest.raises(OutOfDomainError):
+        analytic.SeriesSum(1.0)
+    longest = max(acc.limit for acc in sums[:2])
+    got = feed_primes(iter_prime_blocks(2 * longest), *sums[:2])
+    assert got == [phi_eval(0.999), phi_deriv(0.9999, 2)]
+    sums[2].add(ODD.members_upto(sums[2].limit))
+    assert sums[2].result() == analytic._series(0.99, 0, ODD)
+
+
 def test_phi_limit_is_no_longer_than_its_budget_needs():
-    # u = L(1 - z) for phi on the default and the bench t grids
+    # u = L(1 - z) for phi on the default and the bench t grids: the
+    # prime-counting bound on the tail takes it from 32.7 to 31.8-30.5
     for t in T_GRID_DEFAULT + (1e-4, 1e-5, 1e-6, 3e-7):
         z = math.exp(-t)
-        assert analytic._series_limit(z) * (1.0 - z) <= 33.0
+        u = analytic._series_limit(z) * (1.0 - z)
+        assert u <= 32.0
+        if t <= 1e-6:
+            assert u <= 31.0
+
+
+def test_log_term_slope_is_the_derivative():
+    # the prime tail bound needs T decreasing past L, read off this slope
+    for order in range(4):
+        for z, k in ((0.9, 50.0), (1.0 - 1e-4, 3.0e5), (0.999, 2.5)):
+            lnz, h = math.log(z), 1e-4
+            if k <= order - 1 + h:
+                continue
+            numeric = (analytic._log_term(k + h, lnz, order)
+                       - analytic._log_term(k - h, lnz, order)) / (2 * h)
+            assert analytic._log_term_slope(k, lnz, order) == \
+                pytest.approx(numeric, rel=1e-6, abs=1e-9)
+
+
+def test_exact_sum_rounds_like_fsum():
+    # one exact sum, rounded once: math.fsum's double, however the terms
+    # are cut into blocks, for signs, spans, subnormals and ties alike
+    rng = np.random.default_rng(3)
+    cases = [
+        np.array([1.0, 2.0 ** -53]),  # a tie, to even: 1.0
+        np.array([1.0, 2.0 ** -53, 2.0 ** -120]),  # just past it: up
+        np.array([1e308, -1e308, 5e-324, 5e-324]),
+        np.array([0.0, -0.0]),
+        rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000),
+        np.ldexp(rng.random(3000), rng.integers(-1080, -1000, 3000)),
+        np.exp(-rng.random(4000) * 700.0) / rng.integers(1, 10 ** 9, 4000),
+    ]
+    for x in cases:
+        for parts in (1, 3, 7):
+            acc = analytic._ExactSum()
+            for block in np.array_split(x, parts):
+                acc.add(block)
+            assert acc.value() == math.fsum(x.tolist())
+    assert analytic._ExactSum().value() == 0.0
 
 
 def test_phi_split_recombines():

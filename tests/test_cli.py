@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from primecycles import exact_enum, primes, verify
+from primecycles import exact_enum, verify
 from primecycles.analytic import PhiSplitSums
 from primecycles.cli import main, parse_spec
 from primecycles.cycle_classes import CycleClassSpec
@@ -133,9 +133,12 @@ def test_usage_errors(capsys):
                "--count", "0")[0] == 2
     for argv in (("constants", "--k-max", "5"),
                  ("constants", "--method", "direct", "--limit", "1"),
-                 ("count", "--n", "5", "--exact-cap", "-1")):
+                 ("count", "--n", "5", "--exact-cap", "-1"),
+                 ("verify", "--which", "partial-sum", "--n-grid", "1,100")):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == "" and "must be >=" in err
+    rc, out, err = run(capsys, "verify", "--which", "phi", "--t-grid", "0.5")
+    assert rc == 2 and out == "" and "t must lie in" in err
     assert run(capsys)[0] == 2
 
 
@@ -320,33 +323,11 @@ def test_verify_pnt_builds_no_prime_table(capsys):
     assert peak < 10 * 2**20
 
 
-def _record_streams(monkeypatch):
-    """Swap every binding of iter_prime_blocks in the package for one that
-    records each stream as [limit, blocks read]."""
-    streams = []
-    original = primes.iter_prime_blocks
-
-    def recording(limit, *args, **kwargs):
-        stream = [limit, 0]
-        streams.append(stream)
-        for block in original(limit, *args, **kwargs):
-            stream[1] += 1
-            yield block
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("primecycles"):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, recording)
-    return streams
-
-
 def test_verify_reads_the_primes_once_for_phi_and_pnt(tmp_path, capsys,
-                                                      monkeypatch):
-    # the bench grids: the count table's sieve to 5 * 10^4 and the hlk
-    # model's four series stream below the PNT check's Rosser bound; the
-    # phi and pnt checks then share one stream to the phi limit
-    streams = _record_streams(monkeypatch)
+                                                      record_streams):
+    # the bench grids: one stream, to the phi limit, feeds the count
+    # table's members, the hlk model's four series and the phi and pnt
+    # checks, whose limits all lie below it
     prefix = tmp_path / "bench"
     rc, out, _ = run(capsys, "verify", "--n-grid", "100,1000,10000,50000",
                      "--t-grid", "1e-4,1e-5,1e-6,3e-7", "--out", str(prefix))
@@ -354,9 +335,7 @@ def test_verify_reads_the_primes_once_for_phi_and_pnt(tmp_path, capsys,
     phi_limit = PhiSplitSums((1e-4, 1e-5, 1e-6, 3e-7)).limit
     pnt_limit = NthPrimes(verify.PNT_GRID_DEFAULT).limit
     assert phi_limit > pnt_limit
-    assert len(streams) == 6
-    assert [s for s in streams if s[0] >= pnt_limit] == \
-        [[phi_limit, phi_limit // SEGMENT_SIZE + 1]]
+    assert record_streams == [[phi_limit, phi_limit // SEGMENT_SIZE + 1]]
     rows = parse_report(str(prefix) + "-pnt.csv", "csv")
     assert [r.exact for r in rows] == nth_primes(verify.PNT_GRID_DEFAULT)
     rows = parse_report(str(prefix) + "-phi.csv", "csv", PhiEstimateRow)
@@ -383,29 +362,30 @@ def test_verify_emits_reports(tmp_path, capsys):
 
 
 def test_verify_bad_grid(capsys):
-    rc, _, err = run(capsys, "verify", "--which", "partial-sum",
-                     "--n-grid", "1,10")
-    assert rc == 1 and err.startswith("error:")
+    # a grid entry out of range is a usage error
+    rc, out, err = run(capsys, "verify", "--which", "partial-sum",
+                       "--n-grid", "1,10")
+    assert rc == 2 and out == "" and "must be >= 2, got 1" in err
 
 
 @pytest.mark.parametrize("argv, message", [
     (("--which", "partial-sum", "--n-grid", "1,3000000"),
-     "error: grid entries must be >= 2, got 1\n"),
+     "error: argument --n-grid: grid entries must be >= 2, got 1\n"),
     (("--which", "hlk", "--n-grid", "-5"),
-     "error: grid entries must be >= 2, got -5\n"),
-    (("--t-grid", "1e-3,1e-12"), "error: t must lie in"),
+     "error: argument --n-grid: grid entries must be >= 2, got -5\n"),
+    (("--t-grid", "1e-3,1e-12"), "error: argument --t-grid: t must lie in"),
 ], ids=["n-grid-small-entry", "n-grid-negative", "t-grid-out-of-domain"])
 def test_verify_refuses_a_bad_grid_before_any_work(capsys, monkeypatch,
                                                    argv, message):
+    # a bad grid entry is a usage error, found as the arguments are parsed
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the grids were checked")
 
     monkeypatch.setattr(verify, "build_table", refuse)
-    monkeypatch.setattr(verify, "build_sieve", refuse)
     monkeypatch.setattr(verify, "iter_prime_blocks", refuse)
     rc, out, err = run(capsys, "verify", *argv)
-    assert rc == 1 and out == ""
-    assert err.startswith(message)
+    assert rc == 2 and out == ""
+    assert "primecycles verify: " + message in err
 
 
 def test_verify_bench_grids_print_the_lines_the_benchmark_parses(capsys):

@@ -237,6 +237,23 @@ def test_nth_primes_order_and_duplicates(sieve_small):
     assert nth_primes([10**6, 10**3]) == [15_485_863, 7919]
 
 
+def test_tables_read_off_a_shared_stream():
+    # PrimesUpTo accumulators cut from one longer stream, one of them past
+    # a segment edge, give build_sieve's tables; the limit is checked
+    # before any prime is streamed
+    limits = (100, SEGMENT_SIZE + 5, 10)
+    accs = [primes.PrimesUpTo(limit) for limit in limits]
+    tables = primes.feed_primes(iter_prime_blocks(3 * SEGMENT_SIZE), *accs)
+    for limit, table in zip(limits, tables):
+        assert table.limit == limit
+        assert table.primes().tolist() == build_sieve(limit).primes().tolist()
+        assert not table.primes().flags.writeable
+    with pytest.raises(InvalidArgumentError):
+        primes.PrimesUpTo(1)
+    with pytest.raises(ResourceLimitError):
+        primes.PrimesUpTo(2**31 + 1)
+
+
 def test_nth_primes_domain(refuses_non_integers):
     assert nth_primes([]) == []
     for bad in ([0], [5, -1], [3, 0, 7]):

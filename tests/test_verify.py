@@ -9,8 +9,13 @@ import pytest
 from primecycles import analytic, primes
 from primecycles import verify as verify_module
 from primecycles.cycle_classes import CycleClassSpec
-from primecycles.errors import InvalidArgumentError
-from primecycles.exact_enum import build_table, partial_sum, partial_sums
+from primecycles.errors import InvalidArgumentError, ResourceLimitError
+from primecycles.exact_enum import (
+    FLOAT_CAP_DEFAULT,
+    build_table,
+    partial_sum,
+    partial_sums,
+)
 from primecycles.primes import (
     NthPrimes,
     feed_primes,
@@ -101,13 +106,18 @@ def test_run_verify_refuses_bad_arguments(monkeypatch, refuses_non_integers):
     def refuse(*args, **kwargs):
         raise AssertionError("ran before the t grid was checked")
 
-    for name in ("build_sieve", "build_table", "iter_prime_blocks"):
+    for name in ("build_table", "iter_prime_blocks"):
         monkeypatch.setattr(verify_module, name, refuse)
     for which in (("phi", "pnt"), ("partial-sum", "phi")):
         with pytest.raises(InvalidArgumentError, match="t grid must be nonempty"):
             run_verify((100,), (), which)
         with pytest.raises(InvalidArgumentError, match="t grid must be nonempty"):
             run_verify((100,), iter(()), which)
+    # so is an n past the float table's cap, which the stream would reach
+    # long before the table refused it
+    for which in (("partial-sum",), ("hlk",)):
+        with pytest.raises(ResourceLimitError, match="float n_max"):
+            run_verify((100, FLOAT_CAP_DEFAULT + 1), T_GRID_DEFAULT, which)
     # so is an n that is not an integer
     for which in (("partial-sum",), ("hlk",)):
         refuses_non_integers(
@@ -115,22 +125,37 @@ def test_run_verify_refuses_bad_arguments(monkeypatch, refuses_non_integers):
 
 
 def test_run_verify_sieves_to_the_largest_grid_entry(monkeypatch, constants):
+    # the count table's members come off the shared stream, cut at
+    # max(n_grid)
     limits = []
 
-    def recording(limit):
-        limits.append(limit)
-        return primes.build_sieve(limit)
+    class Recording(primes.PrimesUpTo):
+        def __init__(self, limit):
+            limits.append(limit)
+            super().__init__(limit)
 
-    monkeypatch.setattr(verify_module, "build_sieve", recording)
+    monkeypatch.setattr(verify_module, "PrimesUpTo", Recording)
     run = run_verify((300, 100), T_GRID_DEFAULT, ("partial-sum", "hlk"))
     assert limits == [300]
     # the tables read no member past max(n_grid), so a longer sieve gives
-    # the same rows
+    # the same rows; the hlk model's series, read off the shared stream,
+    # is the double odlyzko_sum_model sums on its own
     longer = build_table(CycleClassSpec.primes(primes.build_sieve(1000)), 300,
                          "float")
     assert run.tables == {
         "partial-sum": partial_sum_table(longer, (300, 100), constants),
         "hlk": hlk_comparison_table(longer, (300, 100), constants)}
+
+
+def test_run_verify_streams_the_primes_once(record_streams):
+    # the bench grids: every check reads its primes off one stream, to the
+    # largest limit of its readers, the phi grid's
+    t_grid = (1e-4, 1e-5, 1e-6, 3e-7)
+    run = run_verify((100, 1000, 10_000, 50_000), t_grid, CHECK_NAMES)
+    assert all(v.reason is None for v in run.verdicts)
+    limit = analytic.PhiSplitSums(t_grid).limit
+    assert record_streams == [[limit, limit // primes.SEGMENT_SIZE + 1]]
+    assert limit <= 1.03e8
 
 
 def test_hlk_all_lengths_is_exact(constants):
