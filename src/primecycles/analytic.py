@@ -8,8 +8,8 @@ verification harness compares against exact enumeration.
 
 Everything here is a pure function of its arguments; prime sums stream
 through iter_prime_blocks so no call materializes a large table, and their
-accumulators, SeriesSum and PhiSplitSums, can share one stream through
-feed_primes.
+accumulators, MertensSum, SeriesSum and PhiSplitSums, can share one
+stream through feed_primes.
 """
 
 import functools
@@ -114,11 +114,11 @@ def prime_zeta(s: float) -> float:
 # -- the Mertens constant by two routes ------------------------------------------
 
 
-def mertens_direct(limit: int):
-    """(estimate, tail_bound): gamma + sum_{p<=limit} (ln(1-1/p) + 1/p).
+class MertensSum:
+    """Prime-stream accumulator for mertens_direct(limit): (estimate,
+    tail_bound), gamma + sum_{p<=limit} (ln(1-1/p) + 1/p).  limit is
+    checked on construction, so before any prime is streamed.
 
-    The primes stream through iter_prime_blocks, one sum per block, so no
-    table is built and working memory is one segment whatever the limit.
     Each summand is -1/(2p^2) + O(1/p^3), so the absolute tail is below
     sum_{p>limit} 1/p^2 <= 1/(limit-1), which is the returned bound.
 
@@ -127,12 +127,26 @@ def mertens_direct(limit: int):
     term against about 1 ns, and the summands share one sign, so the
     rounding error, below 10^-13 of the sum, is far below the tail bound.
     """
-    limit = _integer(limit, "limit", 2)
-    total = 0.0
-    for block in iter_prime_blocks(limit):
+
+    def __init__(self, limit: int):
+        self.limit = _integer(limit, "limit", 2)
+        self._total = 0.0
+
+    def add(self, block) -> bool:
         inv = 1.0 / block.astype(np.float64)
-        total += float(np.sum(np.log1p(-inv) + inv))
-    return EULER_GAMMA + total, 1.0 / (limit - 1)
+        self._total += float(np.sum(np.log1p(-inv) + inv))
+        return False
+
+    def result(self):
+        return EULER_GAMMA + self._total, 1.0 / (self.limit - 1)
+
+
+def mertens_direct(limit: int):
+    """The one-accumulator case of MertensSum: the primes stream through
+    iter_prime_blocks to limit, one sum per block, so no table is built
+    and working memory is one segment whatever the limit."""
+    acc = MertensSum(limit)
+    return feed_primes(iter_prime_blocks(acc.limit), acc)[0]
 
 
 def mertens_zeta(k_max: int) -> float:

@@ -33,7 +33,12 @@ from primecycles.errors import (
     UnsupportedSpecError,
 )
 from primecycles.exact_enum import count_exact
-from primecycles.primes import feed_primes, iter_prime_blocks
+from primecycles.primes import (
+    SEGMENT_SIZE,
+    NthPrimes,
+    feed_primes,
+    iter_prime_blocks,
+)
 from primecycles.verify import T_GRID_DEFAULT
 
 ODD = CycleClassSpec.residue_classes(2, (1,))
@@ -132,6 +137,19 @@ def test_mertens_routes_agree():
     for limit in (10 ** 4, 10 ** 5, 10 ** 7):
         est, tail = mertens_direct(limit)
         assert abs(est - ref) <= tail + 1e-12
+
+
+def test_mertens_read_off_a_shared_stream():
+    # a MertensSum cut mid-block from a stream shared with NthPrimes, which
+    # reads on to p_300000 = 4256233, gives mertens_direct's double; the
+    # limit is checked before any prime is streamed
+    limit = SEGMENT_SIZE + 5
+    acc, kth = analytic.MertensSum(limit), NthPrimes([300_000, 10])
+    stream = iter_prime_blocks(max(acc.limit, kth.limit))
+    assert feed_primes(stream, acc, kth) == [mertens_direct(limit),
+                                             [4_256_233, 29]]
+    with pytest.raises(InvalidArgumentError):
+        analytic.MertensSum(1)
 
 
 def test_make_constants(constants):

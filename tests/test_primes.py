@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from primecycles.errors import (
 from primecycles.primes import (
     PRESIEVED,
     SEGMENT_SIZE,
+    SPLIT_BELOW,
     _simple_mask,
     build_sieve,
     iter_prime_blocks,
@@ -150,24 +152,75 @@ def test_iter_prime_blocks_edges_do_not_depend_on_the_limit():
             assert np.array_equal(shorter[-1], last[last <= limit])
 
 
-@pytest.mark.parametrize("segment", [64, 30030, 30032, SEGMENT_SIZE])
+def _assert_blocks_match_the_plain_sieve(limit, segment):
+    """iter_prime_blocks(limit, segment) is _simple_mask's primes cut at
+    the multiples of segment, empty pieces dropped, each an int64 array."""
+    table = np.flatnonzero(_simple_mask(limit))
+    cut = np.split(table, np.searchsorted(
+        table, np.arange(segment, limit + 1, segment)))
+    want = [block for block in cut if block.size]
+    got = list(iter_prime_blocks(limit, segment=segment))
+    assert len(got) == len(want), (segment, limit)
+    for block, expected in zip(got, want):
+        assert block.dtype == np.int64
+        assert np.array_equal(block, expected), (segment, limit)
+
+
+PERIODS = [math.prod(group) for group in PRESIEVED]
+FLAT_PRESIEVED = {p for group in PRESIEVED for p in group}
+# the first base prime that strikes one progression of stride p
+FIRST_SINGLE = next(p for p in range(SPLIT_BELOW, 2 * SPLIT_BELOW)
+                    if trial_division(p))
+
+
+@pytest.mark.parametrize("segment", [64, 30030, 30032, 1 << 16, SEGMENT_SIZE])
 def test_presieved_blocks_match_the_plain_sieve(segment):
-    # each segment's mask starts from a 30030-periodic pattern that strikes
-    # 3, 5, 7, 11 and 13 themselves, so the first block must put them back
-    # and every later period must still strike them: 30043 = 13 * 2311
-    limits = list(range(2, 15)) + [30029, 30030, 30031, 3 * segment + 5]
+    # each segment's mask starts from periodic patterns that strike the
+    # PRESIEVED primes themselves, so the first block must put them back
+    # and every later period must still strike them: 30043 = 13 * 2311.
+    # A group's pattern applies from the limit whose root reaches its
+    # least prime, and segments shorter than the longest period cut it
+    # into heads and tails, past 2 * 347261 at every segment size here.
+    limits = list(range(2, 15)) + [30029, 30030, 30031, 73**2, 79**2,
+                                   3 * segment + 5, 2 * PERIODS[-1] + 3]
     for limit in limits:
-        table = np.flatnonzero(_simple_mask(limit))
-        cut = np.split(table, np.searchsorted(
-            table, np.arange(segment, limit + 1, segment)))
-        want = [block for block in cut if block.size]
-        got = list(iter_prime_blocks(limit, segment=segment))
-        assert len(got) == len(want), (segment, limit)
-        for block, expected in zip(got, want):
-            assert block.dtype == np.int64
-            assert np.array_equal(block, expected), (segment, limit)
-    first = next(iter_prime_blocks(3 * segment + 5, segment=segment))
-    assert set(PRESIEVED) <= set(first.tolist())
+        _assert_blocks_match_the_plain_sieve(limit, segment)
+    first = next(iter_prime_blocks(79**2, segment=segment))
+    assert {p for p in FLAT_PRESIEVED if p < segment} <= set(first.tolist())
+
+
+@pytest.mark.parametrize("limit", sorted(
+    [2 * period + d for period in PERIODS for d in (-1, 1)]
+    + [FIRST_SINGLE**2 + d for d in (-2, 0, 2)]))
+def test_blocks_match_at_pattern_periods_and_the_split(limit):
+    # two periods of each group's pattern, and the square of the first
+    # base prime past SPLIT_BELOW, where the strikes switch from two
+    # progressions of stride 3p to one of stride p
+    _assert_blocks_match_the_plain_sieve(limit, SEGMENT_SIZE)
+
+
+def test_iter_prime_blocks_refuses_a_bad_segment(refuses_non_integers):
+    for segment in (0, -64):
+        with pytest.raises(InvalidArgumentError):
+            list(iter_prime_blocks(100, segment=segment))
+    refuses_non_integers(
+        lambda segment: list(iter_prime_blocks(100, segment=segment)))
+    assert [b.tolist() for b in iter_prime_blocks(10, segment=1)] == \
+        [[2], [3], [5], [7]]
+
+
+def test_iter_prime_blocks_memory():
+    # one segment's mask, 1 MB, and its block, about as large, at a time;
+    # 4.62 MB peak with the tiled 30030 pattern, 4.24 MB with the six
+    # group patterns built inside the trace
+    tracemalloc.start()
+    try:
+        for _ in iter_prime_blocks(10**7):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10**6
 
 
 def test_iter_prime_blocks_empty_below_two(refuses_non_integers):
