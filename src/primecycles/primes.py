@@ -111,17 +111,16 @@ class PrimeTable:
 
 
 @functools.cache
-def _patterns() -> tuple:
-    """Per PRESIEVED group, one period of its odd-slot pattern: slot j
-    stands for 2j + 1 and is False where 2j + 1 is a multiple of a prime
-    in the group, the prime itself included.  Built once per process."""
-    patterns = []
-    for group in PRESIEVED:
-        pattern = np.ones(math.prod(group), dtype=bool)
-        for p in group:
-            pattern[(p - 1) // 2 :: p] = False
-        patterns.append(pattern)
-    return tuple(patterns)
+def _pattern(group: tuple) -> np.ndarray:
+    """One period of a PRESIEVED group's odd-slot pattern, read-only: slot
+    j stands for 2j + 1 and is False where 2j + 1 is a multiple of a prime
+    in the group, the prime itself included.  Built once per process, and
+    only for the groups some stream has used."""
+    pattern = np.ones(math.prod(group), dtype=bool)
+    for p in group:
+        pattern[(p - 1) // 2 :: p] = False
+    pattern.flags.writeable = False
+    return pattern
 
 
 def _and_pattern(mask, pattern, slot: int) -> None:
@@ -165,7 +164,7 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
     root = math.isqrt(limit)
     # the groups that hold a prime <= root, a prefix of PRESIEVED
     groups = [group for group in PRESIEVED if group[0] <= root]
-    patterns = _patterns()[: len(groups)]
+    patterns = [_pattern(group) for group in groups]
     presieved = [p for group in groups for p in group]
     base = np.flatnonzero(_simple_mask(max(root, 2)))
     # 2 never strikes in odd-only segments; it heads the first block
@@ -179,6 +178,7 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
         mask = np.ones(max((hi - start + 1) // 2, 0), dtype=bool)
         for pattern in patterns:
             _and_pattern(mask, pattern, (start - 1) // 2)
+        # the patterns struck the presieved primes themselves
         for p in presieved:
             if start <= p < hi:
                 mask[(p - start) // 2] = True
