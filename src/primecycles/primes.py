@@ -19,16 +19,16 @@ A segment spans ``SEGMENT_SIZE`` = 2^21 integers, whose odd-only mask is
 1 MB: it stays in a 2 MB per-core L2 cache while every base prime strikes
 it, where a 2^24 segment (an 8 MB mask) spills to L3 on each pass.  Smaller
 segments lose again, because each one costs a Python-level pass over the
-base primes.  Each segment's mask starts all True and is ANDed with six
-periodic patterns, one per group of ``PRESIEVED`` primes (every odd prime
-below 79), built once per process, so only the base primes from 79 up
-strike it one by one.  Those below ``SPLIT_BELOW`` strike only their
-cofactors 1 and 5 mod 6, as two progressions, since the multiples of 3 are
-already struck.  Segments sit at fixed multiples of the segment size, so a
-stream's blocks do not depend on its limit.
+base primes.  Each segment's mask starts all True and is ANDed with up to
+six periodic patterns, one per group of ``PRESIEVED`` primes (every odd
+prime below 79), built per stream, so only the base primes from 79 up
+strike it one by one.  Those that strike a segment at least
+``SPLIT_STRIKES`` times strike only their cofactors 1 and 5 mod 6, as two
+progressions, since the multiples of 3 are already struck.  Segments sit
+at fixed multiples of the segment size, so a stream's blocks do not
+depend on its limit.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,23 +42,29 @@ from primecycles.errors import (
 
 DEFAULT_MEMORY_CAP = 2**31
 SEGMENT_SIZE = 1 << 21
-# The odd primes below 79 in groups.  Each group strikes every segment's
-# mask as one odd-slot pattern one period (the group's product) long, of
-# 7429 to 347261 slots and 0.68 MB for all six, ANDed in place of one
-# Python-level strike per prime: the six ANDs take about 0.25 ms of a 2^21
-# segment.  Draining the stream to 1.03e8 took 0.151 s of CPU with a tiled
-# 30030 pattern and strikes from 17 up, 0.141 s with these patterns alone
-# (2-vCPU Xeon, numpy 2.4, median of 5).
+# The odd primes below 79 in groups.  A group strikes a segment's mask as
+# one AND with its odd-slot pattern, one period (the group's product)
+# long: 7429 to 347261 slots, 0.68 MB for all six, built per stream in
+# about 0.1 ms.  np.ones and the six ANDs take about 0.25 ms of a 2^21
+# segment, in place of 20 strikes.  A group after the first is applied
+# only where the stream's slots exceed its period; on a shorter stream
+# striking its primes costs less than building and ANDing the pattern.
 PRESIEVED = ((3, 5, 7, 11, 13), (17, 19, 23), (29, 31, 37), (41, 43, 47),
              (53, 59, 61), (67, 71, 73))
-# Base primes below SPLIT_BELOW strike two progressions of stride 3p in
-# odd slots, the cofactors 1 and 5 mod 6, since multiples of 3 are
-# presieved: two thirds of the stores for one more call.  Larger primes,
-# with few stores a segment, keep one stride p.  To 1.03e8 and 6e8 the
-# stream took 0.141 and 1.078 s with no prime split, 0.134 and 1.027 s
-# below 1400, 0.136 and 1.000 s below 3000, 0.134 and 1.031 s below 6000,
-# and 1.099 s to 6e8 with every base prime split (same machine).
-SPLIT_BELOW = 3000
+# A base prime strikes two progressions of stride 3p in odd slots, the
+# cofactors 1 and 5 mod 6 (multiples of 3 are presieved), where it strikes
+# a segment at least SPLIT_STRIKES times: two thirds of the stores for one
+# more call.  In a 2^21 segment these are the primes below 2996; a prime
+# with fewer stores a segment keeps one stride p.  Draining the stream to
+# 1.03e8 and to 6e8 took, in CPU seconds (2-vCPU Xeon, numpy 2.4, one
+# process, medians of 9 and 5 alternating runs):
+#   the tiled 30030 pattern, strikes from 17 up   0.165  1.113
+#   these patterns, no prime split                0.152  1.065
+#   split where strikes >= 750 (p < 1398)         0.140  1.004
+#   split where strikes >= 350 (p < 2996)         0.142  1.009
+#   split where strikes >= 175 (p < 5992)         0.144  1.009
+#   every base prime split                        0.145  1.102
+SPLIT_STRIKES = 350
 
 
 def _simple_mask(limit: int) -> np.ndarray:
@@ -110,16 +116,13 @@ class PrimeTable:
         return int(index[_integer(k, "k", 1, index.size) - 1])
 
 
-@functools.cache
 def _pattern(group: tuple) -> np.ndarray:
-    """One period of a PRESIEVED group's odd-slot pattern, read-only: slot
-    j stands for 2j + 1 and is False where 2j + 1 is a multiple of a prime
-    in the group, the prime itself included.  Built once per process, and
-    only for the groups some stream has used."""
+    """One period of a PRESIEVED group's odd-slot pattern: slot j stands
+    for 2j + 1 and is False where 2j + 1 is a multiple of a prime in the
+    group, the prime itself included."""
     pattern = np.ones(math.prod(group), dtype=bool)
     for p in group:
         pattern[(p - 1) // 2 :: p] = False
-    pattern.flags.writeable = False
     return pattern
 
 
@@ -151,26 +154,33 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
     of a longer one, and a sum taken block by block over the primes up to
     some y comes out the same, bit for bit, whatever the stream's limit.
 
-    Each segment's mask starts all True and takes the PRESIEVED patterns of
-    the groups that hold a prime <= sqrt(limit); the first segment puts
-    those primes back.  Each base prime from 79 up then strikes its odd
-    multiples from max(p^2, the segment's start): below SPLIT_BELOW as
-    the two progressions of cofactors 1 and 5 mod 6, above it as one.
+    Each segment's mask starts all True and takes the PRESIEVED patterns:
+    the first group's, and each later group's that holds a prime
+    <= sqrt(limit) and whose period is shorter than the stream's odd
+    slots, (limit + 1)//2; the first segment puts their primes back.  Every
+    other odd base prime strikes its odd multiples from max(p^2, the
+    segment's start): as the two progressions of cofactors 1 and 5 mod 6
+    where it strikes a whole segment at least SPLIT_STRIKES times, else as
+    one.
     """
     limit = _integer(limit, "limit")
     segment = _integer(segment, "segment", 1)
     if limit < 2:
         return
     root = math.isqrt(limit)
-    # the groups that hold a prime <= root, a prefix of PRESIEVED
-    groups = [group for group in PRESIEVED if group[0] <= root]
+    slots = (limit + 1) // 2
+    # the first group, and each later one that holds a prime <= root and
+    # whose period the stream's slots exceed: a prefix of PRESIEVED
+    groups = [group for i, group in enumerate(PRESIEVED) if group[0] <= root
+              and (i == 0 or math.prod(group) < slots)]
     patterns = [_pattern(group) for group in groups]
     presieved = [p for group in groups for p in group]
     base = np.flatnonzero(_simple_mask(max(root, 2)))
     # 2 never strikes in odd-only segments; it heads the first block
-    odd_base = base[base > PRESIEVED[-1][-1]].astype(np.int64)
+    odd_base = base[base > max(presieved, default=2)].astype(np.int64)
     squares = odd_base * odd_base
-    split = int(np.searchsorted(odd_base, SPLIT_BELOW))
+    split = int(np.searchsorted(
+        odd_base, min(segment, limit + 1) // 2 // SPLIT_STRIKES))
     strides = 3 * odd_base[:split]
     for lo in range(0, limit + 1, segment):
         hi = min(lo + segment, limit + 1)

@@ -16,7 +16,7 @@ from primecycles.errors import (
 from primecycles.primes import (
     PRESIEVED,
     SEGMENT_SIZE,
-    SPLIT_BELOW,
+    SPLIT_STRIKES,
     _simple_mask,
     build_sieve,
     iter_prime_blocks,
@@ -168,8 +168,9 @@ def _assert_blocks_match_the_plain_sieve(limit, segment):
 
 PERIODS = [math.prod(group) for group in PRESIEVED]
 FLAT_PRESIEVED = {p for group in PRESIEVED for p in group}
-# the first base prime that strikes one progression of stride p
-FIRST_SINGLE = next(p for p in range(SPLIT_BELOW, 2 * SPLIT_BELOW)
+# the first base prime that strikes a 2^21 segment on one progression
+SPLIT_BOUND = SEGMENT_SIZE // 2 // SPLIT_STRIKES
+FIRST_SINGLE = next(p for p in range(SPLIT_BOUND, 2 * SPLIT_BOUND)
                     if trial_division(p))
 
 
@@ -178,9 +179,9 @@ def test_presieved_blocks_match_the_plain_sieve(segment):
     # each segment's mask starts from periodic patterns that strike the
     # PRESIEVED primes themselves, so the first block must put them back
     # and every later period must still strike them: 30043 = 13 * 2311.
-    # A group's pattern applies from the limit whose root reaches its
-    # least prime, and segments shorter than the longest period cut it
-    # into heads and tails, past 2 * 347261 at every segment size here.
+    # Segments shorter than a period cut its pattern into heads and
+    # tails, and past 2 * 347261 every group is presieved at every
+    # segment size here.
     limits = list(range(2, 15)) + [30029, 30030, 30031, 73**2, 79**2,
                                    3 * segment + 5, 2 * PERIODS[-1] + 3]
     for limit in limits:
@@ -193,9 +194,10 @@ def test_presieved_blocks_match_the_plain_sieve(segment):
     [2 * period + d for period in PERIODS for d in (-1, 1)]
     + [FIRST_SINGLE**2 + d for d in (-2, 0, 2)]))
 def test_blocks_match_at_pattern_periods_and_the_split(limit):
-    # two periods of each group's pattern, and the square of the first
-    # base prime past SPLIT_BELOW, where the strikes switch from two
-    # progressions of stride 3p to one of stride p
+    # a group after the first is presieved only where the stream's odd
+    # slots, (limit + 1)//2, exceed its period P, from 2P + 1 on, so its
+    # pattern wraps there; and the square of the first base prime that
+    # strikes a 2^21 segment as one progression of stride p, not two of 3p
     _assert_blocks_match_the_plain_sieve(limit, SEGMENT_SIZE)
 
 
@@ -210,9 +212,9 @@ def test_iter_prime_blocks_refuses_a_bad_segment(refuses_non_integers):
 
 
 def test_iter_prime_blocks_memory():
-    # one segment's mask, 1 MB, and its block, about as large, at a time;
-    # 4.62 MB peak with the tiled 30030 pattern, 4.24 MB with the six
-    # group patterns built inside the trace
+    # one segment's mask, 1 MB, its block, about as large, and the
+    # stream's patterns, 0.68 MB, at a time: 4.24 MB peak, 4.62 MB with
+    # a tiled 30030 pattern of 1.06 MB
     tracemalloc.start()
     try:
         for _ in iter_prime_blocks(10**7):
