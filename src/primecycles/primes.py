@@ -62,7 +62,7 @@ PRESIEVED = ((3, 5, 7, 11, 13), (17, 19, 23), (29, 31, 37), (41, 43, 47),
 #   these patterns, no prime split                0.152  1.065
 #   split where strikes >= 750 (p < 1398)         0.140  1.004
 #   split where strikes >= 350 (p < 2996)         0.142  1.009
-#   split where strikes >= 175 (p < 5992)         0.144  1.009
+#   split where strikes >= 175 (p < 5991)         0.144  1.009
 #   every base prime split                        0.145  1.102
 SPLIT_STRIKES = 350
 
