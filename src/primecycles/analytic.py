@@ -226,6 +226,9 @@ _PI_UPPER = 1.25506
 # Rosser & Schoenfeld (1962), Theorem 1: x/ln x (1 + 1/(2 ln x)) < pi(x)
 # for x >= 59, and pi(x) < x/ln x (1 + 3/(2 ln x)) for x > 1
 _PI_TIGHT_FROM = 59
+# at most this many secant steps guess _series_limit's L; three or four
+# reach it to within a unit over the primes
+_SECANT_STEPS = 8
 
 
 def _log_term(k: float, lnz: float, order: int) -> float:
@@ -245,9 +248,23 @@ def _log_term_slope(k: float, lnz: float, order: int) -> float:
     return lnz + sum(1.0 / (k - j) for j in range(1, order))
 
 
-def _log_sum_exp(logs) -> float:
+@functools.lru_cache(maxsize=64)
+def _head_log_parts(head: tuple, order: int) -> tuple:
+    """(s, c) for each k in head with k > order - 1, such that s * lnz + c
+    is _log_term(k, lnz, order), bit for bit: (k, -ln k) for order 0,
+    (k - order, ln((k-1)...(k-order+1))) above."""
+    if order == 0:
+        return tuple((k, -math.log(k)) for k in head)
+    return tuple((k - order, sum(math.log(k - j) for j in range(1, order)))
+                 for k in head if k > order - 1)
+
+
+def _log_head_sum(parts: tuple, lnz: float) -> float:
+    """ln of the sum of the head's terms, by log-sum-exp over their logs
+    s * lnz + c, (s, c) in parts (_head_log_parts)."""
+    logs = [s * lnz + c for s, c in parts]
     top = max(logs)
-    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+    return top + math.log(math.fsum(map(math.exp, [x - top for x in logs])))
 
 
 def _series_head(spec: Optional[CycleClassSpec]) -> tuple:
@@ -310,11 +327,16 @@ def _series_limit(z: float, order: int = 0,
       towards k ~ order/(1-z).
 
     Both tail bounds decrease in L where rho < 1 and L is past the terms'
-    peak, so L is found by doubling and bisection; every L returned meets
-    one of the bounds.  Over the primes it lies near u/(1-z), z = e^-t,
-    with u = 31.8 to 30.5 for order 0 as t runs from 1e-3 to 1e-8 (30.8 at
-    t = 3e-7), and about 40, 43 and 47 for orders 1-3; the first bound
-    alone gave u = 32.7 for order 0 and about 42, 45 and 49 above.
+    peak, so L is the least integer at which the smaller one meets the
+    budget.  The log of that bound less the budget falls near linearly in
+    L where it crosses 0, so secant steps on it guess L to within a unit
+    or so, and a galloping search and bisection from the guess find it
+    exactly, in about 8 evaluations where doubling and bisection from the
+    floor took about 30; every L returned meets one of the bounds.  Over
+    the primes L lies near u/(1-z), z = e^-t, with u = 31.8 to 30.5 for
+    order 0 as t runs from 1e-3 to 1e-8 (30.8 at t = 3e-7), and about 40,
+    43 and 47 for orders 1-3; the first bound alone gave u = 32.7 for
+    order 0 and about 42, 45 and 49 above.
     The bounds are evaluated in floating point, which moves the budget by
     a few ulps of itself, not its order.
     """
@@ -322,8 +344,8 @@ def _series_limit(z: float, order: int = 0,
     head = _series_head(spec)
     over_primes = spec is None or spec.kind == KIND_PRIMES
     floor = max(_SERIES_FLOOR, head[-1])
-    log_lower = _log_sum_exp([_log_term(k, lnz, order) for k in head
-                              if k > order - 1])
+    parts = _head_log_parts(head, order)
+    log_count = -math.inf
     gap = 1.0 - z
     big_m = 1.0 / gap
     if over_primes and 2.0 * big_m >= _PI_LOWER_FROM:
@@ -332,30 +354,73 @@ def _series_limit(z: float, order: int = 0,
         if count > 0.0:
             least = min(_log_term(big_m, lnz, order),
                         _log_term(2.0 * big_m, lnz, order))
-            log_lower = max(log_lower, math.log(count) + least)
+            log_count = math.log(count) + least
             floor = max(floor, math.ceil(2.0 * big_m))
-    budget = log_lower + _LOG_BUDGET
+
+    def excess(L: float) -> float:
+        """ln of the least tail bound that holds at L, less the budget;
+        L is accepted where it is <= 0, and an integer L is evaluated as
+        the same float."""
+        # 1 - rho, written without cancelling
+        margin = min(gap, ((L + 1.0) * gap + (1 - order)) / (L + 2.0 - order))
+        if margin <= 0.0:
+            return math.inf
+        bound = _log_term(L + 1.0, lnz, order) - math.log(margin)
+        if (over_primes and L >= _PI_TIGHT_FROM
+                and _log_term_slope(L, lnz, order) <= 0.0):
+            lnl = math.log(L)
+            factor = (L / lnl ** 2
+                      + (1.0 / lnl + 0.5 / lnl ** 2) * (1.0 + 1.0 / margin))
+            bound = min(bound, _log_term(L, lnz, order) + math.log(factor))
+        return bound - budget
 
     def within(L: int) -> bool:
-        # 1 - rho, written without cancelling
-        margin = min(gap, ((L + 1) * gap + (1 - order)) / (L + 2 - order))
-        if margin <= 0.0:
-            return False
-        if _log_term(L + 1.0, lnz, order) - math.log(margin) <= budget:
-            return True
-        if not (over_primes and L >= _PI_TIGHT_FROM
-                and _log_term_slope(L, lnz, order) <= 0.0):
-            return False
-        lnl = math.log(L)
-        factor = (L / lnl ** 2
-                  + (1.0 / lnl + 0.5 / lnl ** 2) * (1.0 + 1.0 / margin))
-        return _log_term(float(L), lnz, order) + math.log(factor) <= budget
+        return excess(float(L)) <= 0.0
 
+    # one head term bounds the sum below too, so its budget is at most the
+    # head sum's and accepts no L that the head sum's would not; it is a
+    # tenth of the cost and for z not near 1 accepts the floor already
+    s, c = parts[0]
+    budget = max(s * lnz + c, log_count) + _LOG_BUDGET
     if within(floor):
         return floor
-    lo, hi = floor, 2 * floor
-    while not within(hi):
-        lo, hi = hi, 2 * hi
+    budget = max(_log_head_sum(parts, lnz), log_count) + _LOG_BUDGET
+    lo, x = floor, float(floor)
+    e = excess(x)
+    if e <= 0.0:
+        return floor
+    while e == math.inf:  # rho >= 1 here: double past it
+        lo, x = int(x), 2.0 * x
+        e = excess(x)
+    # excess falls in L, near linearly where it crosses 0, with a slope
+    # that tends to ln z: a step along ln z and secant steps from there
+    # land within a unit or so of the crossing
+    last_x, last_e = x, e
+    x = max(float(lo), x - e / lnz)
+    for _ in range(_SECANT_STEPS):
+        e = excess(x)
+        if not math.isfinite(e) or e == last_e:
+            break
+        move = e * (x - last_x) / (e - last_e)
+        last_x, last_e = x, e
+        x = max(float(lo), x - move)
+        if abs(move) < 0.5:
+            break
+    # the least accepted L above lo, galloping from the guess to a
+    # bracket lo < hi with within(hi), not within(lo), then bisecting
+    hi = max(lo + 1, math.ceil(x))
+    step = 1
+    if within(hi):
+        while hi - step > lo and within(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    else:
+        lo = hi
+        while not within(lo + step):
+            lo += step
+            step *= 2
+        hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if within(mid):

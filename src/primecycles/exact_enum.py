@@ -16,9 +16,19 @@ count_exact_upto picks one of two exact routes from the spec's kind:
   A finite set has no period m and no last term: f' = N(x) f.  Each
   term costs O(max S) small-by-big multiplies.
 * scaled integers (primes): with N = n_max and B_n = P_n * N!/n!,
-  n*B_n = sum_{k in A, k <= n} B_{n-k}, so each term costs |A(n)| big
-  additions and one division by n; P_n = B_n / (N!/n!) at the end.
-  Every division is checked and a remainder raises.
+  n*B_n = sum_{k in A, k <= n} B_{n-k}, and P_n = B_n / (N!/n!) at the
+  end.  The sum runs through the wheel of the numbers coprime to 30,
+
+      sum_{k in A} B_{n-k} = sum_{k in A, gcd(k,30) > 1} B_{n-k} + U_n
+                             - sum_{k not in A, gcd(k,30) = 1} B_{n-k},
+
+  all over k <= n, where U_n, the sum of B_{n-k} over every k <= n
+  coprime to 30, is U_{n-30} plus its 8 terms at the residues 1, 7, ...,
+  29; a ring keeps the last 30 of the U_n.  For the primes each term
+  costs 11 big additions (2, 3, 5 and the wheel) and one subtraction for
+  1 and for each composite coprime to 30 up to n, against pi(n) additions
+  summed directly: 27.2k in place of 48.0k to N = 700, 232k in place of
+  329k to N = 2000.  Every division is checked and a remainder raises.
 
 build_table picks the float route from the spec's kind in the same way:
 
@@ -71,6 +81,9 @@ EXACT_CAP_DEFAULT = 2000
 FLOAT_CAP_DEFAULT = 10_000_000
 PARTITION_CAP = 300
 BRUTE_FORCE_CAP = 9
+# _count_scaled's wheel: to N = 700 it takes 17% off the primes' time, where
+# mod 6 and mod 210, with more numbers to subtract, took 2%
+WHEEL = 30
 # _build_float_fast's widest base, from the step recurrence (0.3 ms at 128);
 # bases of 64 and 256 were no faster at n = 3*10^4 to 10^5
 FAST_PATH_BASE = 128
@@ -137,19 +150,39 @@ def _count_steps(steps, period: Optional[int], n_max: int) -> list:
 def _count_scaled(members: list, n_max: int) -> list:
     """P_0..P_{n_max} through B_n = P_n * N!/n!, which needs only additions.
 
-    With N = n_max, n*B_n = sum of B_{n-k} over members k <= n.  Both
-    divisions are exact in exact arithmetic, so a remainder can only mean
-    a fault in this code, and it is raised rather than rounded away.
+    With N = n_max, n*B_n = sum of B_{n-k} over members k <= n, summed
+    through the wheel mod WHEEL of the module docstring: the members that
+    share a factor with WHEEL, plus U_n, the sum over every k <= n coprime
+    to WHEEL, less the numbers coprime to WHEEL that are not members.
+    ring[n % WHEEL] holds U_{n-WHEEL} until U_n replaces it, so the
+    memory beyond B is WHEEL integers.  Both divisions are exact in exact
+    arithmetic, so a remainder can only mean a fault in this code, and it
+    is raised rather than rounded away.
     """
     B = [0] * (n_max + 1)
     B[0] = math.factorial(n_max)
-    count = 0
+    wheel = [r for r in range(1, WHEEL) if math.gcd(r, WHEEL) == 1]
+    shared = [k for k in members if math.gcd(k, WHEEL) > 1]
+    member_set = set(members)
+    missing = [k for k in range(1, n_max + 1)
+               if math.gcd(k, WHEEL) == 1 and k not in member_set]
+    ring = [0] * WHEEL
+    n_wheel = n_shared = n_missing = 0
     for n in range(1, n_max + 1):
-        while count < len(members) and members[count] <= n:
-            count += 1
-        total = 0
-        for k in members[:count]:
+        while n_wheel < len(wheel) and wheel[n_wheel] <= n:
+            n_wheel += 1
+        while n_shared < len(shared) and shared[n_shared] <= n:
+            n_shared += 1
+        while n_missing < len(missing) and missing[n_missing] <= n:
+            n_missing += 1
+        total = ring[n % WHEEL]
+        for r in wheel[:n_wheel]:
+            total += B[n - r]
+        ring[n % WHEEL] = total
+        for k in shared[:n_shared]:
             total += B[n - k]
+        for k in missing[:n_missing]:
+            total -= B[n - k]
         B[n], rem = divmod(total, n)
         if rem:
             raise InternalConsistencyError(

@@ -7,7 +7,7 @@ each test also prints its own pass/fail line (visible with -s or -rA).
 Tolerances here are contractual; nothing is tuned to force a pass.  Several
 criteria are deliberately heavy (prime streaming to 3.05e9, an FFT table to
 1e6, the exact counts of eleven specs to n = 2000): the module takes about
-18 s and the whole suite about 33 s on a 2-vCPU Xeon.
+15 s and the whole suite about 35 s on a 2-vCPU Xeon.
 """
 
 import math

@@ -298,6 +298,84 @@ def test_phi_limit_is_no_longer_than_its_budget_needs():
             assert u <= 31.0
 
 
+def _series_limit_by_bisection(z, order=0, spec=None):
+    """_series_limit's search as it was before its secant guess: the head
+    sum's budget, then doubling and bisection from the floor.  Kept only
+    as the reference for the faster search."""
+    lnz = math.log(z)
+    head = analytic._series_head(spec)
+    over_primes = spec is None or spec.kind == "primes"
+    floor = max(analytic._SERIES_FLOOR, head[-1])
+    logs = [analytic._log_term(k, lnz, order) for k in head if k > order - 1]
+    top = max(logs)
+    log_lower = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+    gap = 1.0 - z
+    big_m = 1.0 / gap
+    if over_primes and 2.0 * big_m >= analytic._PI_LOWER_FROM:
+        count = (2.0 * big_m / math.log(2.0 * big_m)
+                 - analytic._PI_UPPER * big_m / math.log(big_m))
+        if count > 0.0:
+            least = min(analytic._log_term(big_m, lnz, order),
+                        analytic._log_term(2.0 * big_m, lnz, order))
+            log_lower = max(log_lower, math.log(count) + least)
+            floor = max(floor, math.ceil(2.0 * big_m))
+    budget = log_lower + analytic._LOG_BUDGET
+
+    def within(L):
+        margin = min(gap, ((L + 1) * gap + (1 - order)) / (L + 2 - order))
+        if margin <= 0.0:
+            return False
+        if analytic._log_term(L + 1.0, lnz, order) - math.log(margin) <= budget:
+            return True
+        if not (over_primes and L >= analytic._PI_TIGHT_FROM
+                and analytic._log_term_slope(L, lnz, order) <= 0.0):
+            return False
+        lnl = math.log(L)
+        factor = (L / lnl ** 2
+                  + (1.0 / lnl + 0.5 / lnl ** 2) * (1.0 + 1.0 / margin))
+        return analytic._log_term(float(L), lnz, order) + math.log(factor) <= budget
+
+    if within(floor):
+        return floor
+    lo, hi = floor, 2 * floor
+    while not within(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if within(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+BENCH_T_GRID = (1e-4, 1e-5, 1e-6, 3e-7)
+BENCH_N_GRID = (100, 1000, 10_000, 50_000)
+LIMIT_ZS = sorted({
+    0.1, 0.5, 0.9, 0.999, 1.0 - 1e-5,
+    # where L leaves the floor of 100, which the head's first term alone
+    # may accept
+    *(j / 100 for j in range(60, 81)),
+    *(math.exp(-t) for t in T_GRID_DEFAULT + BENCH_T_GRID),
+    *(1.0 - 1.0 / n for n in BENCH_N_GRID),
+    # and a sweep between them, three points a decade in t
+    *(math.exp(-10.0 ** (-j / 3)) for j in range(3, 25)),
+})
+
+
+@pytest.mark.parametrize("spec, orders", [
+    (None, range(4)),
+    (ODD, (0,)),
+    (CycleClassSpec.explicit((150, 400)), (0,)),
+    (CycleClassSpec.residue_classes(500, (0,)), (0,)),
+], ids=["primes", "odd", "set:150,400", "mod:500:0"])
+def test_series_limit_matches_the_bisection_search(spec, orders):
+    for order in orders:
+        for z in LIMIT_ZS:
+            assert analytic._series_limit(z, order, spec) == \
+                _series_limit_by_bisection(z, order, spec), (order, z)
+
+
 def test_log_term_slope_is_the_derivative():
     # the prime tail bound needs T decreasing past L, read off this slope
     for order in range(4):

@@ -121,3 +121,19 @@ def test_pass_s_by_position():
     assert tool.pass_s_by_position(runs[:2]) == {
         "base": {"opening": 0.30, "closing": None},
         "change": {"opening": None, "closing": 0.29}}
+
+
+@pytest.mark.parametrize("porcelain, dirty", [
+    ("", False),
+    # an earlier run's output, not yet committed
+    ("?? BENCH_pr30-exact.json\n?? BENCH_pr30-verify.json", False),
+    ("?? BENCH_pr30-exact.json\n M src/primecycles/exact_enum.py", True),
+    ("M  BENCH_pr29-exact.json", True),
+    (" D BENCH_pr29-exact.json", True),
+    ("?? notes.txt", True),
+    ("?? tools/BENCH_x.json", True),
+    ("?? BENCH_x.json.bak", True),
+    ("?? perfbench/", True),
+])
+def test_dirty_flag_leaves_out_untracked_bench_files(porcelain, dirty):
+    assert _tool().is_dirty(porcelain) is dirty

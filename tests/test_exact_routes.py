@@ -2,11 +2,13 @@
 partition oracle at every n and brute force, the fingerprint check (P_n mod
 q by the exponential formula, tests/fingerprint.py) against the partition
 oracle and against planted faults, and the float routes of build_table
-against the exact counts.  The module takes about 6 s on a 2-vCPU Xeon."""
+against the exact counts.  The module takes about 10 s on a 2-vCPU Xeon."""
 
 import inspect
 import math
+import sys
 import textwrap
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,46 @@ def test_primes_route_matches_partition_oracle(primes_spec):
             count_by_cycle_types_upto(primes_spec, n_max)
 
 
+@pytest.mark.parametrize("n_max", [*range(28, 33), *range(58, 63),
+                                   *range(88, 93), PARTITION_CAP])
+def test_scaled_route_where_the_wheel_wraps(n_max, primes_spec):
+    # the ring of the last 30 U_n is first read back at n = 30, 60, 90
+    members = primes_spec.members_upto(n_max).tolist()
+    assert _count_scaled(members, n_max) == \
+        count_by_cycle_types_upto(primes_spec, n_max)
+
+
+@pytest.mark.parametrize("values", [
+    (1, 2, 6, 7, 10, 15, 30, 49),  # 1, wheel primes, shared factors, 7^2
+    (1,), (2, 3, 5), (7, 11, 13, 17, 19, 23, 29), (30, 60), (49, 77, 91),
+], ids=str)
+def test_scaled_route_on_the_wheels_own_numbers(values):
+    spec = CycleClassSpec.explicit(values)
+    for n_max in (0, 1, 29, 30, 31, 61, 100):
+        members = spec.members_upto(n_max).tolist()
+        assert _count_scaled(members, n_max) == \
+            count_by_cycle_types_upto(spec, n_max), n_max
+
+
+def test_scaled_route_memory_at_the_cap(primes_spec):
+    # the peak holds B and P at once: 1.004 times their integers' size
+    # when the sum ran directly, 1.016 with the ring of 30 U_n.  Keeping
+    # every U_n would add about 4.8 MB to the 7.4 MB, and 3% over the
+    # direct sum's peak is the bound
+    n_max = EXACT_CAP_DEFAULT
+    tracemalloc.start()
+    try:
+        counts = count_exact_upto(primes_spec, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scale, held = 1, 2 * sys.getsizeof(counts)
+    for n in range(n_max, -1, -1):
+        held += sys.getsizeof(counts[n]) + sys.getsizeof(counts[n] * scale)
+        scale *= n or 1
+    assert peak <= 1.03 * 1.004 * held
+
+
 @pytest.mark.parametrize("name", ["primes", "odd", "set:2,3,10"])
 def test_fingerprint_matches_partition_oracle(name, primes_spec):
     spec = {"primes": primes_spec,
@@ -140,6 +182,21 @@ def test_fingerprint_check_reports_a_dropped_member(primes_spec, monkeypatch):
 
     monkeypatch.setattr(exact_enum, "_count_scaled", without_two)
     assert check_exact_counts(primes_spec, EXACT_CAP_DEFAULT) == 2
+
+
+@pytest.mark.parametrize("old, new, first_wrong", [
+    # 1 is coprime to 30 but no prime, so n = 1 must take it away
+    ("range(1, n_max + 1)", "range(2, n_max + 1)", 1),
+    ("range(1, WHEEL)", "range(1, WHEEL - 1)", 29),
+    # U_{n-30} read from the next slot, which holds it only while it is 0
+    ("total = ring[n % WHEEL]", "total = ring[(n + 1) % WHEEL]", 30),
+    ("k not in member_set", "k not in member_set and k != 49", 49),
+], ids=["one-kept", "residue-29-dropped", "ring-slot-off", "49-kept"])
+def test_fingerprint_check_reports_a_wheel_fault(old, new, first_wrong,
+                                                 primes_spec, monkeypatch):
+    monkeypatch.setattr(exact_enum, "_count_scaled", _mutated(
+        exact_enum._count_scaled, old, new, 0))
+    assert check_exact_counts(primes_spec, EXACT_CAP_DEFAULT) == first_wrong
 
 
 @pytest.mark.parametrize("occurrence, spec, first_wrong", [

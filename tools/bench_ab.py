@@ -22,6 +22,7 @@ a run of the same tree than after one of the other.
 """
 
 import argparse
+import fnmatch
 import io
 import json
 import pathlib
@@ -41,6 +42,17 @@ RAW_CPU = "pass_cpu_s"
 def git(*args) -> str:
     return subprocess.run(("git",) + args, cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def is_dirty(porcelain: str) -> bool:
+    """Whether ``git status --porcelain`` output shows any change but an
+    untracked BENCH_*.json at the root, which an earlier run writes."""
+    for line in porcelain.splitlines():
+        path = line[3:]
+        if not (line.startswith("?? ") and "/" not in path
+                and fnmatch.fnmatchcase(path, "BENCH_*.json")):
+            return True
+    return False
 
 
 def extract(rev: str, dest: pathlib.Path) -> None:
@@ -158,7 +170,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     base_sha = git("rev-parse", "--verify", args.against + "^{commit}")
     change = {"sha": git("rev-parse", "HEAD"),
-              "dirty": bool(git("status", "--porcelain"))}
+              "dirty": is_dirty(git("status", "--porcelain"))}
     seeds = list(range(1, args.pairs + 1))
     runs = []
     results, cpu = {"base": [], "change": []}, {"base": [], "change": []}
