@@ -82,7 +82,8 @@ FLOAT_CAP_DEFAULT = 10_000_000
 PARTITION_CAP = 300
 BRUTE_FORCE_CAP = 9
 # _count_scaled's wheel: to N = 700 it takes 17% off the primes' time, where
-# mod 6 and mod 210, with more numbers to subtract, took 2%
+# mod 6, with more composites to subtract, and mod 210, with 48 residues to
+# add, took 2%
 WHEEL = 30
 # _build_float_fast's widest base, from the step recurrence (0.3 ms at 128);
 # bases of 64 and 256 were no faster at n = 3*10^4 to 10^5
