@@ -3,13 +3,16 @@
 Covers the Euler and Mertens constants (the latter by two independent
 routes), the Riemann and prime zeta functions, the prime harmonic series
 phi(z) = sum_p z^p/p with its first three derivatives, the three-way split
-of phi(e^-t) used for small-t estimates, and the closed-form models the
-verification harness compares against exact enumeration.
+of phi(e^-t) used for small-t estimates, phi(e^-t) by a Mellin-Barnes
+integral over the prime zeta function (phi_mellin), which reads no primes
+and so checks the split, and the closed-form models the verification
+harness compares against exact enumeration.
 
 Everything here is a pure function of its arguments; prime sums stream
 through iter_prime_blocks so no call materializes a large table, and their
 accumulators, MertensSum, SeriesSum and PhiSplitSums, can share one
-stream through feed_primes.
+stream through feed_primes.  phi_mellin keeps its nodes' values, about
+60 KB, after the first call.
 """
 
 import functools
@@ -26,6 +29,7 @@ from primecycles.errors import (
     UnsupportedSpecError,
     _integer,
 )
+from primecycles.mellin import _mobius, mellin_nodes
 from primecycles.primes import feed_primes, iter_prime_blocks
 
 # Euler-Mascheroni constant, 25 digits; treated as a known input, not computed
@@ -67,21 +71,6 @@ def zeta_minus_1(s: float) -> float:
 def zeta(s: float) -> float:
     """Riemann zeta for s >= 1.5, to 1e-14 relative."""
     return 1.0 + zeta_minus_1(s)
-
-
-def _mobius(j: int) -> int:
-    m = 1
-    d = 2
-    while d * d <= j:
-        if j % d == 0:
-            j //= d
-            if j % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if j > 1:
-        m = -m
-    return m
 
 
 def _log_zeta(s: float) -> float:
@@ -226,9 +215,6 @@ _PI_UPPER = 1.25506
 # Rosser & Schoenfeld (1962), Theorem 1: x/ln x (1 + 1/(2 ln x)) < pi(x)
 # for x >= 59, and pi(x) < x/ln x (1 + 3/(2 ln x)) for x > 1
 _PI_TIGHT_FROM = 59
-# at most this many secant steps guess _series_limit's L; three or four
-# reach it to within a unit over the primes
-_SECANT_STEPS = 8
 
 
 def _log_term(k: float, lnz: float, order: int) -> float:
@@ -246,25 +232,6 @@ def _log_term_slope(k: float, lnz: float, order: int) -> float:
     if order == 0:
         return lnz - 1.0 / k
     return lnz + sum(1.0 / (k - j) for j in range(1, order))
-
-
-@functools.lru_cache(maxsize=64)
-def _head_log_parts(head: tuple, order: int) -> tuple:
-    """(s, c) for each k in head with k > order - 1, such that s * lnz + c
-    is _log_term(k, lnz, order), bit for bit: (k, -ln k) for order 0,
-    (k - order, ln((k-1)...(k-order+1))) above."""
-    if order == 0:
-        return tuple((k, -math.log(k)) for k in head)
-    return tuple((k - order, sum(math.log(k - j) for j in range(1, order)))
-                 for k in head if k > order - 1)
-
-
-def _log_head_sum(parts: tuple, lnz: float) -> float:
-    """ln of the sum of the head's terms, by log-sum-exp over their logs
-    s * lnz + c, (s, c) in parts (_head_log_parts)."""
-    logs = [s * lnz + c for s, c in parts]
-    top = max(logs)
-    return top + math.log(math.fsum(map(math.exp, [x - top for x in logs])))
 
 
 def _series_head(spec: Optional[CycleClassSpec]) -> tuple:
@@ -328,15 +295,11 @@ def _series_limit(z: float, order: int = 0,
 
     Both tail bounds decrease in L where rho < 1 and L is past the terms'
     peak, so L is the least integer at which the smaller one meets the
-    budget.  The log of that bound less the budget falls near linearly in
-    L where it crosses 0, so secant steps on it guess L to within a unit
-    or so, and a galloping search and bisection from the guess find it
-    exactly, in about 8 evaluations where doubling and bisection from the
-    floor took about 30; every L returned meets one of the bounds.  Over
-    the primes L lies near u/(1-z), z = e^-t, with u = 31.8 to 30.5 for
-    order 0 as t runs from 1e-3 to 1e-8 (30.8 at t = 3e-7), and about 40,
-    43 and 47 for orders 1-3; the first bound alone gave u = 32.7 for
-    order 0 and about 42, 45 and 49 above.
+    budget, found by doubling from the floor and bisecting.  Over the
+    primes L lies near u/(1-z), z = e^-t, with u = 31.8 to 30.5 for order
+    0 as t runs from 1e-3 to 1e-8 (30.8 at t = 3e-7), and about 40, 43 and
+    47 for orders 1-3; the first bound alone gave u = 32.7 for order 0 and
+    about 42, 45 and 49 above.
     The bounds are evaluated in floating point, which moves the budget by
     a few ulps of itself, not its order.
     """
@@ -344,8 +307,9 @@ def _series_limit(z: float, order: int = 0,
     head = _series_head(spec)
     over_primes = spec is None or spec.kind == KIND_PRIMES
     floor = max(_SERIES_FLOOR, head[-1])
-    parts = _head_log_parts(head, order)
-    log_count = -math.inf
+    logs = [_log_term(k, lnz, order) for k in head if k > order - 1]
+    top = max(logs)
+    log_lower = top + math.log(math.fsum(math.exp(x - top) for x in logs))
     gap = 1.0 - z
     big_m = 1.0 / gap
     if over_primes and 2.0 * big_m >= _PI_LOWER_FROM:
@@ -354,73 +318,30 @@ def _series_limit(z: float, order: int = 0,
         if count > 0.0:
             least = min(_log_term(big_m, lnz, order),
                         _log_term(2.0 * big_m, lnz, order))
-            log_count = math.log(count) + least
+            log_lower = max(log_lower, math.log(count) + least)
             floor = max(floor, math.ceil(2.0 * big_m))
-
-    def excess(L: float) -> float:
-        """ln of the least tail bound that holds at L, less the budget;
-        L is accepted where it is <= 0, and an integer L is evaluated as
-        the same float."""
-        # 1 - rho, written without cancelling
-        margin = min(gap, ((L + 1.0) * gap + (1 - order)) / (L + 2.0 - order))
-        if margin <= 0.0:
-            return math.inf
-        bound = _log_term(L + 1.0, lnz, order) - math.log(margin)
-        if (over_primes and L >= _PI_TIGHT_FROM
-                and _log_term_slope(L, lnz, order) <= 0.0):
-            lnl = math.log(L)
-            factor = (L / lnl ** 2
-                      + (1.0 / lnl + 0.5 / lnl ** 2) * (1.0 + 1.0 / margin))
-            bound = min(bound, _log_term(L, lnz, order) + math.log(factor))
-        return bound - budget
+    budget = log_lower + _LOG_BUDGET
 
     def within(L: int) -> bool:
-        return excess(float(L)) <= 0.0
+        # 1 - rho, written without cancelling
+        margin = min(gap, ((L + 1) * gap + (1 - order)) / (L + 2 - order))
+        if margin <= 0.0:
+            return False
+        if _log_term(L + 1.0, lnz, order) - math.log(margin) <= budget:
+            return True
+        if not (over_primes and L >= _PI_TIGHT_FROM
+                and _log_term_slope(L, lnz, order) <= 0.0):
+            return False
+        lnl = math.log(L)
+        factor = (L / lnl ** 2
+                  + (1.0 / lnl + 0.5 / lnl ** 2) * (1.0 + 1.0 / margin))
+        return _log_term(float(L), lnz, order) + math.log(factor) <= budget
 
-    # one head term bounds the sum below too, so its budget is at most the
-    # head sum's and accepts no L that the head sum's would not; it is a
-    # tenth of the cost and for z not near 1 accepts the floor already
-    s, c = parts[0]
-    budget = max(s * lnz + c, log_count) + _LOG_BUDGET
     if within(floor):
         return floor
-    budget = max(_log_head_sum(parts, lnz), log_count) + _LOG_BUDGET
-    lo, x = floor, float(floor)
-    e = excess(x)
-    if e <= 0.0:
-        return floor
-    while e == math.inf:  # rho >= 1 here: double past it
-        lo, x = int(x), 2.0 * x
-        e = excess(x)
-    # excess falls in L, near linearly where it crosses 0, with a slope
-    # that tends to ln z: a step along ln z and secant steps from there
-    # land within a unit or so of the crossing
-    last_x, last_e = x, e
-    x = max(float(lo), x - e / lnz)
-    for _ in range(_SECANT_STEPS):
-        e = excess(x)
-        if not math.isfinite(e) or e == last_e:
-            break
-        move = e * (x - last_x) / (e - last_e)
-        last_x, last_e = x, e
-        x = max(float(lo), x - move)
-        if abs(move) < 0.5:
-            break
-    # the least accepted L above lo, galloping from the guess to a
-    # bracket lo < hi with within(hi), not within(lo), then bisecting
-    hi = max(lo + 1, math.ceil(x))
-    step = 1
-    if within(hi):
-        while hi - step > lo and within(hi - step):
-            hi -= step
-            step *= 2
-        lo = max(lo, hi - step)
-    else:
-        lo = hi
-        while not within(lo + step):
-            lo += step
-            step *= 2
-        hi = lo + step
+    lo, hi = floor, 2 * floor
+    while not within(hi):
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if within(mid):
@@ -594,9 +515,10 @@ def phi_split(t: float) -> PhiSplit:
 
 class PhiSplitSums:
     """Prime-stream accumulator for phi_split_grid(t_grid): per t, the
-    split's three sums and the direct sum, each over the primes up to that
-    t's own truncation limit, phi's _series_limit(e^-t), whose dropped tail
-    is at most 2^-53 phi(e^-t).
+    split's three sums over the primes up to that t's own truncation limit,
+    phi's _series_limit(e^-t), whose dropped tail is at most 2^-53
+    phi(e^-t), and, once the stream ends, phi_mellin's phi(e^-t), which
+    reads no primes, to check them against.
 
     Every t is checked on construction, so before any prime is streamed.
     The limit is the largest truncation limit on the grid, about 30.8/t
@@ -610,19 +532,17 @@ class PhiSplitSums:
     millions of terms here, where an exact sum costs about 15 ns a term
     against about 1 ns.  The terms of each sum share one sign, so its
     rounding error is below 10^-13 of it, far below the 1e-9 tolerance that
-    compares the recombined split with the direct sum.
+    compares the recombined split with phi_mellin.
     """
 
     def __init__(self, t_grid):
         ts = list(t_grid)
         for t in ts:
             _check_t(t)
-        # per t: cutoff, limit, and ln z taken from z = e^-t as phi_eval(e^-t)
-        # takes it (not -t, which differs in the last bits)
-        self.points = [(t, _split_cutoff(t), _series_limit(math.exp(-t)),
-                        math.log(math.exp(-t))) for t in ts]
-        self.limit = max((lim for _, _, lim, _ in self.points), default=0)
-        self._sums = [[0.0, 0.0, 0.0, 0.0] for _ in ts]  # phi1..3, direct
+        self.points = [(t, _split_cutoff(t), _series_limit(math.exp(-t)))
+                       for t in ts]
+        self.limit = max((lim for _, _, lim in self.points), default=0)
+        self._sums = [[0.0, 0.0, 0.0] for _ in ts]  # phi1, phi2, phi3
         self._buf = np.empty((3, 0))  # p, 1/p and a work row, per block
 
     def add(self, block) -> bool:
@@ -632,7 +552,7 @@ class PhiSplitSums:
         pf, inv, buf = self._buf[:, :n]
         np.copyto(pf, block)
         np.divide(1.0, pf, out=inv)
-        for (t, y, lim, lnz), acc in zip(self.points, self._sums):
+        for (t, y, lim), acc in zip(self.points, self._sums):
             m = int(np.searchsorted(block, lim, side="right"))
             cut = int(np.searchsorted(pf[:m], y, side="right"))
             x = buf[:m]
@@ -644,36 +564,109 @@ class PhiSplitSums:
             x *= inv[:m]
             acc[1] += float(x[:cut].sum())
             acc[2] += float(x[cut:].sum())
-            # the direct sum z^p/p
-            np.multiply(pf[:m], lnz, out=x)
-            np.exp(x, out=x)
-            x *= inv[:m]
-            acc[3] += float(x.sum())
         return False
 
     def result(self) -> list:
+        # phi at t' = -ln(fl(e^-t)), the t that phi_eval(e^-t)'s double z
+        # encodes: -t itself differs from ln z in the last bits
+        whole = phi_mellin([-math.log(math.exp(-t)) for t, _, _ in self.points])
         return [(PhiSplit(t=t, cutoff=y, phi1=acc[0], phi2=acc[1],
-                          phi3=acc[2]), acc[3])
-                for (t, y, *_), acc in zip(self.points, self._sums)]
+                          phi3=acc[2]), phi)
+                for (t, y, _), acc, phi in zip(self.points, self._sums, whole)]
 
 
 def phi_split_grid(t_grid):
-    """[(phi_split(t), phi_eval(e^-t)) for t in t_grid] from one prime stream.
+    """[(phi_split(t), phi(e^-t)) for t in t_grid], the splits from one
+    prime stream and phi(e^-t) from phi_mellin, which reads no primes.
 
     The one-accumulator case of PhiSplitSums: every t is checked before any
     prime is streamed, and the stream runs to the largest truncation limit
     on the grid.  Each t takes from every block only the primes up to its
-    own limit, shared by the split and the direct sum, so the sums cover
-    the same primes as one-point grids and phi_eval.  The direct sum
-    multiplies z^p by the block's 1/p where phi_eval divides by p, so the
-    two differ only in rounding and summation order.  It shares 1/p with
-    the split, but neither the exponent nor the cut at y, so comparing it
-    with the recombined split still checks the split's own arithmetic.
+    own limit, so the split covers the same primes as a one-point grid and
+    phi_eval.  phi(e^-t) is taken at t' = -ln(fl(e^-t)), the t of
+    phi_eval(e^-t)'s double z, and matches phi_eval(e^-t) to about 1e-15
+    relative; a prime missing from the stream moves the split's sum by
+    e^-pt/p but not phi_mellin's, so comparing the two checks the stream
+    as well as the split's own arithmetic.
     """
     sums = PhiSplitSums(t_grid)
     if not sums.points:
         return []
     return feed_primes(iter_prime_blocks(sums.limit), sums)[0]
+
+
+# -- phi by a Mellin-Barnes integral, reading no primes --------------------------
+
+# the least t phi_mellin takes: half the split's floor, so that it takes
+# t' = -ln(fl(e^-t)), which may lie a few ulps of 1 below t, for every t
+# the split takes
+T_MELLIN_FLOOR = T_DOMAIN_FLOOR / 2.0
+
+
+def phi_mellin(t_grid) -> list:
+    """[phi(e^-t) for t in t_grid] from a Mellin-Barnes integral, reading
+    no primes.
+
+    For sigma > 0, e^-x = (1/2 pi i) int_(sigma) Gamma(s) x^-s ds; summed
+    over the primes, with P the prime zeta function,
+
+        phi(e^-t) = (1/pi) int_0^inf Re[Gamma(sigma+iy) t^(-sigma-iy)
+                                         P(1+sigma+iy)] dy.
+
+    The integral is taken by the trapezoid rule on one set of nodes y = 0,
+    h, ..., (K-1)h (mellin.mellin_nodes), the same for every t, so a t's
+    value does not depend on the others on its grid: sigma = 4/L, L =
+    ln(1/t) at the domain's least t, T_MELLIN_FLOOR, so t^-sigma = e^(sigma
+    L) amplifies the nodes' rounding by at most e^4.  The nodes' Gamma
+    (mellin._log_gamma) and P(1+s) (mellin._prime_zeta_1p) are taken on
+    the first call and kept; each t then costs one exponential over the
+    nodes and a math.fsum.  Every t must lie in [T_MELLIN_FLOOR, e^-e), checked before
+    any work.
+
+    Its truncation error, at any t of the domain, is at most the sum of
+    - the trapezoid rule's: the integrand f(y) is analytic in the strip
+      |Im y| < sigma, so for a < sigma the error is at most M/(pi
+      (e^(2 pi a/h) - 1)) with M >= int |f(x+ib)| dx for |b| < a
+      (Trefethen and Weideman, "The exponentially convergent trapezoidal
+      rule", SIAM Review 56(3), 2014, Theorem 5.1).  For 0 < q <= 1/2,
+      |Gamma(q+ix)|^2 = Gamma(q)^2 prod_n (1 + x^2/(n+q)^2)^-1 <=
+      Gamma(q)^2/cosh(pi x), whose root integrates to 1.66926 Gamma(q) at
+      most, and |P(1+q+ix)| <= P(1+q) <= ln zeta(1+q) <= ln(1 + 1/q); so M
+      is 1.66926 times the larger, at q = sigma -+ a, of Gamma(q) ln(1 +
+      1/q) e^(qL), a log-convex function of q.  h is the largest step this
+      bound allows within a quarter of the budget, a being the best of a
+      few fractions of sigma.
+    - the dropped nodes': |f(y)| <= Gamma(sigma) ln(1 + 1/sigma)
+      e^(sigma L) sqrt(2) e^(-pi y/2), decreasing, so the nodes past
+      (K-1)h add at most (1/pi) times its integral from (K-1)h, and K is
+      the least that keeps that within a quarter of the budget.
+    - each node's error in Gamma, by Stirling's remainder
+      (mellin._log_gamma), and in P, by mellin._prime_zeta_1p's bound, weighted by (h/pi) |Gamma(s)|
+      e^(sigma L) and |P(1+s)|; each pass of 128 nodes cuts its sum over j
+      where the truncation takes its share of a quarter of the budget.
+    The budget is 2^-53 times 0.4, below phi(e^-t) on the domain, so the
+    truncation error is under 2^-53 phi; mellin.mellin_nodes raises
+    InternalConsistencyError if the nodes' summed bound exceeds its half.
+    The rest is rounding: near y = 0 the terms are up to about 100 times
+    phi, and their rounding errors largely cancel; on the verify grids the
+    result is within 5e-16 relative of phi_eval(e^-t) at t' = -ln(fl(e^-t)),
+    the t of its double z.
+    """
+    ts = list(t_grid)
+    for t in ts:
+        if not (T_MELLIN_FLOOR <= t < T_DOMAIN_CAP):
+            raise OutOfDomainError(
+                f"t must lie in [{T_MELLIN_FLOOR!r}, e^-e = "
+                f"{T_DOMAIN_CAP:.6f}), got {t}")
+    if not ts:
+        return []
+    h, s, log_gamma, prime_zeta = mellin_nodes(-math.log(T_MELLIN_FLOOR))
+    out = []
+    for t in ts:
+        f = (np.exp(log_gamma - s * math.log(t)) * prime_zeta).real
+        f[0] *= 0.5
+        out.append(h / math.pi * math.fsum(f.tolist()))
+    return out
 
 
 # -- closed-form asymptotic models -----------------------------------------------

@@ -150,11 +150,13 @@ class PhiEstimateRow:
 
 
 def phi_estimate_table(splits, constants: Constants):
-    """Per t: the split, its recombination against phi_eval(e^-t), and the
-    three residuals on their natural scales.
+    """Per t: the split, its recombination against phi(e^-t), and the three
+    residuals on their natural scales.
 
-    splits are (PhiSplit, phi_eval(e^-t)) pairs as analytic.phi_split_grid
-    or an analytic.PhiSplitSums fed from a shared stream returns them.
+    splits are (PhiSplit, phi(e^-t)) pairs as analytic.phi_split_grid or an
+    analytic.PhiSplitSums fed from a shared stream returns them: the split
+    from the prime stream, phi(e^-t), the direct column, from
+    analytic.phi_mellin, which reads no primes.
 
     phi1_scaled = (phi1 - lnln(1/t) - c) * ln(1/t)/lnln(1/t)
     phi2_scaled = phi2 * lnln(1/t)
@@ -320,7 +322,9 @@ def run_verify(n_grid, t_grid, which) -> VerifyRun:
       primes that partial-sum and hlk read; the two share one partial_sums
       call
     - one analytic.SeriesSum per n takes the hlk model's series at 1 - 1/n
-    - analytic.PhiSplitSums takes the phi split over the t grid
+    - analytic.PhiSplitSums takes the phi split over the t grid; the phi
+      check compares it with analytic.phi_mellin, which reads no primes,
+      so a prime missing from the stream fails it
     - primes.NthPrimes takes p_k for k on PNT_GRID_DEFAULT, for pnt
     Every grid a selected check reads is validated, and the count table's
     float cap checked, before any table is built or any prime streamed.

@@ -1,9 +1,10 @@
+import math
 import sys
 
 import pytest
 
-from primecycles import primes
-from primecycles.analytic import make_constants
+from primecycles import primes, verify
+from primecycles.analytic import SeriesSum, make_constants
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import InvalidArgumentError
 from primecycles.exact_enum import build_table
@@ -63,11 +64,41 @@ def float_table_1e5(primes_spec_big):
     return build_table(primes_spec_big, 100_000, mode="float")
 
 
+# the t grid of the benchmark's verify workload
+BENCH_T_GRID = (1e-4, 1e-5, 1e-6, 3e-7)
+
+
 @pytest.fixture(scope="session")
-def default_verify_run():
+def _default_stream():
+    """run_verify on the default grids, and phi_eval(e^-t) for t on the
+    default and bench t grids, as SeriesSum accumulators read off the run's
+    own stream, which ends at their largest limit, near 3.05e9."""
+    ts = sorted(set(T_GRID_DEFAULT + BENCH_T_GRID))
+    series = [SeriesSum(math.exp(-t)) for t in ts]
+    feed = verify.feed_primes
+
+    def feed_series_too(blocks, *accumulators):
+        return feed(blocks, *accumulators, *series)[:len(accumulators)]
+
+    verify.feed_primes = feed_series_too
+    try:
+        run = run_verify(N_GRID_DEFAULT, T_GRID_DEFAULT, CHECK_NAMES)
+    finally:
+        verify.feed_primes = feed
+    return run, {t: acc.result() for t, acc in zip(ts, series)}
+
+
+@pytest.fixture(scope="session")
+def default_verify_run(_default_stream):
     # every check on the default grids: the phi check streams the primes to
     # about 3.05e9, so the tests that read this run share it
-    return run_verify(N_GRID_DEFAULT, T_GRID_DEFAULT, CHECK_NAMES)
+    return _default_stream[0]
+
+
+@pytest.fixture(scope="session")
+def streamed_phi(_default_stream):
+    """{t: phi_eval(e^-t)} for t on the default and bench t grids."""
+    return _default_stream[1]
 
 
 @pytest.fixture

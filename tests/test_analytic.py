@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from primecycles import analytic
+from primecycles import analytic, mellin
 from primecycles.analytic import (
     EULER_GAMMA,
     T_DOMAIN_CAP,
@@ -28,6 +29,7 @@ from primecycles.analytic import (
 )
 from primecycles.cycle_classes import CycleClassSpec
 from primecycles.errors import (
+    InternalConsistencyError,
     InvalidArgumentError,
     OutOfDomainError,
     UnsupportedSpecError,
@@ -486,6 +488,105 @@ def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
     assert calls == []
     assert phi_split_grid(()) == []
     assert calls == []
+
+
+
+def _nodes():
+    return mellin.mellin_nodes(-math.log(analytic.T_MELLIN_FLOOR))
+
+
+def test_phi_mellin_matches_phi_eval_on_both_verify_grids(streamed_phi):
+    # at t' = -ln(fl(e^-t)), the t that phi_eval's double z encodes; the
+    # route reads no primes, the series reads nothing else
+    assert sorted(streamed_phi) == sorted(set(T_GRID_DEFAULT + BENCH_T_GRID))
+    for t, phi in streamed_phi.items():
+        t_prime = -math.log(math.exp(-t))
+        assert analytic.phi_mellin([t_prime])[0] == \
+            pytest.approx(phi, rel=1e-14), t
+
+
+def test_phi_mellin_matches_the_series_where_t_is_large():
+    # z = 1 - 1/n on the bench n grid: t from 1.0e-2 down to 2e-5
+    for n in BENCH_N_GRID:
+        z = 1.0 - 1.0 / n
+        acc = analytic.SeriesSum(z)
+        series = feed_primes(iter_prime_blocks(acc.limit), acc)[0]
+        assert analytic.phi_mellin([-math.log(z)])[0] == \
+            pytest.approx(series, rel=1e-14), n
+
+
+def test_phi_mellin_value_depends_on_its_t_alone():
+    grid = [1e-3, 3e-7, T_DOMAIN_CAP * 0.999, analytic.T_MELLIN_FLOOR]
+    assert analytic.phi_mellin(grid) == \
+        [analytic.phi_mellin([t])[0] for t in grid]
+
+
+def test_phi_mellin_sums_its_nodes_with_fsum(monkeypatch):
+    calls, fsum = [], math.fsum
+
+    def counting(values):
+        calls.append(len(values))
+        return fsum(values)
+
+    h, s, *_ = _nodes()
+    monkeypatch.setattr(analytic.math, "fsum", counting)
+    analytic.phi_mellin(BENCH_T_GRID)
+    assert calls == [s.size] * len(BENCH_T_GRID)
+
+
+@pytest.mark.parametrize("y", [0.0, 0.5, 3.0, 10.0, 20.0])
+def test_mellin_gamma_and_prime_zeta_against_mpmath(y):
+    h, s, log_gamma, prime_zeta = _nodes()
+    k = round(y / h)
+    node = s[k]
+    with mpmath.workdps(30):
+        lg = complex(mpmath.loggamma(mpmath.mpc(node.real, node.imag)))
+        p = complex(mpmath.primezeta(mpmath.mpc(1.0 + node.real, node.imag)))
+    # the branch continuous from the real axis, to a few ulps of its size
+    assert abs(log_gamma[k] - lg) <= 1e-15 * (1.0 + abs(lg))
+    # P within its own bound, plus rounding; the kept node near y = 0,
+    # where the integrand is largest, to about an ulp
+    got, bound = mellin._prime_zeta_1p(s[k : k + 1], 1e-20)
+    assert abs(got[0] - p) <= bound[0] + 1e-15
+    if y <= 3.0:
+        assert abs(prime_zeta[k] - p) <= 1e-15
+
+
+def test_phi_mellin_domain():
+    for t in (0.0, -1e-3, analytic.T_MELLIN_FLOOR / 2, T_DOMAIN_CAP, 1.0,
+              math.nan):
+        with pytest.raises(OutOfDomainError, match=r"^t must lie in"):
+            analytic.phi_mellin([1e-4, t])
+    assert analytic.phi_mellin([]) == []
+    # the t' of the split's least t lies a little below it, in the route's
+    # domain
+    t = -math.log(math.exp(-analytic.T_DOMAIN_FLOOR))
+    assert t < analytic.T_DOMAIN_FLOOR
+    assert analytic.phi_mellin([t])[0] > 3.0
+
+
+def test_phi_mellin_memory_on_the_bench_grid():
+    # the nodes' zeta tables pass 128 nodes at a time
+    mellin.mellin_nodes.cache_clear()
+    tracemalloc.start()
+    try:
+        analytic.phi_mellin(BENCH_T_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
+
+
+def test_phi_mellin_refuses_nodes_beyond_its_budget(monkeypatch):
+    # too few Euler-Maclaurin terms: the nodes' error bound outgrows the
+    # budget, and the route refuses rather than answer
+    mellin.mellin_nodes.cache_clear()
+    monkeypatch.setattr(mellin, "_EM_TERMS", 3)
+    try:
+        with pytest.raises(InternalConsistencyError, match="budget"):
+            analytic.phi_mellin([1e-4])
+    finally:
+        mellin.mellin_nodes.cache_clear()
 
 
 def test_partial_sum_log_model(constants, refuses_non_integers):

@@ -137,3 +137,95 @@ def test_pass_s_by_position():
 ])
 def test_dirty_flag_leaves_out_untracked_bench_files(porcelain, dirty):
     assert _tool().is_dirty(porcelain) is dirty
+
+
+def test_tree_dirs_have_paths_of_one_length(tmp_path):
+    dirs = _tool().tree_dirs(tmp_path / "bench_ab-x1")
+    assert set(dirs) == {"base", "change", "copy"}
+    assert len({len(str(d)) for d in dirs.values()}) == 1
+    assert len(set(dirs.values())) == 3
+    assert {d.parent for d in dirs.values()} == {tmp_path / "bench_ab-x1"}
+
+
+def _canned_bench(calls):
+    """run_bench and read_pass_cpu stand-ins: each tree reads a pass_s
+    fixed by its directory's name and the seed, and calls records the
+    (tree name, seed) of every run."""
+    level = {"base": 0.30, "chng": 0.28, "copy": 0.281}
+
+    def run(tree, workload, seed, seconds):
+        calls.append((tree.name, seed))
+        return json.loads(_line(0.12, level[tree.name] + seed / 1000, 48.0))
+
+    def read_cpu(tree, workload, seed):
+        return level[tree.name] / 2
+
+    return run, read_cpu
+
+
+def test_run_pair_alternates_the_first_side(tmp_path):
+    tool = _tool()
+    calls = []
+    run, read_cpu = _canned_bench(calls)
+    dirs = tool.tree_dirs(tmp_path)
+    first = tool.run_pair(dirs, "verify", 0, 1, 15.0, run, read_cpu)
+    second = tool.run_pair(dirs, "verify", 1, 2, 15.0, run, read_cpu)
+    assert calls == [("base", 1), ("chng", 1), ("chng", 2), ("base", 2)]
+    assert [(r["pair"], r["side"], r["seed"]) for r in first + second] == [
+        (0, "base", 1), (0, "change", 1), (1, "change", 2), (1, "base", 2)]
+    assert first[0]["pass_cpu_s"] == 0.15
+    got = tool.section(first + second)
+    assert got["pass_s"]["pairs"] == [pytest.approx([0.301, 0.281]),
+                                      pytest.approx([0.302, 0.282])]
+    assert got["pass_s"]["lower_in"] == "2 of 2"
+    assert got["pass_cpu_s"]["pairs"] == [pytest.approx([0.15, 0.14])] * 2
+    assert got["pass_s_by_position"] == {
+        "base": pytest.approx({"opening": 0.301, "closing": 0.302}),
+        "change": pytest.approx({"opening": 0.282, "closing": 0.281})}
+
+
+def test_main_runs_both_sides_from_archives_with_a_control(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    tool = _tool()
+    calls, extracted = [], []
+    run, read_cpu = _canned_bench(calls)
+    shas = {"v1^{commit}": "a" * 40, "HEAD^{commit}": "b" * 40}
+
+    def git(*args):
+        return shas[args[-1]] if args[0] == "rev-parse" else " M notes.txt"
+
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "git", git)
+    monkeypatch.setattr(tool, "extract",
+                        lambda sha, dest: extracted.append((sha, dest.name)))
+    monkeypatch.setattr(tool, "run_bench", run)
+    monkeypatch.setattr(tool, "read_pass_cpu", read_cpu)
+    assert tool.main(["--against", "v1", "--workload", "verify", "--pairs",
+                      "3", "--label", "t", "--control"]) == 0
+    # the change comes from an archive of HEAD, like the base from v1, and
+    # the control from a second archive of HEAD
+    assert extracted == [("a" * 40, "base"), ("b" * 40, "chng"),
+                         ("b" * 40, "copy")]
+    assert "not measured" in capsys.readouterr().err
+    # each A/B pair, then its control pair on the same seed, the first side
+    # alternating by pair in both
+    assert calls == [("base", 1), ("chng", 1), ("copy", 1), ("chng", 1),
+                     ("chng", 2), ("base", 2), ("chng", 2), ("copy", 2),
+                     ("base", 3), ("chng", 3), ("copy", 3), ("chng", 3)]
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["change"] == {"rev": "HEAD", "sha": "b" * 40}
+    assert report["base"] == {"rev": "v1", "sha": "a" * 40}
+    assert report["summary"]["pass_s"]["lower_in"] == "3 of 3"
+    control = report["control"]
+    assert control["summary"]["pass_s"]["pairs"] == [
+        pytest.approx([0.282, 0.281]), pytest.approx([0.283, 0.282]),
+        pytest.approx([0.284, 0.283])]
+    assert [r["seed"] for r in control["runs"]] == [1, 1, 2, 2, 3, 3]
+    assert len(report["runs"]) == 6
+    # without --control, no control pairs run
+    calls.clear()
+    tool.main(["--against", "v1", "--workload", "exact", "--pairs", "2",
+               "--label", "u"])
+    assert "control" not in json.loads((tmp_path / "BENCH_u.json").read_text())
+    assert calls == [("base", 1), ("chng", 1), ("chng", 2), ("base", 2)]

@@ -1,24 +1,32 @@
-"""A/B benchmark pairs: this checkout against another revision, written to
+"""A/B benchmark pairs: one revision against another, written to
 BENCH_<label>.json at the repository root.
 
     python3 tools/bench_ab.py --against HEAD~1 --workload verify \
-        --pairs 5 --seconds 15 --label verify-bound
+        --pairs 5 --seconds 15 --label verify-bound [--change REV] [--control]
 
-The other revision is extracted with ``git archive`` into a temporary
-directory outside the repository, so nothing is fetched and the checkout is
-left as it is.  Each pair runs both trees' own, unchanged
-``perfbench/run.py --workload W --seed <seed> --seconds S --trace 0``, one
-after the other, with pair i on seed i + 1; the base runs first in even
-pairs and second in odd ones, so neither side always meets the warmer or
-the busier machine.  The file holds, for each gated metric, the median and
-quartiles of each side, every pair's two values and the number of pairs in
-which the change reads lower, beside both git shas, the seeds, the order
-and every run's result line.  It summarises the same way each run's raw
-CPU time, the median ``cpu_s`` of the passes in the tree's
+Both sides are extracted with ``git archive``, the base at --against and
+the change at --change (HEAD by default), into two sibling directories of
+one temporary directory outside the repository, whose paths have the same
+length; so nothing is fetched, the checkout is left as it is, and neither
+side runs from a path or a tree the other does not have.  Uncommitted
+changes in the checkout are not measured.  Each pair runs both trees'
+own, unchanged ``perfbench/run.py --workload W --seed <seed> --seconds S
+--trace 0``, one after the other, with pair i on seed i + 1; the base runs
+first in even pairs and second in odd ones, so neither side always meets
+the warmer or the busier machine.  The file holds, for each gated metric,
+the median and quartiles of each side, every pair's two values and the
+number of pairs in which the change reads lower, beside both git shas, the
+seeds, the order and every run's result line.  It summarises the same way
+each run's raw CPU time, the median ``cpu_s`` of the passes in the tree's
 ``perfbench/out/<workload>-seed<seed>-trace0.json``, which no calibration
 scales, and gives per side the median ``pass_s`` of the runs that open a
 pair and of those that close one, since a run can read differently after
 a run of the same tree than after one of the other.
+
+With --control, each pair is followed by a control pair on the same seed
+that runs the change against a second copy of itself, in a third sibling
+directory, summarised the same way under "control": an A/B shift can then
+be read beside the A/A shift of the same session.
 """
 
 import argparse
@@ -152,10 +160,70 @@ def pass_s_by_position(runs) -> dict:
             for side, by_position in values.items()}
 
 
+SIDES = ("base", "change")
+
+
+def tree_dirs(tmp: pathlib.Path) -> dict:
+    """The trees' directories under tmp: base, change and, for --control,
+    the change's second copy; sibling names of one length, so their paths
+    have the same length too."""
+    return {"base": tmp / "base", "change": tmp / "chng", "copy": tmp / "copy"}
+
+
+def run_pair(trees: dict, workload: str, pair: int, seed: int,
+             seconds: float, run=None, read_cpu=None) -> list:
+    """The two runs of pair number pair, on seed, the base first if pair is
+    even and second if it is odd, as records of side, seed, result line
+    and raw CPU time; trees maps "base" and "change" to the trees that run
+    as those sides, and run and read_cpu default to run_bench and
+    read_pass_cpu."""
+    run = run or run_bench
+    read_cpu = read_cpu or read_pass_cpu
+    records = []
+    for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+        result = run(trees[side], workload, seed, seconds)
+        records.append({"pair": pair, "side": side, "seed": seed,
+                        "result": result,
+                        RAW_CPU: read_cpu(trees[side], workload, seed)})
+    return records
+
+
+def section(runs) -> dict:
+    """summarize's comparison of run records, listed in the order they ran,
+    with pass_s_by_position beside it."""
+    by_side = {side: sorted((r for r in runs if r["side"] == side),
+                            key=lambda r: r["pair"]) for side in SIDES}
+    base, change = by_side["base"], by_side["change"]
+    summary = summarize([r["result"] for r in base],
+                        [r["result"] for r in change],
+                        [r[RAW_CPU] for r in base],
+                        [r[RAW_CPU] for r in change])
+    summary["pass_s_by_position"] = pass_s_by_position(runs)
+    return summary
+
+
+def print_section(title: str, summary: dict) -> None:
+    print(title)
+    for name in METRICS + (RAW_CPU,):
+        s = summary[name]
+        print(f"  {name}: base {s['base']['median']:.4g} "
+              f"[{s['base']['q1']:.4g}, {s['base']['q3']:.4g}] -> change "
+              f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
+              f"{s['change']['q3']:.4g}], lower in {s['lower_in']}")
+    for side, medians in summary["pass_s_by_position"].items():
+        print(f"  pass_s of {side} runs: " + ", ".join(
+            f"{position} {m:.4g}" for position, m in medians.items()
+            if m is not None))
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--against", required=True,
                    help="the base revision, extracted with git archive")
+    p.add_argument("--change", default="HEAD",
+                   help="the changed revision, extracted with git archive")
+    p.add_argument("--control", action="store_true",
+                   help="also run the change against a copy of itself")
     p.add_argument("--workload", required=True,
                    choices=("verify", "exact", "float-sample"))
     p.add_argument("--pairs", type=int, default=5)
@@ -168,59 +236,56 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    base_sha = git("rev-parse", "--verify", args.against + "^{commit}")
-    change = {"sha": git("rev-parse", "HEAD"),
-              "dirty": is_dirty(git("status", "--porcelain"))}
+    shas = {side: git("rev-parse", "--verify", rev + "^{commit}")
+            for side, rev in (("base", args.against), ("change", args.change))}
+    if is_dirty(git("status", "--porcelain")):
+        print("note: the checkout has uncommitted changes, which are not "
+              "measured", file=sys.stderr)
     seeds = list(range(1, args.pairs + 1))
-    runs = []
-    results, cpu = {"base": [], "change": []}, {"base": [], "change": []}
+    ab, aa = [], []  # the A/B and the control runs, in the order they ran
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
-        base_tree = pathlib.Path(tmp)
-        extract(base_sha, base_tree)
-        trees = {"base": base_tree, "change": ROOT}
+        dirs = tree_dirs(pathlib.Path(tmp))
+        extract(shas["base"], dirs["base"])
+        extract(shas["change"], dirs["change"])
+        if args.control:
+            extract(shas["change"], dirs["copy"])
         for pair, seed in enumerate(seeds):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                result = run_bench(trees[side], args.workload, seed,
-                                   args.seconds)
-                pass_cpu = read_pass_cpu(trees[side], args.workload, seed)
-                results[side].append(result)
-                cpu[side].append(pass_cpu)
-                runs.append({"pair": pair, "side": side, "seed": seed,
-                             "result": result, RAW_CPU: pass_cpu})
-                print(f"pair {pair} {side}: " + ", ".join(
-                    f"{m} {result['metrics'][m]['value']:.4g}"
-                    for m in METRICS) + f", {RAW_CPU} {pass_cpu:.4g}",
-                      flush=True)
+            groups = [("", ab, dirs)]
+            if args.control:
+                groups.append(("control ", aa, {"base": dirs["copy"],
+                                                "change": dirs["change"]}))
+            for title, runs, trees in groups:
+                for record in run_pair(trees, args.workload, pair, seed,
+                                       args.seconds):
+                    runs.append(record)
+                    result = record["result"]
+                    print(f"pair {pair} {title}{record['side']}: " + ", ".join(
+                        f"{m} {result['metrics'][m]['value']:.4g}"
+                        for m in METRICS) + f", {RAW_CPU} {record[RAW_CPU]:.4g}",
+                          flush=True)
     report = {
         "label": args.label,
         "workload": args.workload,
         "seconds": args.seconds,
-        "base": {"rev": args.against, "sha": base_sha},
-        "change": change,
+        "base": {"rev": args.against, "sha": shas["base"]},
+        "change": {"rev": args.change, "sha": shas["change"]},
         "seeds": seeds,
         "order": ["base first" if pair % 2 == 0 else "change first"
                   for pair in range(args.pairs)],
         "host": {"machine": platform.machine(),
                  "python": platform.python_version(),
                  "processor": platform.processor()},
-        "summary": {**summarize(results["base"], results["change"],
-                                cpu["base"], cpu["change"]),
-                    "pass_s_by_position": pass_s_by_position(runs)},
-        "runs": runs,
+        "summary": section(ab),
+        "runs": ab,
     }
+    if args.control:
+        report["control"] = {"summary": section(aa), "runs": aa}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
-    for name in METRICS + (RAW_CPU,):
-        s = report["summary"][name]
-        print(f"{name}: base {s['base']['median']:.4g} "
-              f"[{s['base']['q1']:.4g}, {s['base']['q3']:.4g}] -> change "
-              f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
-              f"{s['change']['q3']:.4g}], lower in {s['lower_in']}")
-    for side, medians in report["summary"]["pass_s_by_position"].items():
-        print(f"pass_s of {side} runs: " + ", ".join(
-            f"{position} {m:.4g}" for position, m in medians.items()
-            if m is not None))
+    print_section("A/B, base -> change:", report["summary"])
+    if args.control:
+        print_section("A/A control, change copy -> change:",
+                      report["control"]["summary"])
     print(f"wrote {out.name}")
     return 0
 
