@@ -584,10 +584,10 @@ def phi_split_grid(t_grid):
     on the grid.  Each t takes from every block only the primes up to its
     own limit, so the split covers the same primes as a one-point grid and
     phi_eval.  phi(e^-t) is taken at t' = -ln(fl(e^-t)), the t of
-    phi_eval(e^-t)'s double z, and matches phi_eval(e^-t) to about 1e-15
-    relative; a prime missing from the stream moves the split's sum by
-    e^-pt/p but not phi_mellin's, so comparing the two checks the stream
-    as well as the split's own arithmetic.
+    phi_eval(e^-t)'s double z, and is within 5e-16 relative of
+    phi_eval(e^-t) on the verify grids; a prime missing from the stream
+    moves the split's sum by e^-pt/p but not phi_mellin's, so comparing
+    the two checks the stream as well as the split's own arithmetic.
     """
     sums = PhiSplitSums(t_grid)
     if not sums.points:
@@ -620,8 +620,8 @@ def phi_mellin(t_grid) -> list:
     L) amplifies the nodes' rounding by at most e^4.  The nodes' Gamma
     (mellin._log_gamma) and P(1+s) (mellin._prime_zeta_1p) are taken on
     the first call and kept; each t then costs one exponential over the
-    nodes and a math.fsum.  Every t must lie in [T_MELLIN_FLOOR, e^-e), checked before
-    any work.
+    nodes and a math.fsum.  Every t must lie in [T_MELLIN_FLOOR, e^-e),
+    checked before any work.
 
     Its truncation error, at any t of the domain, is at most the sum of
     - the trapezoid rule's: the integrand f(y) is analytic in the strip
@@ -641,9 +641,10 @@ def phi_mellin(t_grid) -> list:
       (K-1)h add at most (1/pi) times its integral from (K-1)h, and K is
       the least that keeps that within a quarter of the budget.
     - each node's error in Gamma, by Stirling's remainder
-      (mellin._log_gamma), and in P, by mellin._prime_zeta_1p's bound, weighted by (h/pi) |Gamma(s)|
-      e^(sigma L) and |P(1+s)|; each pass of 128 nodes cuts its sum over j
-      where the truncation takes its share of a quarter of the budget.
+      (mellin._log_gamma), and in P, by mellin._prime_zeta_1p's bound,
+      weighted by (h/pi) |Gamma(s)| e^(sigma L) and |P(1+s)|; each pass of
+      128 nodes cuts its sum over j where the truncation takes its share
+      of a quarter of the budget.
     The budget is 2^-53 times 0.4, below phi(e^-t) on the domain, so the
     truncation error is under 2^-53 phi; mellin.mellin_nodes raises
     InternalConsistencyError if the nodes' summed bound exceeds its half.

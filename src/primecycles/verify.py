@@ -324,7 +324,8 @@ def run_verify(n_grid, t_grid, which) -> VerifyRun:
     - one analytic.SeriesSum per n takes the hlk model's series at 1 - 1/n
     - analytic.PhiSplitSums takes the phi split over the t grid; the phi
       check compares it with analytic.phi_mellin, which reads no primes,
-      so a prime missing from the stream fails it
+      so a prime p missing from the stream fails it wherever e^-pt/p is
+      above the check's 1e-9 relative tolerance
     - primes.NthPrimes takes p_k for k on PNT_GRID_DEFAULT, for pnt
     Every grid a selected check reads is validated, and the count table's
     float cap checked, before any table is built or any prime streamed.

@@ -449,8 +449,9 @@ def test_phi_split_domain():
 def test_phi_split_grid_matches_per_t_calls():
     # Same terms, other blocks: each sum adds same-sign terms in at most
     # ~25 block sums of pairwise-summed blocks, so the two orders differ by
-    # under 2 * (25 + 20) eps < 1e-14 relative.  Taking ln z as -t instead
-    # of ln(e^-t) would move the direct sum by 4e-13 at t = 1e-6.
+    # under 2 * (25 + 20) eps < 1e-14 relative.  direct is phi_mellin at
+    # t' = -ln(fl(e^-t)); taking it at t itself would move it by 4e-13 at
+    # t = 1e-6.
     grid = (1e-3, 1e-4, 1e-5, 1e-6)
     results = phi_split_grid(grid)
     assert len(results) == len(grid)
@@ -488,7 +489,6 @@ def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
     assert calls == []
     assert phi_split_grid(()) == []
     assert calls == []
-
 
 
 def _nodes():
