@@ -584,7 +584,7 @@ def phi_split_grid(t_grid):
     on the grid.  Each t takes from every block only the primes up to its
     own limit, so the split covers the same primes as a one-point grid and
     phi_eval.  phi(e^-t) is taken at t' = -ln(fl(e^-t)), the t of
-    phi_eval(e^-t)'s double z, and is within 5e-16 relative of
+    phi_eval(e^-t)'s double z, and is within 6e-16 relative of
     phi_eval(e^-t) on the verify grids; a prime missing from the stream
     moves the split's sum by e^-pt/p but not phi_mellin's, so comparing
     the two checks the stream as well as the split's own arithmetic.
@@ -650,7 +650,7 @@ def phi_mellin(t_grid) -> list:
     InternalConsistencyError if the nodes' summed bound exceeds its half.
     The rest is rounding: near y = 0 the terms are up to about 100 times
     phi, and their rounding errors largely cancel; on the verify grids the
-    result is within 5e-16 relative of phi_eval(e^-t) at t' = -ln(fl(e^-t)),
+    result is within 6e-16 relative of phi_eval(e^-t) at t' = -ln(fl(e^-t)),
     the t of its double z.
     """
     ts = list(t_grid)
