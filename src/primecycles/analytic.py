@@ -29,7 +29,6 @@ from primecycles.errors import (
     UnsupportedSpecError,
     _integer,
 )
-from primecycles.mellin import _mobius, mellin_nodes
 from primecycles.primes import feed_primes, iter_prime_blocks
 
 # Euler-Mascheroni constant, 25 digits; treated as a known input, not computed
@@ -71,6 +70,21 @@ def zeta_minus_1(s: float) -> float:
 def zeta(s: float) -> float:
     """Riemann zeta for s >= 1.5, to 1e-14 relative."""
     return 1.0 + zeta_minus_1(s)
+
+
+def _mobius(j: int) -> int:
+    m = 1
+    d = 2
+    while d * d <= j:
+        if j % d == 0:
+            j //= d
+            if j % d == 0:
+                return 0
+            m = -m
+        d += 1
+    if j > 1:
+        m = -m
+    return m
 
 
 def _log_zeta(s: float) -> float:
@@ -661,6 +675,10 @@ def phi_mellin(t_grid) -> list:
                 f"{T_DOMAIN_CAP:.6f}), got {t}")
     if not ts:
         return []
+    # imported here, so that a process that never calls phi_mellin never
+    # compiles the nodes' code, where bytecode is not cached
+    from primecycles.mellin import mellin_nodes
+
     h, s, log_gamma, prime_zeta = mellin_nodes(-math.log(T_MELLIN_FLOOR))
     out = []
     for t in ts:
