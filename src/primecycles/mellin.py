@@ -10,8 +10,8 @@ import.
 The code keeps to numpy loops that a verify pass runs anyway: the first
 call of a complex division, an arctan2, a matrix product or arithmetic on
 numpy scalars maps in more of numpy's code and keeps it resident, and
-together they raised verify's peak RSS by about 0.3 MB.  So 1/z is
-conj(z)/|z|^2 (_inverse), and scalars are Python floats.
+together they raised the verify benchmark's peak RSS by about 0.45 MB.
+So 1/z is conj(z)/|z|^2 (_inverse), and scalars are Python floats.
 """
 
 import functools
