@@ -43,7 +43,8 @@ _MELLIN_SIGMA_L = 4.0
 _GAMMA_LINE = 1.66926
 # the error budget: 2^-53 times 0.4, a lower bound of phi(e^-t) for t < e^-e
 _MELLIN_BUDGET = 0.4 * 2.0 ** -53
-# nodes per pass through the zeta sums, which bounds their tables' memory
+# nodes per pass through log-gamma and the zeta sums, which bounds their
+# tables' memory
 _MELLIN_CHUNK = 128
 
 
