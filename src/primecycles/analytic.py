@@ -12,7 +12,7 @@ Everything here is a pure function of its arguments; prime sums stream
 through iter_prime_blocks so no call materializes a large table, and their
 accumulators, MertensSum, SeriesSum and PhiSplitSums, can share one
 stream through feed_primes.  phi_mellin keeps its nodes' values, about
-60 KB, after the first call.
+40 KB, after the first call.
 """
 
 import functools
@@ -521,18 +521,21 @@ def phi_split(t: float) -> PhiSplit:
     _series_limit(e^-t), near 31.8/t at t = 1e-3 and 30.5/t at t = 1e-8.
     So phi3's dropped tail is bounded absolutely, by 2^-53 phi(e^-t), not
     relative to phi3: phi3 is small, so its own relative truncation error
-    may reach 2^-53 phi/phi3, about 3e-11 at t = 1e-8.  The one-point case
-    of phi_split_grid.
+    may reach 2^-53 phi/phi3, about 3e-11 at t = 1e-8.  The split of
+    phi_split_grid((t,)), without its phi_mellin.
     """
-    return phi_split_grid((t,))[0][0]
+    sums = PhiSplitSums((t,))
+    for block in iter_prime_blocks(sums.limit):
+        sums.add(block)
+    return sums.splits()[0]
 
 
 class PhiSplitSums:
     """Prime-stream accumulator for phi_split_grid(t_grid): per t, the
     split's three sums over the primes up to that t's own truncation limit,
     phi's _series_limit(e^-t), whose dropped tail is at most 2^-53
-    phi(e^-t), and, once the stream ends, phi_mellin's phi(e^-t), which
-    reads no primes, to check them against.
+    phi(e^-t).  splits() reads them off; result() pairs each with
+    phi_mellin's phi(e^-t), which reads no primes, to check it against.
 
     Every t is checked on construction, so before any prime is streamed.
     The limit is the largest truncation limit on the grid, about 30.8/t
@@ -580,13 +583,16 @@ class PhiSplitSums:
             acc[2] += float(x[cut:].sum())
         return False
 
+    def splits(self) -> list:
+        """The PhiSplit of each t, over the primes added so far."""
+        return [PhiSplit(t=t, cutoff=y, phi1=acc[0], phi2=acc[1], phi3=acc[2])
+                for (t, y, _), acc in zip(self.points, self._sums)]
+
     def result(self) -> list:
         # phi at t' = -ln(fl(e^-t)), the t that phi_eval(e^-t)'s double z
         # encodes: -t itself differs from ln z in the last bits
         whole = phi_mellin([-math.log(math.exp(-t)) for t, _, _ in self.points])
-        return [(PhiSplit(t=t, cutoff=y, phi1=acc[0], phi2=acc[1],
-                          phi3=acc[2]), phi)
-                for (t, y, _), acc, phi in zip(self.points, self._sums, whole)]
+        return list(zip(self.splits(), whole))
 
 
 def phi_split_grid(t_grid):
@@ -611,10 +617,12 @@ def phi_split_grid(t_grid):
 
 # -- phi by a Mellin-Barnes integral, reading no primes --------------------------
 
-# the least t phi_mellin takes: half the split's floor, so that it takes
-# t' = -ln(fl(e^-t)), which may lie a few ulps of 1 below t, for every t
-# the split takes
+# phi_mellin's domain [T_MELLIN_FLOOR, T_MELLIN_CAP) holds t' =
+# -ln(fl(e^-t)) for every t the split takes: t' may lie a few ulps of 1
+# below t near the floor, hence half the floor, and up to an ulp of e^-t
+# over e^-t, about 1.2e-16, above t near the cap, hence the cap plus 1e-15
 T_MELLIN_FLOOR = T_DOMAIN_FLOOR / 2.0
+T_MELLIN_CAP = T_DOMAIN_CAP + 1e-15
 
 
 def phi_mellin(t_grid) -> list:
@@ -634,8 +642,8 @@ def phi_mellin(t_grid) -> list:
     L) amplifies the nodes' rounding by at most e^4.  The nodes' Gamma
     (mellin._log_gamma) and P(1+s) (mellin._prime_zeta_1p) are taken on
     the first call and kept; each t then costs one exponential over the
-    nodes and a math.fsum.  Every t must lie in [T_MELLIN_FLOOR, e^-e),
-    checked before any work.
+    nodes and a math.fsum.  Every t must lie in [T_MELLIN_FLOOR,
+    T_MELLIN_CAP), checked before any work.
 
     Its truncation error, at any t of the domain, is at most the sum of
     - the trapezoid rule's: the integrand f(y) is analytic in the strip
@@ -659,9 +667,10 @@ def phi_mellin(t_grid) -> list:
       weighted by (h/pi) |Gamma(s)| e^(sigma L) and |P(1+s)|; each pass of
       128 nodes cuts its sum over j where the truncation takes its share
       of a quarter of the budget.
-    The budget is 2^-53 times 0.4, below phi(e^-t) on the domain, so the
-    truncation error is under 2^-53 phi; mellin.mellin_nodes raises
-    InternalConsistencyError if the nodes' summed bound exceeds its half.
+    The budget is 2^-53 times 0.4, below phi(e^-t) on the domain (1.08 at
+    the cap), so the truncation error is under 2^-53 phi;
+    mellin.mellin_nodes raises InternalConsistencyError if the nodes'
+    summed bound exceeds its half.
     The rest is rounding: near y = 0 the terms are up to about 100 times
     phi, and their rounding errors largely cancel; on the verify grids the
     result is within 6e-16 relative of phi_eval(e^-t) at t' = -ln(fl(e^-t)),
@@ -669,20 +678,25 @@ def phi_mellin(t_grid) -> list:
     """
     ts = list(t_grid)
     for t in ts:
-        if not (T_MELLIN_FLOOR <= t < T_DOMAIN_CAP):
+        if not (T_MELLIN_FLOOR <= t < T_MELLIN_CAP):
             raise OutOfDomainError(
-                f"t must lie in [{T_MELLIN_FLOOR!r}, e^-e = "
-                f"{T_DOMAIN_CAP:.6f}), got {t}")
+                f"t must lie in [{T_MELLIN_FLOOR!r}, {T_MELLIN_CAP!r}), "
+                f"got {t}")
     if not ts:
         return []
     # imported here, so that a process that never calls phi_mellin never
     # compiles the nodes' code, where bytecode is not cached
     from primecycles.mellin import mellin_nodes
 
-    h, s, log_gamma, prime_zeta = mellin_nodes(-math.log(T_MELLIN_FLOOR))
+    h, sigma, log_gamma, prime_zeta = mellin_nodes()
+    y = h * np.arange(log_gamma.size)
     out = []
     for t in ts:
-        f = (np.exp(log_gamma - s * math.log(t)) * prime_zeta).real
+        # ln Gamma(s) - s ln t at s = sigma + iy
+        log_t = math.log(t)
+        f = log_gamma - sigma * log_t
+        f.imag -= y * log_t
+        f = (np.exp(f) * prime_zeta).real
         f[0] *= 0.5
         out.append(h / math.pi * math.fsum(f.tolist()))
     return out

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from primecycles.analytic import _mobius
+from primecycles.analytic import T_MELLIN_FLOOR, _mobius
 from primecycles.errors import InternalConsistencyError
 
 
@@ -36,7 +36,8 @@ _EM_N = 16
 _EM_TERMS = 10
 _EULER_MACLAURIN = tuple(b / math.factorial(2 * k + 2)
                          for k, b in enumerate(_BERNOULLI))
-# sigma L at the largest L the nodes serve
+# the largest L = ln(1/t) the nodes serve, and sigma L there
+_MELLIN_BIG = -math.log(T_MELLIN_FLOOR)
 _MELLIN_SIGMA_L = 4.0
 # int over the real line of cosh(pi x)^-1/2, B(1/4, 1/2)/pi = 1.669253...,
 # rounded up
@@ -193,12 +194,13 @@ def _prime_zeta_1p(s: np.ndarray, tol: float):
 
 
 @functools.cache
-def mellin_nodes(big: float):
-    """(h, s, ln Gamma(s), P(1+s)) at analytic.phi_mellin's nodes s = sigma
-    + iy, y = 0, h, ..., (K-1)h, for every t with ln(1/t) <= big, with the
+def mellin_nodes():
+    """(h, sigma, ln Gamma(s), P(1+s)) at analytic.phi_mellin's nodes s =
+    sigma + iy, y = 0, h, ..., (K-1)h, for every t of its domain, with the
     step, the count and the error bound that phi_mellin states; taken once
-    per big and kept, about 60 KB.  Raises InternalConsistencyError if the
-    nodes' summed error bound exceeds its half of the budget."""
+    and kept, about 40 KB.  Raises InternalConsistencyError if the nodes'
+    summed error bound exceeds its half of the budget."""
+    big = _MELLIN_BIG
     sigma = _MELLIN_SIGMA_L / big
     quarter = _MELLIN_BUDGET / 4.0
 
@@ -238,6 +240,6 @@ def mellin_nodes(big: float):
     if bound > 2.0 * quarter:
         raise InternalConsistencyError(
             f"phi_mellin's node error bound {bound:.3g} exceeds its budget")
-    for kept in (s, log_gamma, prime_zeta):  # every caller shares them
+    for kept in (log_gamma, prime_zeta):  # every caller shares them
         kept.flags.writeable = False
-    return h, s, log_gamma, prime_zeta
+    return h, sigma, log_gamma, prime_zeta

@@ -474,6 +474,28 @@ def test_phi_split_grid_row_depends_on_its_t_alone():
         assert phi_split_grid((t, 1e-4))[0] == row
 
 
+def test_phi_split_grid_at_the_cap_edge():
+    # t' = -ln(fl(e^-t)) reaches e^-e from each of the 4 floats below it,
+    # so phi_mellin's domain reaches a little past the split's
+    grid, t = [], T_DOMAIN_CAP
+    for _ in range(6):
+        t = math.nextafter(t, 0.0)
+        grid.append(t)
+    assert max(-math.log(math.exp(-t)) for t in grid) >= T_DOMAIN_CAP
+    for t, (sp, direct) in zip(grid, phi_split_grid(grid)):
+        assert direct == pytest.approx(phi_eval(math.exp(-t)), rel=1e-14)
+        assert sp.phi1 + sp.phi2 + sp.phi3 == pytest.approx(direct, rel=1e-13)
+
+
+def test_phi_split_reads_no_phi_mellin(monkeypatch):
+    def refuse(t_grid):
+        raise AssertionError("phi_split called phi_mellin")
+
+    want = phi_split_grid((1e-3,))[0][0]
+    monkeypatch.setattr(analytic, "phi_mellin", refuse)
+    assert phi_split(1e-3) == want
+
+
 def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
     calls = []
 
@@ -489,10 +511,6 @@ def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
     assert calls == []
     assert phi_split_grid(()) == []
     assert calls == []
-
-
-def _nodes():
-    return mellin.mellin_nodes(-math.log(analytic.T_MELLIN_FLOOR))
 
 
 def test_phi_mellin_matches_phi_eval_on_both_verify_grids(streamed_phi):
@@ -528,17 +546,17 @@ def test_phi_mellin_sums_its_nodes_with_fsum(monkeypatch):
         calls.append(len(values))
         return fsum(values)
 
-    h, s, *_ = _nodes()
+    nodes = mellin.mellin_nodes()[2].size
     monkeypatch.setattr(analytic.math, "fsum", counting)
     analytic.phi_mellin(BENCH_T_GRID)
-    assert calls == [s.size] * len(BENCH_T_GRID)
+    assert calls == [nodes] * len(BENCH_T_GRID)
 
 
 @pytest.mark.parametrize("y", [0.0, 0.5, 3.0, 10.0, 20.0])
 def test_mellin_gamma_and_prime_zeta_against_mpmath(y):
-    h, s, log_gamma, prime_zeta = _nodes()
+    h, sigma, log_gamma, prime_zeta = mellin.mellin_nodes()
     k = round(y / h)
-    node = s[k]
+    node = complex(sigma, h * k)
     with mpmath.workdps(30):
         lg = complex(mpmath.loggamma(mpmath.mpc(node.real, node.imag)))
         p = complex(mpmath.primezeta(mpmath.mpc(1.0 + node.real, node.imag)))
@@ -546,15 +564,15 @@ def test_mellin_gamma_and_prime_zeta_against_mpmath(y):
     assert abs(log_gamma[k] - lg) <= 1e-15 * (1.0 + abs(lg))
     # P within its own bound, plus rounding; the kept node near y = 0,
     # where the integrand is largest, to about an ulp
-    got, bound = mellin._prime_zeta_1p(s[k : k + 1], 1e-20)
+    got, bound = mellin._prime_zeta_1p(np.array([node]), 1e-20)
     assert abs(got[0] - p) <= bound[0] + 1e-15
     if y <= 3.0:
         assert abs(prime_zeta[k] - p) <= 1e-15
 
 
 def test_phi_mellin_domain():
-    for t in (0.0, -1e-3, analytic.T_MELLIN_FLOOR / 2, T_DOMAIN_CAP, 1.0,
-              math.nan):
+    for t in (0.0, -1e-3, analytic.T_MELLIN_FLOOR / 2, analytic.T_MELLIN_CAP,
+              1.0, math.nan):
         with pytest.raises(OutOfDomainError, match=r"^t must lie in"):
             analytic.phi_mellin([1e-4, t])
     assert analytic.phi_mellin([]) == []

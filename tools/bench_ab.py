@@ -1,15 +1,15 @@
-"""A/B benchmark pairs: one revision against another, written to
+"""A/B benchmark pairs: HEAD against another revision, written to
 BENCH_<label>.json at the repository root.
 
     python3 tools/bench_ab.py --against HEAD~1 --workload verify \
-        --pairs 5 --seconds 15 --label verify-bound [--change REV] [--control]
+        --pairs 5 --seconds 15 --label verify-bound [--control]
 
 Both sides are extracted with ``git archive``, the base at --against and
-the change at --change (HEAD by default), into two sibling directories of
-one temporary directory outside the repository, whose paths have the same
-length; so nothing is fetched, the checkout is left as it is, and neither
-side runs from a path or a tree the other does not have.  Uncommitted
-changes in the checkout are not measured.  Each pair runs both trees'
+the change at HEAD, into two sibling directories of one temporary
+directory outside the repository, whose paths have the same length; so
+nothing is fetched, the checkout is left as it is, and neither side runs
+from a path or a tree the other does not have.  Uncommitted changes in the
+checkout are not measured: commit before running.  Each pair runs both trees'
 own, unchanged ``perfbench/run.py --workload W --seed <seed> --seconds S
 --trace 0``, one after the other, with pair i on seed i + 1; the base runs
 first in even pairs and second in odd ones, so neither side always meets
@@ -220,8 +220,6 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--against", required=True,
                    help="the base revision, extracted with git archive")
-    p.add_argument("--change", default="HEAD",
-                   help="the changed revision, extracted with git archive")
     p.add_argument("--control", action="store_true",
                    help="also run the change against a copy of itself")
     p.add_argument("--workload", required=True,
@@ -237,7 +235,7 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     shas = {side: git("rev-parse", "--verify", rev + "^{commit}")
-            for side, rev in (("base", args.against), ("change", args.change))}
+            for side, rev in (("base", args.against), ("change", "HEAD"))}
     if is_dirty(git("status", "--porcelain")):
         print("note: the checkout has uncommitted changes, which are not "
               "measured", file=sys.stderr)
@@ -268,7 +266,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seconds": args.seconds,
         "base": {"rev": args.against, "sha": shas["base"]},
-        "change": {"rev": args.change, "sha": shas["change"]},
+        "change": {"rev": "HEAD", "sha": shas["change"]},
         "seeds": seeds,
         "order": ["base first" if pair % 2 == 0 else "change first"
                   for pair in range(args.pairs)],
