@@ -156,9 +156,10 @@ def _count_scaled(members: list, n_max: int) -> list:
     share a factor with WHEEL, plus U_n, the sum over every k <= n coprime
     to WHEEL, less the numbers coprime to WHEEL that are not members.
     ring[n % WHEEL] holds U_{n-WHEEL} until U_n replaces it, so the
-    memory beyond B is WHEEL integers.  Both divisions are exact in exact
-    arithmetic, so a remainder can only mean a fault in this code, and it
-    is raised rather than rounded away.
+    memory beyond B is WHEEL integers, and the back division turns B into
+    P in place.  Both divisions are exact in exact arithmetic, so a
+    remainder can only mean a fault in this code, and it is raised rather
+    than rounded away.
     """
     B = [0] * (n_max + 1)
     B[0] = math.factorial(n_max)
@@ -189,16 +190,15 @@ def _count_scaled(members: list, n_max: int) -> list:
             raise InternalConsistencyError(
                 f"scaled count at n={n} is not a multiple of {n}"
             )
-    P = [0] * (n_max + 1)
-    scale = 1  # N!/n!
+    scale = 1  # N!/n!; B_n becomes P_n in place, so B and P never coexist
     for n in range(n_max, -1, -1):
-        P[n], rem = divmod(B[n], scale)
+        B[n], rem = divmod(B[n], scale)
         if rem:
             raise InternalConsistencyError(
                 f"scaled count at n={n} is not a multiple of {n_max}!/{n}!"
             )
         scale *= n or 1
-    return P
+    return B
 
 
 def count_exact_upto(spec: CycleClassSpec, n_max: int,

@@ -6,16 +6,18 @@ property-based: residuals stay inside fixed safety-factor bands and ratios
 drift toward 1 along the default grids.  The safety factors compensate for
 unspecified constants in the error terms, they are not sharp claims.
 
-run_verify runs the checks of `primecycles verify` and returns each one's
-Verdict as data, beside the tables it emits; the command line only prints
-them.
+Each check of `primecycles verify` is one Check record in CHECKS.
+run_verify runs the selected ones and returns each one's Verdict as data,
+beside the tables it emits; the command line only prints them.
 """
 
 import contextlib
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import cache, cached_property
 
 from primecycles.errors import (
     InvalidArgumentError,
@@ -55,10 +57,6 @@ HLK_RATIO_BOUND = 0.1
 PHI_SAFETY_FACTOR = 5.0
 PHI_RECOMBINATION_RTOL = 1e-9
 
-# the checks `primecycles verify` runs, in order
-CHECK_NAMES = ("partial-sum", "hlk", "phi", "pnt", "slowvar")
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     x: float
@@ -82,12 +80,8 @@ def _checked_grid(grid) -> list:
     return grid
 
 
-def partial_sum_table(table: CountTable, n_grid, constants: Constants,
-                      sums=None):
+def partial_sum_table(table: CountTable, n_grid, constants: Constants):
     """Rows comparing T_n against e^c ln n over the grid.
-
-    sums, if given, are partial_sums(table, n_grid), taken once for both
-    partial-sum tables; by default they are taken here.
 
     scaled_residual = (T_n/ln n - e^c) * ln ln n, the natural scale of the
     model's error term.
@@ -95,10 +89,8 @@ def partial_sum_table(table: CountTable, n_grid, constants: Constants,
     if table.spec.kind != KIND_PRIMES:
         raise InvalidArgumentError("partial-sum table is defined for the primes spec")
     n_grid = _checked_grid(n_grid)
-    if sums is None:
-        sums = partial_sums(table, n_grid)
     rows = []
-    for n, total in zip(n_grid, sums, strict=True):
+    for n, total in zip(n_grid, partial_sums(table, n_grid), strict=True):
         exact = float(total)
         model = partial_sum_log_model(n, constants)
         resid = (exact / math.log(n) - constants.e_to_c) * math.log(math.log(n))
@@ -107,25 +99,23 @@ def partial_sum_table(table: CountTable, n_grid, constants: Constants,
 
 
 def hlk_comparison_table(table: CountTable, n_grid, constants: Constants,
-                         sums=None, series=None):
+                         series=None):
     """Rows comparing T_n against f_A(1 - 1/n) / Gamma(rho + 1), as
     odlyzko_sum_model gives it for every spec; for the primes that is
     f_eval(1 - 1/n) itself (density 0, Gamma(1) = 1).
 
-    sums, if given, are partial_sums(table, n_grid), and series, if given,
-    the series over table.spec at each 1 - 1/n, as analytic.SeriesSum
-    accumulators fed from a shared stream return them; by default both are
-    taken here.
+    series, if given, is the series over table.spec at each 1 - 1/n, as
+    analytic.SeriesSum accumulators fed from a shared stream return it; by
+    default odlyzko_sum_model sums it.
 
     scaled_residual = (ratio - 1) * ln ln n.
     """
     n_grid = _checked_grid(n_grid)
-    if sums is None:
-        sums = partial_sums(table, n_grid)
     if series is None:
         series = [None] * len(n_grid)
     rows = []
-    for n, total, f_series in zip(n_grid, sums, series, strict=True):
+    for n, total, f_series in zip(n_grid, partial_sums(table, n_grid), series,
+                                  strict=True):
         exact = float(total)
         model = odlyzko_sum_model(table.spec, n, constants, f_series)
         resid = (exact / model - 1.0) * math.log(math.log(n))
@@ -194,8 +184,7 @@ def pnt_table(k_grid, primes):
     rows = []
     for k, pk in zip(k_grid, primes, strict=True):
         model = k * math.log(k)
-        ratio = pk / model
-        rows.append(make_row(k, pk, model, ratio - 1.0))
+        rows.append(make_row(k, pk, model, pk / model - 1.0))
     return rows
 
 
@@ -300,13 +289,80 @@ def slow_variation_check(u_list, t_grid) -> Verdict:
     return Verdict("slowvar", reason, bound, worst / bound)
 
 
-_VERDICTS = {"partial-sum": partial_sum_verdict, "hlk": hlk_verdict,
-             "phi": phi_verdict, "pnt": pnt_verdict}
+# -- the checks ----------------------------------------------------------------
+
+
+class _Run:
+    """One run's grids, each checked on its first read, so by the readers
+    of the first check that reads it; its constants; and the float count
+    table over the primes that partial-sum and hlk share: one PrimesUpTo
+    on the stream, and one table built from its result."""
+
+    def __init__(self, n_grid, t_grid):
+        self._n_grid, self._t_grid = n_grid, list(t_grid)
+        self.constants = make_constants()
+        # the float count table over the members' PrimeTable, built once
+        # for partial-sum and hlk, whichever of them asks first
+        self.table = cache(lambda members: build_table(
+            CycleClassSpec.primes(members), members.limit, mode="float"))
+
+    @cached_property
+    def n(self) -> list:
+        return _checked_grid(self._n_grid)
+
+    @property
+    def t(self) -> list:
+        if not self._t_grid:  # a phi check over no t would judge nothing
+            raise InvalidArgumentError("t grid must be nonempty")
+        return self._t_grid
+
+    @cached_property
+    def members(self) -> PrimesUpTo:
+        return PrimesUpTo(_integer(max(self.n), "float n_max", 2,
+                                   FLOAT_CAP_DEFAULT, ResourceLimitError))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check of `primecycles verify`.
+
+    readers(run) gives its accumulators on the shared prime stream, and
+    making them checks every grid the check reads (PhiSplitSums refuses a
+    t out of phi's domain).  rows(run, *results) gives its table from
+    those accumulators' results, in order, or None for no table, and
+    verdict(rows) its Verdict.  The defaults read no primes and give no
+    table, as slowvar does.  The functions look up the package's names in
+    this module when they are called, so a name rebound here, by a test or
+    the bench's tracer, reaches them.
+    """
+
+    name: str
+    verdict: Callable
+    readers: Callable = lambda run: []
+    rows: Callable = lambda run: None
+
+
+# the checks `primecycles verify` runs, in order
+CHECKS = (
+    Check("partial-sum", partial_sum_verdict, lambda run: [run.members],
+          lambda run, m: partial_sum_table(run.table(m), run.n, run.constants)),
+    Check("hlk", hlk_verdict,
+          lambda run: [run.members, *(SeriesSum(1.0 - 1.0 / n) for n in run.n)],
+          lambda run, m, *series: hlk_comparison_table(
+              run.table(m), run.n, run.constants, series)),
+    Check("phi", phi_verdict, lambda run: [PhiSplitSums(run.t)],
+          lambda run, splits: phi_estimate_table(splits, run.constants)),
+    Check("pnt", pnt_verdict, lambda run: [NthPrimes(PNT_GRID_DEFAULT)],
+          lambda run, found: pnt_table(PNT_GRID_DEFAULT, found)),
+    Check("slowvar", lambda rows: slow_variation_check(SLOWVAR_U_DEFAULT,
+                                                       SLOWVAR_T_DEFAULT)),
+)
+CHECK_NAMES = tuple(check.name for check in CHECKS)
 
 
 @dataclass(frozen=True)
 class VerifyRun:
-    """What run_verify found: one Verdict per selected check, in CHECK_NAMES
+    """What run_verify found: one Verdict per selected check, in CHECKS
     order, and the row tables it emits, by check name (slowvar has none)."""
 
     verdicts: tuple
@@ -314,13 +370,14 @@ class VerifyRun:
 
 
 def run_verify(n_grid, t_grid, which) -> VerifyRun:
-    """Run the checks named in which, a subset of CHECK_NAMES.
+    """Run the checks named in which, a subset of CHECK_NAMES, in CHECKS
+    order.
 
     Every prime the checks read comes off one stream, to the largest limit
-    among its accumulators:
+    among their accumulators, and an accumulator two checks share is fed
+    once:
     - primes.PrimesUpTo(max(n_grid)) fills the float count table over the
-      primes that partial-sum and hlk read; the two share one partial_sums
-      call
+      primes that partial-sum and hlk read
     - one analytic.SeriesSum per n takes the hlk model's series at 1 - 1/n
     - analytic.PhiSplitSums takes the phi split over the t grid; the phi
       check compares it with analytic.phi_mellin, which reads no primes,
@@ -331,51 +388,18 @@ def run_verify(n_grid, t_grid, which) -> VerifyRun:
     float cap checked, before any table is built or any prime streamed.
     """
     selected = set(which)
-    if not selected <= set(CHECK_NAMES):
-        raise InvalidArgumentError(
-            f"unknown checks {sorted(selected - set(CHECK_NAMES))}")
-    readers = {}  # name -> its accumulators on the shared stream
-    if selected & {"partial-sum", "hlk"}:
-        n_grid = _checked_grid(n_grid)
-        n_max = _integer(max(n_grid), "float n_max",
-                         maximum=FLOAT_CAP_DEFAULT, above=ResourceLimitError)
-        readers["members"] = [PrimesUpTo(n_max)]
-    if "hlk" in selected:
-        readers["hlk"] = [SeriesSum(1.0 - 1.0 / n) for n in n_grid]
-    if "phi" in selected:
-        t_grid = list(t_grid)
-        if not t_grid:  # a phi check over no t would judge nothing
-            raise InvalidArgumentError("t grid must be nonempty")
-        readers["phi"] = [PhiSplitSums(t_grid)]  # refuses a t out of domain
-    if "pnt" in selected:
-        readers["pnt"] = [NthPrimes(PNT_GRID_DEFAULT)]
-    constants = make_constants()
-    accs = [acc for group in readers.values() for acc in group]
-    if accs:
-        stream = iter_prime_blocks(max(acc.limit for acc in accs))
-        results = iter(feed_primes(stream, *accs))
-        got = {name: [next(results) for _ in group]
-               for name, group in readers.items()}
-    tables = {}
-    if "members" in readers:
-        count_table = build_table(CycleClassSpec.primes(got["members"][0]),
-                                  n_max, mode="float")
-        sums = partial_sums(count_table, n_grid)
-    if "partial-sum" in selected:
-        tables["partial-sum"] = partial_sum_table(count_table, n_grid,
-                                                  constants, sums)
-    if "hlk" in selected:
-        tables["hlk"] = hlk_comparison_table(count_table, n_grid, constants,
-                                             sums, got["hlk"])
-    if "phi" in selected:
-        tables["phi"] = phi_estimate_table(got["phi"][0], constants)
-    if "pnt" in selected:
-        tables["pnt"] = pnt_table(PNT_GRID_DEFAULT, got["pnt"][0])
-    verdicts = [_VERDICTS[name](rows) for name, rows in tables.items()]
-    if "slowvar" in selected:
-        verdicts.append(slow_variation_check(SLOWVAR_U_DEFAULT,
-                                             SLOWVAR_T_DEFAULT))
-    return VerifyRun(tuple(verdicts), tables)
+    if unknown := selected - {check.name for check in CHECKS}:
+        raise InvalidArgumentError(f"unknown checks {sorted(unknown)}")
+    checks = [check for check in CHECKS if check.name in selected]
+    run = _Run(n_grid, t_grid)
+    readers = [check.readers(run) for check in checks]
+    accs = list(dict.fromkeys(acc for group in readers for acc in group))
+    stream = iter_prime_blocks(max(acc.limit for acc in accs)) if accs else ()
+    got = dict(zip(accs, feed_primes(stream, *accs)))
+    rows = [check.rows(run, *(got[acc] for acc in group))
+            for check, group in zip(checks, readers)]
+    return VerifyRun(tuple(c.verdict(r) for c, r in zip(checks, rows)),
+                     {c.name: r for c, r in zip(checks, rows) if r is not None})
 
 
 # -- report emission ---------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import primecycles
 from primecycles import exact_enum, verify
 from primecycles.analytic import PhiSplitSums
 from primecycles.cli import main, parse_spec
@@ -405,27 +406,28 @@ def test_verify_to_an_unwritable_prefix(tmp_path, capsys):
     assert err.startswith("error:") and "No such file" in err
 
 
-def test_module_entry_point():
-    # the child imports the package from this checkout's src, as pytest does
-    src = str(Path(__file__).resolve().parent.parent / "src")
+def _child_env() -> dict:
+    """The environment with PYTHONPATH led by the tree this run imported
+    primecycles from, so a child runs the same code as the tests."""
+    src = str(Path(primecycles.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "primecycles.cli", "count", "--n", "5"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout == "44\n"
 
 
 def test_package_entry_point():
     # python -m primecycles runs the same command line as primecycles.cli
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "primecycles", "phi", "--z", "0.5"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout == "0.17408707176097937\n"

@@ -122,10 +122,11 @@ def test_scaled_route_on_the_wheels_own_numbers(values):
 
 
 def test_scaled_route_memory_at_the_cap(primes_spec):
-    # the peak holds B and P at once: 1.004 times their integers' size
-    # when the sum ran directly, 1.016 with the ring of 30 U_n.  Keeping
-    # every U_n would add about 4.8 MB to the 7.4 MB, and 3% over the
-    # direct sum's peak is the bound
+    # the back division turns B into P in place, so the peak holds B
+    # alone: 1.024 times its integers' size, with the ring of 30 U_n.
+    # Holding P beside B took it to 1.49, and keeping every U_n would add
+    # about 4.8 MB to the 5 MB.  The bound is 3% over 1.004, the ratio of
+    # B and P together when the sum ran directly
     n_max = EXACT_CAP_DEFAULT
     tracemalloc.start()
     try:
@@ -133,9 +134,9 @@ def test_scaled_route_memory_at_the_cap(primes_spec):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    scale, held = 1, 2 * sys.getsizeof(counts)
+    scale, held = 1, sys.getsizeof(counts)
     for n in range(n_max, -1, -1):
-        held += sys.getsizeof(counts[n]) + sys.getsizeof(counts[n] * scale)
+        held += sys.getsizeof(counts[n] * scale)  # B_n = P_n N!/n!
         scale *= n or 1
     assert peak <= 1.03 * 1.004 * held
 

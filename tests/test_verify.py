@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,19 +20,23 @@ from primecycles.exact_enum import (
 )
 from primecycles.primes import (
     NthPrimes,
+    PrimesUpTo,
     feed_primes,
     iter_prime_blocks,
     nth_primes,
 )
 from primecycles.verify import (
     CHECK_NAMES,
+    CHECKS,
     HLK_RATIO_BOUND,
     N_GRID_DEFAULT,
     PARTIAL_SUM_RESIDUAL_BOUND,
     PHI_SAFETY_FACTOR,
     T_GRID_DEFAULT,
     ConvergenceRow,
+    Check,
     PhiEstimateRow,
+    Verdict,
     emit_report,
     hlk_comparison_table,
     hlk_verdict,
@@ -47,6 +53,8 @@ from primecycles.verify import (
 )
 
 ALL = CycleClassSpec.all_lengths()
+BENCH_N_GRID = (100, 1000, 10_000, 50_000)
+BENCH_T_GRID = (1e-4, 1e-5, 1e-6, 3e-7)
 
 
 def test_make_row():
@@ -134,9 +142,18 @@ def test_run_verify_sieves_to_the_largest_grid_entry(monkeypatch, constants):
             limits.append(limit)
             super().__init__(limit)
 
+    # and the two checks share the one float count table built from them
+    built = []
+
+    def building(*args, **kwargs):
+        built.append(args[1:])
+        return build_table(*args, **kwargs)
+
     monkeypatch.setattr(verify_module, "PrimesUpTo", Recording)
+    monkeypatch.setattr(verify_module, "build_table", building)
     run = run_verify((300, 100), T_GRID_DEFAULT, ("partial-sum", "hlk"))
     assert limits == [300]
+    assert built == [(300,)]
     # the tables read no member past max(n_grid), so a longer sieve gives
     # the same rows; the hlk model's series, read off the shared stream,
     # is the double odlyzko_sum_model sums on its own
@@ -150,12 +167,59 @@ def test_run_verify_sieves_to_the_largest_grid_entry(monkeypatch, constants):
 def test_run_verify_streams_the_primes_once(record_streams):
     # the bench grids: every check reads its primes off one stream, to the
     # largest limit of its readers, the phi grid's
-    t_grid = (1e-4, 1e-5, 1e-6, 3e-7)
-    run = run_verify((100, 1000, 10_000, 50_000), t_grid, CHECK_NAMES)
+    run = run_verify(BENCH_N_GRID, BENCH_T_GRID, CHECK_NAMES)
     assert all(v.reason is None for v in run.verdicts)
-    limit = analytic.PhiSplitSums(t_grid).limit
+    limit = analytic.PhiSplitSums(BENCH_T_GRID).limit
     assert record_streams == [[limit, limit // primes.SEGMENT_SIZE + 1]]
     assert limit <= 1.03e8
+
+
+def test_bench_keeps_the_check_names_of_the_records():
+    # perfbench/workloads.py keeps its own copy of the names, VERIFY_CHECKS,
+    # and fails a verify pass whose names differ from it; read the copy
+    # with ast, without importing the bench, until the bench reads ours
+    source = (Path(__file__).resolve().parent.parent / "perfbench"
+              / "workloads.py").read_text()
+    values = [node.value for node in ast.parse(source).body
+              if isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == ["VERIFY_CHECKS"]]
+    assert len(values) == 1
+    assert ast.literal_eval(values[0]) == CHECK_NAMES
+
+
+def test_dropping_a_record_leaves_the_other_checks_as_they_were(monkeypatch):
+    # deleting slowvar is deleting its record: the other four run as before
+    whole = run_verify(BENCH_N_GRID, BENCH_T_GRID, CHECK_NAMES)
+    kept = tuple(check for check in CHECKS if check.name != "slowvar")
+    monkeypatch.setattr(verify_module, "CHECKS", kept)
+    rest = run_verify(BENCH_N_GRID, BENCH_T_GRID, [c.name for c in kept])
+    assert rest.verdicts == tuple(
+        v for v in whole.verdicts if v.name != "slowvar")
+    assert len(rest.verdicts) == 4
+    assert rest.tables == whole.tables
+    with pytest.raises(InvalidArgumentError, match="unknown checks"):
+        run_verify(BENCH_N_GRID, BENCH_T_GRID, ("slowvar",))
+
+
+def test_a_new_record_reads_the_one_stream(monkeypatch, record_streams):
+    # a record that brings its own accumulator is fed from the stream the
+    # other checks read; here the stream runs to the stub's limit, twice
+    # the phi grid's, so its table holds pi(limit) and the last prime
+    t_grid = BENCH_T_GRID[:2]
+    limit = 2 * analytic.PhiSplitSums(t_grid).limit
+
+    def stub_rows(run, found):
+        return [make_row(limit, found.prime_count(limit), found.primes()[-1],
+                         0.0)]
+
+    stub = Check("stub", lambda rows: Verdict("stub", None, None, None),
+                 readers=lambda run: [PrimesUpTo(limit)], rows=stub_rows)
+    monkeypatch.setattr(verify_module, "CHECKS", CHECKS + (stub,))
+    run = run_verify(BENCH_N_GRID, t_grid, ("stub", "phi", "hlk"))
+    assert record_streams == [[limit, limit // primes.SEGMENT_SIZE + 1]]
+    assert [v.name for v in run.verdicts] == ["hlk", "phi", "stub"]
+    assert all(v.reason is None for v in run.verdicts)
+    assert run.tables["stub"] == stub_rows(None, primes.build_sieve(limit))
 
 
 def test_hlk_all_lengths_is_exact(constants):
@@ -354,7 +418,9 @@ def test_verdicts_of_the_default_grids_as_data(default_verify_run):
     # every verdict's bound and share, read off the run, not its printout
     verdicts = {v.name: v for v in default_verify_run.verdicts}
     assert [v.name for v in default_verify_run.verdicts] == list(CHECK_NAMES)
-    assert list(default_verify_run.tables) == list(CHECK_NAMES[:4])
+    # every record but those that keep the default rows, which give none
+    assert list(default_verify_run.tables) == [
+        check.name for check in CHECKS if check.rows is not Check.rows]
     bounds = {"partial-sum": PARTIAL_SUM_RESIDUAL_BOUND,
               "hlk": HLK_RATIO_BOUND, "phi": PHI_SAFETY_FACTOR,
               "slowvar": math.log(10.0) / math.log(1e6) + 1e-15}
