@@ -135,10 +135,9 @@ class MertensSum:
         self.limit = _integer(limit, "limit", 2)
         self._total = 0.0
 
-    def add(self, block) -> bool:
+    def add(self, block) -> None:
         inv = 1.0 / block.astype(np.float64)
         self._total += float(np.sum(np.log1p(-inv) + inv))
-        return False
 
     def result(self):
         return EULER_GAMMA + self._total, 1.0 / (self.limit - 1)
@@ -438,10 +437,9 @@ class SeriesSum:
         self._order = order
         self._sum = _ExactSum()
 
-    def add(self, block) -> bool:
+    def add(self, block) -> None:
         self._sum.add(_power_terms(block.astype(np.float64), self._lnz,
                                    self._order))
-        return False
 
     def result(self) -> float:
         return self._sum.value()
@@ -541,8 +539,7 @@ class PhiSplitSums:
     The limit is the largest truncation limit on the grid, about 30.8/t
     at t = 3e-7 (1.03e8) and 30.5/t at t = 1e-8 (3.05e9).  Each block's
     reciprocals 1/p are taken once and shared by every t and every sum,
-    and every t works in place in one row; the rows are allocated once,
-    for the largest block.
+    and every t works in place in one array of its own terms.
 
     Unlike _series, each sum adds numpy's pairwise block sums in doubles
     rather than rounding the exact sum once.  A verify pass sums tens of
@@ -560,28 +557,21 @@ class PhiSplitSums:
                        for t in ts]
         self.limit = max((lim for _, _, lim in self.points), default=0)
         self._sums = [[0.0, 0.0, 0.0] for _ in ts]  # phi1, phi2, phi3
-        self._buf = np.empty((3, 0))  # p, 1/p and a work row, per block
 
-    def add(self, block) -> bool:
-        n = block.size
-        if self._buf.shape[1] < n:
-            self._buf = np.empty((3, n))
-        pf, inv, buf = self._buf[:, :n]
-        np.copyto(pf, block)
-        np.divide(1.0, pf, out=inv)
+    def add(self, block) -> None:
+        pf = block.astype(np.float64)
+        inv = 1.0 / pf
         for (t, y, lim), acc in zip(self.points, self._sums):
             m = int(np.searchsorted(block, lim, side="right"))
             cut = int(np.searchsorted(pf[:m], y, side="right"))
-            x = buf[:m]
             # head p <= y: 1/p and expm1(-pt)/p; tail: e^-pt/p
             acc[0] += float(inv[:cut].sum())
-            np.multiply(pf[:m], -t, out=x)
+            x = pf[:m] * -t
             np.expm1(x[:cut], out=x[:cut])
             np.exp(x[cut:], out=x[cut:])
             x *= inv[:m]
             acc[1] += float(x[:cut].sum())
             acc[2] += float(x[cut:].sum())
-        return False
 
     def splits(self) -> list:
         """The PhiSplit of each t, over the primes added so far."""

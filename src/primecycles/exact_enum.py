@@ -151,10 +151,12 @@ def _count_steps(steps, period: Optional[int], n_max: int) -> list:
 def _count_scaled(members: list, n_max: int) -> list:
     """P_0..P_{n_max} through B_n = P_n * N!/n!, which needs only additions.
 
-    With N = n_max, n*B_n = sum of B_{n-k} over members k <= n, summed
-    through the wheel mod WHEEL of the module docstring: the members that
-    share a factor with WHEEL, plus U_n, the sum over every k <= n coprime
-    to WHEEL, less the numbers coprime to WHEEL that are not members.
+    With N = n_max and members ascending, n*B_n = sum of B_{n-k} over
+    members k <= n, summed through the wheel mod WHEEL of the module
+    docstring: the members that share a factor with WHEEL, plus U_n, the
+    sum over every k <= n coprime to WHEEL, less the numbers coprime to
+    WHEEL that are not members.  Each of the three lists is read up to its
+    first entry above n.
     ring[n % WHEEL] holds U_{n-WHEEL} until U_n replaces it, so the
     memory beyond B is WHEEL integers, and the back division turns B into
     P in place.  Both divisions are exact in exact arithmetic, so a
@@ -169,21 +171,20 @@ def _count_scaled(members: list, n_max: int) -> list:
     missing = [k for k in range(1, n_max + 1)
                if math.gcd(k, WHEEL) == 1 and k not in member_set]
     ring = [0] * WHEEL
-    n_wheel = n_shared = n_missing = 0
     for n in range(1, n_max + 1):
-        while n_wheel < len(wheel) and wheel[n_wheel] <= n:
-            n_wheel += 1
-        while n_shared < len(shared) and shared[n_shared] <= n:
-            n_shared += 1
-        while n_missing < len(missing) and missing[n_missing] <= n:
-            n_missing += 1
         total = ring[n % WHEEL]
-        for r in wheel[:n_wheel]:
+        for r in wheel:
+            if r > n:
+                break
             total += B[n - r]
         ring[n % WHEEL] = total
-        for k in shared[:n_shared]:
+        for k in shared:
+            if k > n:
+                break
             total += B[n - k]
-        for k in missing[:n_missing]:
+        for k in missing:
+            if k > n:
+                break
             total -= B[n - k]
         B[n], rem = divmod(total, n)
         if rem:

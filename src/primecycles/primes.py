@@ -8,12 +8,14 @@ ascending, read-only int64 array of primes, immutable after construction
 and safe to share across threads.
 
 Consumers that read the stream block by block are accumulators: an object
-with a ``limit`` (the largest prime it reads), ``add(block)`` and
-``result()``.  :func:`feed_primes` hands one stream to several of them,
-each cut at its own limit, so checks that need the primes to different
-limits read them once.  :class:`NthPrimes` is one: it counts block sizes
-to find p_k, so its working memory is one segment however large k is.
-:class:`PrimesUpTo` is another, the one behind :func:`build_sieve`.
+with a ``limit``, ``add(block) -> None`` and ``result()``.  An accumulator
+is handed every prime up to its limit and none above it, in ascending
+blocks, and ``result()`` is read once the stream has passed the limit.
+:func:`feed_primes` hands one stream to several of them, each cut at its
+own limit, so checks that need the primes to different limits read them
+once.  :class:`NthPrimes` is one: it counts block sizes to find p_k, so
+its working memory is one segment however large k is.  :class:`PrimesUpTo`
+is another, the one behind :func:`build_sieve`.
 
 A segment spans ``SEGMENT_SIZE`` = 2^21 integers, whose odd-only mask is
 1 MB: it stays in a 2 MB per-core L2 cache while every base prime strikes
@@ -135,12 +137,10 @@ def _and_pattern(mask, pattern, slot: int) -> None:
     head = min(period - offset, mask.size)
     mask[:head] &= pattern[offset : offset + head]
     rows = (mask.size - head) // period
-    if rows:
-        body = mask[head : head + rows * period].reshape(rows, period)
-        body &= pattern
+    body = mask[head : head + rows * period].reshape(rows, period)
+    body &= pattern
     tail = mask[head + rows * period :]
-    if tail.size:
-        tail &= pattern[: tail.size]
+    tail &= pattern[: tail.size]
 
 
 def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
@@ -155,9 +155,9 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
     some y comes out the same, bit for bit, whatever the stream's limit.
 
     Each segment's mask starts all True and takes the PRESIEVED patterns:
-    the first group's, and each later group's that holds a prime
-    <= sqrt(limit) and whose period is shorter than the stream's odd
-    slots, (limit + 1)//2; the first segment puts their primes back.  Every
+    the first group's, and each later group's whose period is shorter than
+    the stream's odd slots, (limit + 1)//2, so whose primes are below
+    sqrt(limit); the first segment puts their primes back.  Every
     other odd base prime strikes its odd multiples from max(p^2, the
     segment's start): as the two progressions of cofactors 1 and 5 mod 6
     where it strikes a whole segment at least SPLIT_STRIKES times, else as
@@ -169,15 +169,15 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
         return
     root = math.isqrt(limit)
     slots = (limit + 1) // 2
-    # the first group, and each later one that holds a prime <= root and
-    # whose period the stream's slots exceed: a prefix of PRESIEVED
-    groups = [group for i, group in enumerate(PRESIEVED) if group[0] <= root
-              and (i == 0 or math.prod(group) < slots)]
+    # the first group, and each later one whose period the stream's slots
+    # exceed, which puts its primes below root: a prefix of PRESIEVED
+    groups = [group for i, group in enumerate(PRESIEVED)
+              if i == 0 or math.prod(group) < slots]
     patterns = [_pattern(group) for group in groups]
     presieved = [p for group in groups for p in group]
     base = np.flatnonzero(_simple_mask(max(root, 2)))
     # 2 never strikes in odd-only segments; it heads the first block
-    odd_base = base[base > max(presieved, default=2)].astype(np.int64)
+    odd_base = base[base > max(presieved)].astype(np.int64)
     squares = odd_base * odd_base
     split = int(np.searchsorted(
         odd_base, min(segment, limit + 1) // 2 // SPLIT_STRIKES))
@@ -222,9 +222,9 @@ def feed_primes(blocks, *accumulators) -> list:
     that accumulator's limit; [acc.result() for acc in accumulators].
 
     blocks is a stream from iter_prime_blocks to at least the largest
-    limit.  An accumulator gets no more blocks once the stream has passed
-    its limit or its ``add`` has returned True (it has all it needs), and
-    the stream is left unread once no accumulator wants more.
+    limit.  Each accumulator gets every prime up to its limit and no more
+    blocks once the stream has passed it; what ``add`` returns is ignored.
+    The rest of the stream is left unread once every limit is passed.
     """
     active = list(accumulators)
     for block in blocks:
@@ -233,7 +233,9 @@ def feed_primes(blocks, *accumulators) -> list:
             part = block
             if last > acc.limit:
                 part = block[: int(np.searchsorted(block, acc.limit, side="right"))]
-            if (part.size and acc.add(part)) or last >= acc.limit:
+            if part.size:
+                acc.add(part)
+            if last >= acc.limit:
                 active.remove(acc)
         if not active:
             break
@@ -244,8 +246,10 @@ class NthPrimes:
     """Accumulator for [p_k for k in ks], in the caller's order.
 
     Its limit is Rosser's bound p_k < k(ln k + ln ln k), which holds for
-    k >= 6, for the largest k; it counts block sizes, and ``add`` returns
-    True at the block that holds the largest k.
+    k >= 6, for the largest k; it counts block sizes, and reads p_k off
+    the block that holds it.  Like any accumulator it is handed every
+    prime up to its limit, so also those between the largest p_k and the
+    bound: about 6% more stream at k = 10^6.
     """
 
     def __init__(self, ks):
@@ -259,7 +263,7 @@ class NthPrimes:
         self._found = {}
         self._count = 0
 
-    def add(self, block) -> bool:
+    def add(self, block) -> None:
         pending = self._pending
         count = self._count
         end = count + block.size
@@ -267,7 +271,6 @@ class NthPrimes:
             k = pending.pop()
             self._found[k] = int(block[k - count - 1])
         self._count = end
-        return not pending
 
     def result(self) -> list:
         if self._pending:
@@ -291,11 +294,10 @@ class PrimesUpTo:
                               ResourceLimitError)
         self._blocks = []
 
-    def add(self, block) -> bool:
+    def add(self, block) -> None:
         # a copy: a block cut at the limit is a view that would keep the
         # stream's whole block alive
         self._blocks.append(block.copy())
-        return False
 
     def result(self) -> PrimeTable:
         return PrimeTable(self.limit, np.concatenate(self._blocks))
@@ -312,8 +314,8 @@ def nth_primes(ks) -> list:
     """[p_k for k in ks], in the caller's order, from the prime stream.
 
     The one-accumulator case of :class:`NthPrimes`: it streams to Rosser's
-    bound for the largest k and stops at the block that holds it.  No
-    table is built, so memory stays at one segment.
+    bound for the largest k, p_(10^6) = 15485863 against a bound of
+    16441303.  No table is built, so memory stays at one segment.
     """
     acc = NthPrimes(ks)
     if not acc.ks:

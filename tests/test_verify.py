@@ -318,9 +318,10 @@ def test_pnt_rows():
         pnt_table((1,), [2])
 
 
-def test_pnt_table_alone_stops_at_the_block_of_its_largest_k(monkeypatch):
+def test_pnt_table_alone_reads_to_the_block_of_rossers_bound(monkeypatch):
     # in 2^18-integer segments p_(10^6) = 15485863 lies in block 59 and
-    # Rosser's bound for k = 10^6, 16441303, in block 62
+    # Rosser's bound for k = 10^6, 16441303, in block 62: the stream runs
+    # on to the bound, the limit NthPrimes gives feed_primes
     segment = 2**18
     read = []
 
@@ -333,8 +334,30 @@ def test_pnt_table_alone_stops_at_the_block_of_its_largest_k(monkeypatch):
     grid = (1000, 10_000, 100_000, 1_000_000)
     rows = pnt_table(grid, nth_primes(grid))
     assert rows[-1].exact == 15_485_863.0
-    assert len(read) == 15_485_863 // segment + 1
-    assert NthPrimes([10**6]).limit // segment + 1 > len(read)
+    limit = NthPrimes([10**6]).limit
+    assert limit == 16_441_303
+    assert len(read) == limit // segment + 1 == 63
+    assert read[-1] == primes.build_sieve(limit).primes()[-1]
+
+
+def test_feed_primes_drops_an_accumulator_only_past_its_limit():
+    # what add returns does not cut the stream short: an accumulator that
+    # returns True still gets every prime up to its limit, across blocks
+    class Eager:
+        limit = 1000
+
+        def __init__(self):
+            self.seen = []
+
+        def add(self, block):
+            self.seen += block.tolist()
+            return True
+
+        def result(self):
+            return self.seen
+
+    got = feed_primes(iter_prime_blocks(4000, segment=256), Eager())
+    assert got == [primes.build_sieve(1000).primes().tolist()]
 
 
 def test_tables_take_primes_read_elsewhere(constants):
