@@ -190,6 +190,10 @@ class Sampler:
         draw = self._rng.random
         lengths = []
         m = n
+        # a cache hit is taken here and a record built by _new, not through
+        # _cumulative and the dataclass __init__: 20 000 draws at n = 5 took
+        # 26 ms, against 45 ms through them (2-vCPU Xeon, medians of 21
+        # alternating runs)
         while m > 0:
             entry = cache.pop(m, None)
             if entry is None:
