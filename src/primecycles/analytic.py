@@ -5,17 +5,16 @@ routes), the Riemann and prime zeta functions, the prime harmonic series
 phi(z) = sum_p z^p/p with its first three derivatives, the three-way split
 of phi(e^-t) used for small-t estimates, phi(e^-t) by a Mellin-Barnes
 integral over the prime zeta function (phi_mellin), which reads no primes
-and so checks the split, and the closed-form models the verification
+and so is what verify checks the split against, and the closed-form models the verification
 harness compares against exact enumeration.
 
-Everything here is a pure function of its arguments; prime sums stream
-through iter_prime_blocks so no call materializes a large table, and their
-accumulators, MertensSum, SeriesSum and PhiSplitSums, can share one
-stream through feed_primes.  phi_mellin keeps its nodes' values, about
-40 KB, after the first call.
+Everything here is a pure function of its arguments.  Each prime sum is
+an accumulator, MertensSum, SeriesSum or PhiSplitSums, that reads the
+primes from primes.feed_primes, so no call materializes a large table and
+several sums can share one stream.  phi_mellin keeps its nodes' values,
+about 40 KB, after the first call.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +28,7 @@ from primecycles.errors import (
     UnsupportedSpecError,
     _integer,
 )
-from primecycles.primes import feed_primes, iter_prime_blocks
+from primecycles.primes import build_sieve, feed_primes
 
 # Euler-Mascheroni constant, 25 digits; treated as a known input, not computed
 EULER_GAMMA = 0.5772156649015328606065121
@@ -87,22 +86,6 @@ def _mobius(j: int) -> int:
     return m
 
 
-def _log_zeta(s: float) -> float:
-    """ln zeta(s), for s >= 1.5."""
-    return math.log1p(zeta_minus_1(s))
-
-
-def _prime_zeta(s: float, log_zeta=_log_zeta) -> float:
-    total = 0.0
-    j = 1
-    while j * s <= 64.0:
-        mu = _mobius(j)
-        if mu:
-            total += mu / j * log_zeta(j * s)
-        j += 1
-    return total
-
-
 def prime_zeta(s: float) -> float:
     """P(s) = sum over primes of p^-s, via sum_j mu(j)/j * ln zeta(js).
 
@@ -111,7 +94,14 @@ def prime_zeta(s: float) -> float:
     """
     if s < 2.0:
         raise OutOfDomainError(f"prime_zeta requires s >= 2, got {s}")
-    return _prime_zeta(s)
+    total = 0.0
+    j = 1
+    while j * s <= 64.0:
+        mu = _mobius(j)
+        if mu:
+            total += mu / j * math.log1p(zeta_minus_1(j * s))
+        j += 1
+    return total
 
 
 # -- the Mertens constant by two routes ------------------------------------------
@@ -145,27 +135,28 @@ class MertensSum:
 
 def mertens_direct(limit: int):
     """The one-accumulator case of MertensSum: the primes stream through
-    iter_prime_blocks to limit, one sum per block, so no table is built
-    and working memory is one segment whatever the limit."""
-    acc = MertensSum(limit)
-    return feed_primes(iter_prime_blocks(acc.limit), acc)[0]
+    feed_primes to limit, one sum per block, so no table is built and
+    working memory is one segment whatever the limit."""
+    return feed_primes(MertensSum(limit))[0]
 
 
 def mertens_zeta(k_max: int) -> float:
-    """The same constant as gamma - sum_{k>=2} P(k)/k, truncated at k_max.
+    """The same constant as gamma - sum_{k>=2} P(k)/k, with prime_zeta's
+    series for each P(k) regrouped by m = jk: since sum_{j|m, j<m} mu(j) =
+    -mu(m), it is gamma + sum_{m>=2} mu(m) ln zeta(m)/m, truncated at k_max.
 
-    Tail below 2 * 2^-k_max; k_max = 60 reaches full double precision.
-    Each P(k) is prime_zeta's sum, in its order, but ln zeta(m) is taken
-    once for each of the 62 integers m = jk <= 64 the sums read, not once
-    per read (168 times at k_max = 60): 1.2 ms a call against 2.9 ms, for
-    the same double (2-vCPU Xeon, medians of 21 alternating runs).
+    The tail is at most sum_{m>k_max} (zeta(m) - 1)/m < 0.11 * 2^-k_max,
+    inside the stated 2 * 2^-k_max; k_max = 60 reaches full double
+    precision.  It takes ln zeta(m) once for each squarefree m, 36 times at
+    k_max = 60, where the sums over k took it 168 times.
     """
     k_max = _integer(k_max, "k_max", 10)
-    log_zeta = functools.cache(_log_zeta)
     acc = 0.0
-    for k in range(k_max, 1, -1):
-        acc += _prime_zeta(float(k), log_zeta) / k
-    return EULER_GAMMA - acc
+    for m in range(k_max, 1, -1):
+        mu = _mobius(m)
+        if mu:
+            acc += mu / m * math.log1p(zeta_minus_1(m))
+    return EULER_GAMMA + acc
 
 
 @dataclass(frozen=True)
@@ -219,7 +210,7 @@ def _check_z(z: float) -> None:
 # every series sums at least its members up to here, so small z keeps its sums
 _SERIES_FLOOR = 100
 # the primes every series over them sums, because its limit is >= the floor
-_PRIME_HEAD = tuple(next(iter_prime_blocks(_SERIES_FLOOR)).tolist())
+_PRIME_HEAD = tuple(build_sieve(_SERIES_FLOOR).primes().tolist())
 # ln of the truncation budget, relative to a lower bound of the whole sum
 _LOG_BUDGET = -53.0 * math.log(2.0)
 # Rosser & Schoenfeld (1962), (3.5) and (3.6): x/ln x < pi(x) for x >= 17,
@@ -450,11 +441,11 @@ class SeriesSum:
 
 def _series(z: float, order: int = 0, spec: Optional[CycleClassSpec] = None) -> float:
     """The one-accumulator case of SeriesSum: the primes stream through
-    iter_prime_blocks to its limit, so no table caps z; any other spec
-    hands it its members up to the limit in one block."""
+    feed_primes to its limit, so no table caps z; any other spec hands it
+    its members up to the limit in one block."""
     acc = SeriesSum(z, order, spec)
     if spec is None or spec.kind == KIND_PRIMES:
-        return feed_primes(iter_prime_blocks(acc.limit), acc)[0]
+        return feed_primes(acc)[0]
     acc.add(spec.members_upto(acc.limit))
     return acc.result()
 
@@ -523,20 +514,16 @@ def phi_split(t: float) -> PhiSplit:
     So phi3's dropped tail is bounded absolutely, by 2^-53 phi(e^-t), not
     relative to phi3: phi3 is small, so its own relative truncation error
     may reach 2^-53 phi/phi3, about 3e-11 at t = 1e-8.  The split of
-    phi_split_grid((t,)), without its phi_mellin.
+    phi_split_grid((t,)).
     """
-    sums = PhiSplitSums((t,))
-    for block in iter_prime_blocks(sums.limit):
-        sums.add(block)
-    return sums.splits()[0]
+    return phi_split_grid((t,))[0]
 
 
 class PhiSplitSums:
     """Prime-stream accumulator for phi_split_grid(t_grid): per t, the
     split's three sums over the primes up to that t's own truncation limit,
     phi's _series_limit(e^-t), whose dropped tail is at most 2^-53
-    phi(e^-t).  splits() reads them off; result() pairs each with
-    phi_mellin's phi(e^-t), which reads no primes, to check it against.
+    phi(e^-t).  result() reads them off as one PhiSplit per t.
 
     Every t is checked on construction, so before any prime is streamed.
     The limit is the largest truncation limit on the grid, about 30.8/t
@@ -548,8 +535,8 @@ class PhiSplitSums:
     rather than rounding the exact sum once.  A verify pass sums tens of
     millions of terms here, where an exact sum costs about 15 ns a term
     against about 1 ns.  The terms of each sum share one sign, so its
-    rounding error is below 10^-13 of it, far below the 1e-9 tolerance that
-    compares the recombined split with phi_mellin.
+    rounding error is below 10^-13 of it, far below the 1e-9 tolerance at
+    which verify compares the recombined split with phi_mellin.
     """
 
     def __init__(self, t_grid):
@@ -576,36 +563,22 @@ class PhiSplitSums:
             acc[1] += float(x[:cut].sum())
             acc[2] += float(x[cut:].sum())
 
-    def splits(self) -> list:
-        """The PhiSplit of each t, over the primes added so far."""
+    def result(self) -> list:
         return [PhiSplit(t=t, cutoff=y, phi1=acc[0], phi2=acc[1], phi3=acc[2])
                 for (t, y, _), acc in zip(self.points, self._sums)]
 
-    def result(self) -> list:
-        # phi at t' = -ln(fl(e^-t)), the t that phi_eval(e^-t)'s double z
-        # encodes: -t itself differs from ln z in the last bits
-        whole = phi_mellin([-math.log(math.exp(-t)) for t, _, _ in self.points])
-        return list(zip(self.splits(), whole))
-
 
 def phi_split_grid(t_grid):
-    """[(phi_split(t), phi(e^-t)) for t in t_grid], the splits from one
-    prime stream and phi(e^-t) from phi_mellin, which reads no primes.
+    """[phi_split(t) for t in t_grid], the splits from one prime stream.
 
     The one-accumulator case of PhiSplitSums: every t is checked before any
     prime is streamed, and the stream runs to the largest truncation limit
     on the grid.  Each t takes from every block only the primes up to its
     own limit, so the split covers the same primes as a one-point grid and
-    phi_eval.  phi(e^-t) is taken at t' = -ln(fl(e^-t)), the t of
-    phi_eval(e^-t)'s double z, and is within 6e-16 relative of
-    phi_eval(e^-t) on the verify grids; a prime missing from the stream
-    moves the split's sum by e^-pt/p but not phi_mellin's, so comparing
-    the two checks the stream as well as the split's own arithmetic.
+    phi_eval.  verify.phi_estimate_table sets each split beside phi_mellin,
+    which reads no primes.
     """
-    sums = PhiSplitSums(t_grid)
-    if not sums.points:
-        return []
-    return feed_primes(iter_prime_blocks(sums.limit), sums)[0]
+    return feed_primes(PhiSplitSums(t_grid))[0]
 
 
 # -- phi by a Mellin-Barnes integral, reading no primes --------------------------

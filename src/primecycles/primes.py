@@ -3,19 +3,19 @@
 There is one source of primes, :func:`iter_prime_blocks`, an odd-only
 segmented sieve that streams primes in numpy blocks without materializing
 a table; prime sums with limits in the billions go through it.
-:func:`build_sieve` concatenates the same stream into a table: one
-ascending, read-only int64 array of primes, immutable after construction
-and safe to share across threads.
 
 Consumers that read the stream block by block are accumulators: an object
-with a ``limit``, ``add(block) -> None`` and ``result()``.  An accumulator
-is handed every prime up to its limit and none above it, in ascending
-blocks, and ``result()`` is read once the stream has passed the limit.
-:func:`feed_primes` hands one stream to several of them, each cut at its
-own limit, so checks that need the primes to different limits read them
-once.  :class:`NthPrimes` is one: it counts block sizes to find p_k, so
-its working memory is one segment however large k is.  :class:`PrimesUpTo`
-is another, the one behind :func:`build_sieve`.
+with a ``limit``, ``add(block) -> None`` and ``result()``.  One driver,
+:func:`feed_primes`, opens every stream the package reads: one stream to
+the largest of its accumulators' limits, of which each accumulator is
+handed every prime up to its own limit and none above it, in ascending
+blocks, before ``result()`` is read.  So checks that need the primes to
+different limits read them once.  :class:`NthPrimes` is one accumulator:
+it counts block sizes to find p_k, so its working memory is one segment
+however large k is.  :class:`PrimesUpTo` is another, the one behind
+:func:`build_sieve`, which concatenates the stream into a table: one
+ascending, read-only int64 array of primes, immutable after construction
+and safe to share across threads.
 
 A segment spans ``SEGMENT_SIZE`` = 2^21 integers, whose odd-only mask is
 1 MB: it stays in a 2 MB per-core L2 cache while every base prime strikes
@@ -223,28 +223,20 @@ def iter_prime_blocks(limit: int, segment: int = SEGMENT_SIZE):
             yield block
 
 
-def feed_primes(blocks, *accumulators) -> list:
-    """Hand each block of one prime stream to every accumulator, cut at
-    that accumulator's limit; [acc.result() for acc in accumulators].
+def feed_primes(*accumulators) -> list:
+    """Hand one prime stream, to the largest of the accumulators' limits,
+    to every accumulator, each block cut at that accumulator's limit;
+    [acc.result() for acc in accumulators].
 
-    blocks is a stream from iter_prime_blocks to at least the largest
-    limit.  Each accumulator gets every prime up to its limit and no more
-    blocks once the stream has passed it; what ``add`` returns is ignored.
-    The rest of the stream is left unread once every limit is passed.
+    The package's one driver of iter_prime_blocks: every prime it sums
+    comes through here.  With no accumulator the stream is empty.
     """
-    active = list(accumulators)
-    for block in blocks:
-        last = int(block[-1])
-        for acc in list(active):
-            part = block
-            if last > acc.limit:
-                part = block[: int(np.searchsorted(block, acc.limit, side="right"))]
+    limit = max((acc.limit for acc in accumulators), default=0)
+    for block in iter_prime_blocks(limit):
+        for acc in accumulators:
+            part = block[: int(np.searchsorted(block, acc.limit, side="right"))]
             if part.size:
                 acc.add(part)
-            if last >= acc.limit:
-                active.remove(acc)
-        if not active:
-            break
     return [acc.result() for acc in accumulators]
 
 
@@ -261,7 +253,7 @@ class NthPrimes:
     def __init__(self, ks):
         self.ks = [_integer(k, "k", 1) for k in ks]
         kmax = max(self.ks, default=0)
-        self.limit = 11  # p_5
+        self.limit = 11 if kmax else 0  # p_5, or no stream for no k
         if kmax >= 6:
             # +1 absorbs rounding in the float bound
             self.limit = int(kmax * (math.log(kmax) + math.log(math.log(kmax)))) + 1
@@ -312,8 +304,7 @@ class PrimesUpTo:
 def build_sieve(limit: int) -> PrimeTable:
     """The table of all primes up to ``limit`` (inclusive): the
     one-accumulator case of :class:`PrimesUpTo`."""
-    acc = PrimesUpTo(limit)
-    return feed_primes(iter_prime_blocks(acc.limit), acc)[0]
+    return feed_primes(PrimesUpTo(limit))[0]
 
 
 def nth_primes(ks) -> list:
@@ -323,7 +314,4 @@ def nth_primes(ks) -> list:
     bound for the largest k, p_(10^6) = 15485863 against a bound of
     16441303.  No table is built, so memory stays at one segment.
     """
-    acc = NthPrimes(ks)
-    if not acc.ks:
-        return []
-    return feed_primes(iter_prime_blocks(acc.limit), acc)[0]
+    return feed_primes(NthPrimes(ks))[0]

@@ -37,13 +37,13 @@ from primecycles.analytic import (
     make_constants,
     odlyzko_sum_model,
     partial_sum_log_model,
+    phi_mellin,
 )
 from primecycles.cycle_classes import KIND_PRIMES, CycleClassSpec
 from primecycles.primes import (
     NthPrimes,
     PrimesUpTo,
     feed_primes,
-    iter_prime_blocks,
 )
 
 N_GRID_DEFAULT = (100, 1000, 10_000, 100_000)
@@ -143,17 +143,23 @@ def phi_estimate_table(splits, constants: Constants):
     """Per t: the split, its recombination against phi(e^-t), and the three
     residuals on their natural scales.
 
-    splits are (PhiSplit, phi(e^-t)) pairs as analytic.phi_split_grid or an
-    analytic.PhiSplitSums fed from a shared stream returns them: the split
-    from the prime stream, phi(e^-t), the direct column, from
-    analytic.phi_mellin, which reads no primes.
+    splits are the PhiSplits that analytic.phi_split_grid or an
+    analytic.PhiSplitSums fed from a shared stream returns, summed over
+    the prime stream.  The direct column, phi(e^-t), is analytic.phi_mellin
+    at t' = -ln(fl(e^-t)), the t that phi_eval(e^-t)'s double z encodes
+    (-t itself differs from ln z in the last bits); it reads no primes and
+    is within 6e-16 relative of phi_eval(e^-t) on the verify grids.  A
+    prime p missing from the stream moves the split's sum by e^-pt/p but
+    not phi_mellin's, so comparing the two checks the stream as well as
+    the split's own arithmetic.
 
     phi1_scaled = (phi1 - lnln(1/t) - c) * ln(1/t)/lnln(1/t)
     phi2_scaled = phi2 * lnln(1/t)
     phi3_scaled = phi3 / (e^{-yt}/(yt))   (geometric-tail envelope)
     """
+    whole = phi_mellin([-math.log(math.exp(-split.t)) for split in splits])
     rows = []
-    for split, direct in splits:
+    for split, direct in zip(splits, whole):
         t = split.t
         log_inv = math.log(1.0 / t)
         loglog = math.log(log_inv)
@@ -373,16 +379,16 @@ def run_verify(n_grid, t_grid, which) -> VerifyRun:
     """Run the checks named in which, a subset of CHECK_NAMES, in CHECKS
     order.
 
-    Every prime the checks read comes off one stream, to the largest limit
-    among their accumulators, and an accumulator two checks share is fed
-    once:
+    Every prime the checks read comes off one primes.feed_primes stream,
+    to the largest limit among their accumulators, and an accumulator two
+    checks share is fed once:
     - primes.PrimesUpTo(max(n_grid)) fills the float count table over the
       primes that partial-sum and hlk read
     - one analytic.SeriesSum per n takes the hlk model's series at 1 - 1/n
-    - analytic.PhiSplitSums takes the phi split over the t grid; the phi
-      check compares it with analytic.phi_mellin, which reads no primes,
-      so a prime p missing from the stream fails it wherever e^-pt/p is
-      above the check's 1e-9 relative tolerance
+    - analytic.PhiSplitSums takes the phi split over the t grid;
+      phi_estimate_table sets it beside analytic.phi_mellin, which reads no
+      primes, so a prime p missing from the stream fails the phi check
+      wherever e^-pt/p is above its 1e-9 relative tolerance
     - primes.NthPrimes takes p_k for k on PNT_GRID_DEFAULT, for pnt
     Every grid a selected check reads is validated, and the count table's
     float cap checked, before any table is built or any prime streamed.
@@ -394,8 +400,7 @@ def run_verify(n_grid, t_grid, which) -> VerifyRun:
     run = _Run(n_grid, t_grid)
     readers = [check.readers(run) for check in checks]
     accs = list(dict.fromkeys(acc for group in readers for acc in group))
-    stream = iter_prime_blocks(max(acc.limit for acc in accs)) if accs else ()
-    got = dict(zip(accs, feed_primes(stream, *accs)))
+    got = dict(zip(accs, feed_primes(*accs)))
     rows = [check.rows(run, *(got[acc] for acc in group))
             for check, group in zip(checks, readers)]
     return VerifyRun(tuple(c.verdict(r) for c, r in zip(checks, rows)),

@@ -77,8 +77,8 @@ def _default_stream():
     series = [SeriesSum(math.exp(-t)) for t in ts]
     feed = verify.feed_primes
 
-    def feed_series_too(blocks, *accumulators):
-        return feed(blocks, *accumulators, *series)[:len(accumulators)]
+    def feed_series_too(*accumulators):
+        return feed(*accumulators, *series)[:len(accumulators)]
 
     verify.feed_primes = feed_series_too
     try:

@@ -8,24 +8,25 @@ import contextlib
 from dataclasses import dataclass
 from typing import Callable, ContextManager
 
-from primecycles import verify
+from primecycles import primes
 
 
 @contextlib.contextmanager
 def prime_dropped(p: int):
-    """verify's shared prime stream with the prime p filtered out of every
-    block, so every check that reads the stream misses it."""
-    stream = verify.iter_prime_blocks
+    """The prime stream that feed_primes opens, verify's shared one among
+    them, with the prime p filtered out of every block, so every check that
+    reads the stream misses it."""
+    stream = primes.iter_prime_blocks
 
     def without_p(*args, **kwargs):
         for block in stream(*args, **kwargs):
             yield block[block != p]
 
-    verify.iter_prime_blocks = without_p
+    primes.iter_prime_blocks = without_p
     try:
         yield
     finally:
-        verify.iter_prime_blocks = stream
+        primes.iter_prime_blocks = stream
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,8 @@ def test_mertens_direct_smallest_case(refuses_non_integers):
 
 
 def test_mertens_zeta_takes_each_zeta_once(monkeypatch):
-    # the 168 reads of ln zeta(m) at k_max = 60 take 62 distinct m = jk
-    # <= 64, each evaluated once, and the constant is the same double
+    # the Mobius regrouping reads ln zeta(m) once for each of the 36
+    # squarefree m in [2, 60], and the constant is the same double
     calls = []
 
     def counting(s):
@@ -126,7 +126,10 @@ def test_mertens_zeta_takes_each_zeta_once(monkeypatch):
 
     monkeypatch.setattr(analytic, "zeta_minus_1", counting)
     assert mertens_zeta(60) == 0.2614972128476428
-    assert len(calls) == len(set(calls)) == 62
+    squarefree = [m for m in range(2, 61)
+                  if all(m % (d * d) for d in range(2, 8))]
+    assert len(squarefree) == 36
+    assert sorted(calls) == squarefree
     assert make_constants().mertens_c == 0.2614972128476428
     # prime_zeta still sums its own terms
     calls.clear()
@@ -147,9 +150,7 @@ def test_mertens_read_off_a_shared_stream():
     # limit is checked before any prime is streamed
     limit = SEGMENT_SIZE + 5
     acc, kth = analytic.MertensSum(limit), NthPrimes([300_000, 10])
-    stream = iter_prime_blocks(max(acc.limit, kth.limit))
-    assert feed_primes(stream, acc, kth) == [mertens_direct(limit),
-                                             [4_256_233, 29]]
+    assert feed_primes(acc, kth) == [mertens_direct(limit), [4_256_233, 29]]
     with pytest.raises(InvalidArgumentError):
         analytic.MertensSum(1)
 
@@ -276,15 +277,15 @@ def test_series_is_the_rounded_exact_sum(spec, order, z):
 
 
 def test_series_read_off_a_shared_stream():
-    # SeriesSum accumulators cut from one longer stream give the doubles
-    # their own streams give
+    # SeriesSum accumulators cut from one longer stream, which a MertensSum
+    # to twice their limits extends, give the doubles their own streams give
     sums = [analytic.SeriesSum(0.999), analytic.SeriesSum(0.9999, 2),
             analytic.SeriesSum(0.99, 0, ODD)]
     with pytest.raises(OutOfDomainError):
         analytic.SeriesSum(1.0)
     longest = max(acc.limit for acc in sums[:2])
-    got = feed_primes(iter_prime_blocks(2 * longest), *sums[:2])
-    assert got == [phi_eval(0.999), phi_deriv(0.9999, 2)]
+    got = feed_primes(*sums[:2], analytic.MertensSum(2 * longest))
+    assert got[:2] == [phi_eval(0.999), phi_deriv(0.9999, 2)]
     sums[2].add(ODD.members_upto(sums[2].limit))
     assert sums[2].result() == analytic._series(0.99, 0, ODD)
 
@@ -450,12 +451,13 @@ def test_phi_split_grid_matches_per_t_calls():
     # Same terms, other blocks: each sum adds same-sign terms in at most
     # ~25 block sums of pairwise-summed blocks, so the two orders differ by
     # under 2 * (25 + 20) eps < 1e-14 relative.  direct is phi_mellin at
-    # t' = -ln(fl(e^-t)); taking it at t itself would move it by 4e-13 at
-    # t = 1e-6.
+    # t' = -ln(fl(e^-t)), as verify takes it; taking it at t itself would
+    # move it by 4e-13 at t = 1e-6.
     grid = (1e-3, 1e-4, 1e-5, 1e-6)
     results = phi_split_grid(grid)
     assert len(results) == len(grid)
-    for t, (sp, direct) in zip(grid, results):
+    whole = analytic.phi_mellin([-math.log(math.exp(-t)) for t in grid])
+    for t, sp, direct in zip(grid, results, whole):
         one = phi_split(t)
         assert sp.t == t and sp.cutoff == one.cutoff
         for got, want in ((sp.phi1, one.phi1), (sp.phi2, one.phi2),
@@ -481,8 +483,10 @@ def test_phi_split_grid_at_the_cap_edge():
     for _ in range(6):
         t = math.nextafter(t, 0.0)
         grid.append(t)
-    assert max(-math.log(math.exp(-t)) for t in grid) >= T_DOMAIN_CAP
-    for t, (sp, direct) in zip(grid, phi_split_grid(grid)):
+    t_primes = [-math.log(math.exp(-t)) for t in grid]
+    assert max(t_primes) >= T_DOMAIN_CAP
+    whole = analytic.phi_mellin(t_primes)
+    for t, sp, direct in zip(grid, phi_split_grid(grid), whole):
         assert direct == pytest.approx(phi_eval(math.exp(-t)), rel=1e-14)
         assert sp.phi1 + sp.phi2 + sp.phi3 == pytest.approx(direct, rel=1e-13)
 
@@ -491,26 +495,21 @@ def test_phi_split_reads_no_phi_mellin(monkeypatch):
     def refuse(t_grid):
         raise AssertionError("phi_split called phi_mellin")
 
-    want = phi_split_grid((1e-3,))[0][0]
+    want = phi_split_grid((1e-3,))[0]
     monkeypatch.setattr(analytic, "phi_mellin", refuse)
     assert phi_split(1e-3) == want
+    assert phi_split_grid((1e-3, 1e-4))[0] == want
 
 
-def test_phi_split_grid_checks_every_t_before_streaming(monkeypatch):
-    calls = []
-
-    def counting(limit, *args, **kwargs):
-        calls.append(limit)
-        return iter_prime_blocks(limit, *args, **kwargs)
-
-    monkeypatch.setattr(analytic, "iter_prime_blocks", counting)
+def test_phi_split_grid_checks_every_t_before_streaming(record_streams):
     # out of the split's domain [-ln(1 - 1e-9), e^-e) last in the grid
     for grid in ((1e-3, 1e-4, T_DOMAIN_CAP), (1e-3, 0.0), (1e-4, 1e-10)):
         with pytest.raises(OutOfDomainError):
             phi_split_grid(grid)
-    assert calls == []
+    assert record_streams == []
+    # an empty grid's stream ends at 0 and reads no block
     assert phi_split_grid(()) == []
-    assert calls == []
+    assert record_streams == [[0, 0]]
 
 
 def test_phi_mellin_matches_phi_eval_on_both_verify_grids(streamed_phi):
@@ -527,8 +526,7 @@ def test_phi_mellin_matches_the_series_where_t_is_large():
     # z = 1 - 1/n on the bench n grid: t from 1.0e-2 down to 2e-5
     for n in BENCH_N_GRID:
         z = 1.0 - 1.0 / n
-        acc = analytic.SeriesSum(z)
-        series = feed_primes(iter_prime_blocks(acc.limit), acc)[0]
+        series = feed_primes(analytic.SeriesSum(z))[0]
         assert analytic.phi_mellin([-math.log(z)])[0] == \
             pytest.approx(series, rel=1e-14), n
 
@@ -695,14 +693,7 @@ def test_odlyzko_primes_matches_phi_route(primes_spec, primes_spec_big,
 
 
 def test_series_share_one_truncation_limit(primes_spec, constants,
-                                           monkeypatch):
-    limits = []
-
-    def counting(limit, *args, **kwargs):
-        limits.append(limit)
-        return iter_prime_blocks(limit, *args, **kwargs)
-
-    monkeypatch.setattr(analytic, "iter_prime_blocks", counting)
+                                           record_streams):
     t = 1e-4
     z = math.exp(-t)
     phi_eval(z)
@@ -711,9 +702,9 @@ def test_series_share_one_truncation_limit(primes_spec, constants,
     phi_split_grid((t,))
     # phi and the split share the order-0 limit; each derivative has its own
     own = [analytic._series_limit(z, order) for order in range(4)]
-    assert limits == own + own[:1]
+    assert [limit for limit, _ in record_streams] == own + own[:1]
     assert len(set(own)) == 4
-    limits.clear()
+    record_streams.clear()
     n = 1000
     z = 1.0 - 1.0 / n
     phi_eval(z)
@@ -721,7 +712,7 @@ def test_series_share_one_truncation_limit(primes_spec, constants,
         phi_deriv(z, order)
     odlyzko_sum_model(primes_spec, n, constants)
     own = [analytic._series_limit(z, order) for order in range(4)]
-    assert limits == own + own[:1]
+    assert [limit for limit, _ in record_streams] == own + own[:1]
     assert len(set(own)) == 4
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import primecycles
-from primecycles import exact_enum, verify
+from primecycles import exact_enum, primes, verify
 from primecycles.analytic import PhiSplitSums
 from primecycles.cli import main, parse_spec
 from primecycles.cycle_classes import CycleClassSpec
@@ -383,7 +383,7 @@ def test_verify_refuses_a_bad_grid_before_any_work(capsys, monkeypatch,
         raise AssertionError("work started before the grids were checked")
 
     monkeypatch.setattr(verify, "build_table", refuse)
-    monkeypatch.setattr(verify, "iter_prime_blocks", refuse)
+    monkeypatch.setattr(primes, "iter_prime_blocks", refuse)
     rc, out, err = run(capsys, "verify", *argv)
     assert rc == 2 and out == ""
     assert "primecycles verify: " + message in err

@@ -292,13 +292,34 @@ def test_nth_primes_order_and_duplicates(sieve_small):
     assert nth_primes([10**6, 10**3]) == [15_485_863, 7919]
 
 
+def test_feed_primes_opens_one_stream_to_the_largest_limit(record_streams):
+    # the stream ends at the largest limit, wherever it is in the call:
+    # 2097169, the first prime past the first segment, in the second block
+    accs = [primes.PrimesUpTo(100), primes.NthPrimes([1000]),
+            primes.PrimesUpTo(SEGMENT_SIZE + 17)]
+    assert [acc.limit for acc in accs] == [100, 8841, SEGMENT_SIZE + 17]
+    small, kth, big = primes.feed_primes(*accs)
+    assert record_streams == [[SEGMENT_SIZE + 17, 2]]
+    assert small.primes()[-1] == 97 and kth == [7919]
+    assert big.primes()[-2:].tolist() == [2097143, 2097169]
+
+
+def test_feed_primes_without_a_limit_reads_no_block(record_streams):
+    # no accumulator, or one with nothing to find, opens a stream to 0,
+    # which yields no block
+    assert primes.feed_primes() == []
+    assert nth_primes(()) == []
+    assert record_streams == [[0, 0], [0, 0]]
+
+
 def test_tables_read_off_a_shared_stream():
-    # PrimesUpTo accumulators cut from one longer stream, one of them past
-    # a segment edge, give build_sieve's tables; the limit is checked
-    # before any prime is streamed
+    # PrimesUpTo accumulators cut from one longer stream, which an
+    # NthPrimes to p_300000 = 4256233 extends, one of them past a segment
+    # edge, give build_sieve's tables; the limit is checked before any
+    # prime is streamed
     limits = (100, SEGMENT_SIZE + 5, 10)
     accs = [primes.PrimesUpTo(limit) for limit in limits]
-    tables = primes.feed_primes(iter_prime_blocks(3 * SEGMENT_SIZE), *accs)
+    tables = primes.feed_primes(*accs, primes.NthPrimes([300_000]))[:3]
     for limit, table in zip(limits, tables):
         assert table.limit == limit
         assert table.primes().tolist() == build_sieve(limit).primes().tolist()

@@ -1,5 +1,5 @@
-"""Source checks: one summation rule, numpy as the one dependency, and one
-range check.
+"""Source checks: one summation rule, numpy as the one dependency, one
+range check and one driver of the prime stream.
 
 Every float sum the package reports to the last digit is the exact sum of
 its double terms, rounded once.  Extended-precision types and compensated
@@ -11,6 +11,9 @@ outside the standard library, even a module that happens to be installed.
 
 Every integer argument with an upper bound is checked by errors._integer,
 so no module compares a value and raises a range or cap error itself.
+
+Every prime stream is opened by primes.feed_primes, so no module but
+primes names iter_prime_blocks in code.
 """
 
 import ast
@@ -73,4 +76,26 @@ def test_no_hand_written_bound_checks():
                     and any(isinstance(s, ast.Raise) and _raised_name(s) in BOUND_ERRORS
                             for s in node.body)):
                 hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+
+
+def _names_in_code(tree):
+    """Every name a module binds or reads in code: Name nodes, attribute
+    names and imported names; docstrings and comments are not code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+def test_only_primes_opens_a_prime_stream():
+    src = pathlib.Path(primecycles.__file__).parent
+    hits = [f"{path.name}:{no}"
+            for path in sorted(src.glob("**/*.py")) if path.name != "primes.py"
+            for no, name in _names_in_code(ast.parse(path.read_text()))
+            if name == "iter_prime_blocks"]
     assert hits == []

@@ -114,8 +114,8 @@ def test_run_verify_refuses_bad_arguments(monkeypatch, refuses_non_integers):
     def refuse(*args, **kwargs):
         raise AssertionError("ran before the t grid was checked")
 
-    for name in ("build_table", "iter_prime_blocks"):
-        monkeypatch.setattr(verify_module, name, refuse)
+    monkeypatch.setattr(verify_module, "build_table", refuse)
+    monkeypatch.setattr(primes, "iter_prime_blocks", refuse)
     for which in (("phi", "pnt"), ("partial-sum", "phi")):
         with pytest.raises(InvalidArgumentError, match="t grid must be nonempty"):
             run_verify((100,), (), which)
@@ -292,18 +292,12 @@ def test_phi_estimate_rows(constants):
         assert row.phi3_scaled == pytest.approx(row.phi3 / envelope, rel=1e-12)
 
 
-def test_phi_estimate_table_streams_once(constants, monkeypatch):
-    limits = []
-
-    def counting(limit, *args, **kwargs):
-        limits.append(limit)
-        return iter_prime_blocks(limit, *args, **kwargs)
-
-    monkeypatch.setattr(analytic, "iter_prime_blocks", counting)
+def test_phi_estimate_table_streams_once(constants, record_streams):
     rows = phi_estimate_table(analytic.phi_split_grid((1e-3, 1e-4, 1e-5)),
                               constants)
     assert len(rows) == 3
-    assert limits == [analytic._series_limit(math.exp(-1e-5))]
+    assert [limit for limit, _ in record_streams] == \
+        [analytic._series_limit(math.exp(-1e-5))]
 
 
 def test_pnt_rows():
@@ -340,9 +334,15 @@ def test_pnt_table_alone_reads_to_the_block_of_rossers_bound(monkeypatch):
     assert read[-1] == primes.build_sieve(limit).primes()[-1]
 
 
-def test_feed_primes_drops_an_accumulator_only_past_its_limit():
+def test_feed_primes_drops_an_accumulator_only_past_its_limit(monkeypatch):
     # what add returns does not cut the stream short: an accumulator that
-    # returns True still gets every prime up to its limit, across blocks
+    # returns True still gets every prime up to its limit, across the
+    # blocks of a 256-integer-segment stream that a PrimesUpTo runs on past
+    # it, and no prime above it
+    want = primes.build_sieve(4000).primes().tolist()
+    monkeypatch.setattr(primes, "iter_prime_blocks",
+                        lambda limit: iter_prime_blocks(limit, segment=256))
+
     class Eager:
         limit = 1000
 
@@ -356,8 +356,9 @@ def test_feed_primes_drops_an_accumulator_only_past_its_limit():
         def result(self):
             return self.seen
 
-    got = feed_primes(iter_prime_blocks(4000, segment=256), Eager())
-    assert got == [primes.build_sieve(1000).primes().tolist()]
+    got, table = feed_primes(Eager(), PrimesUpTo(4000))
+    assert got == [p for p in want if p <= 1000]
+    assert table.primes().tolist() == want
 
 
 def test_tables_take_primes_read_elsewhere(constants):
@@ -365,7 +366,7 @@ def test_tables_take_primes_read_elsewhere(constants):
     # what each one's own stream gives
     grid, ks = (1e-3, 1e-4), (25, 100, 1000)
     sums, kth = analytic.PhiSplitSums(grid), NthPrimes(ks)
-    splits, found = feed_primes(iter_prime_blocks(sums.limit), sums, kth)
+    splits, found = feed_primes(sums, kth)
     assert phi_estimate_table(splits, constants) == \
         phi_estimate_table(analytic.phi_split_grid(grid), constants)
     assert pnt_table(ks, found) == pnt_table(ks, [97, 541, 7919])
