@@ -5,8 +5,8 @@ routes), the Riemann and prime zeta functions, the prime harmonic series
 phi(z) = sum_p z^p/p with its first three derivatives, the three-way split
 of phi(e^-t) used for small-t estimates, phi(e^-t) by a Mellin-Barnes
 integral over the prime zeta function (phi_mellin), which reads no primes
-and so is what verify checks the split against, and the closed-form models the verification
-harness compares against exact enumeration.
+and so is what verify checks the split against, and the closed-form
+models the verification harness compares against exact enumeration.
 
 Everything here is a pure function of its arguments.  Each prime sum is
 an accumulator, MertensSum, SeriesSum or PhiSplitSums, that reads the

@@ -5,7 +5,7 @@ segmented sieve that streams primes in numpy blocks without materializing
 a table; prime sums with limits in the billions go through it.
 
 Consumers that read the stream block by block are accumulators: an object
-with a ``limit``, ``add(block) -> None`` and ``result()``.  One driver,
+with a ``limit``, ``add(block) -> None`` and ``result()``.  One function,
 :func:`feed_primes`, opens every stream the package reads: one stream to
 the largest of its accumulators' limits, of which each accumulator is
 handed every prime up to its own limit and none above it, in ascending
@@ -228,8 +228,8 @@ def feed_primes(*accumulators) -> list:
     to every accumulator, each block cut at that accumulator's limit;
     [acc.result() for acc in accumulators].
 
-    The package's one driver of iter_prime_blocks: every prime it sums
-    comes through here.  With no accumulator the stream is empty.
+    The only caller of iter_prime_blocks in the package: every prime it
+    sums comes through here.  With no accumulator the stream is empty.
     """
     limit = max((acc.limit for acc in accumulators), default=0)
     for block in iter_prime_blocks(limit):

@@ -1,5 +1,5 @@
 """Source checks: one summation rule, numpy as the one dependency, one
-range check and one driver of the prime stream.
+range check and one opener of the prime stream.
 
 Every float sum the package reports to the last digit is the exact sum of
 its double terms, rounded once.  Extended-precision types and compensated
