@@ -1,7 +1,9 @@
 """Constants and analytic evaluators behind the asymptotic models.
 
 Covers the Euler and Mertens constants (the latter by two independent
-routes), the Riemann and prime zeta functions, the prime harmonic series
+routes), the Riemann and prime zeta functions, whose zeta - 1 comes from
+one kernel with a stated error bound (_zeta_rows, which also serves
+mertens_zeta and phi_mellin's nodes), the prime harmonic series
 phi(z) = sum_p z^p/p with its first three derivatives, the three-way split
 of phi(e^-t) used for small-t estimates, phi(e^-t) by a Mellin-Barnes
 integral over the prime zeta function (phi_mellin), which reads no primes
@@ -41,33 +43,119 @@ T_DOMAIN_CAP = math.exp(-math.e)
 # lower end of the phi_split domain: the least t with e^-t <= 1 - Z_CAP_GAP
 T_DOMAIN_FLOOR = -math.log1p(-Z_CAP_GAP)
 
-_ZETA_TERMS = 100
-
 
 # -- zeta and prime zeta --------------------------------------------------------
 
 
-def zeta_minus_1(s: float) -> float:
-    """zeta(s) - 1 without cancellation, for s >= 1.5.
+# B_2, B_4, ..., B_22
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138)
+# zeta: the terms n < 16, then Euler-Maclaurin with the first 10 of them
+_EM_N = 16
+_EM_TERMS = 10
+_EULER_MACLAURIN = tuple(b / math.factorial(2 * k + 2)
+                         for k, b in enumerate(_BERNOULLI))
 
-    Direct summation to N plus Euler-Maclaurin corrections; the first
-    omitted term is ~ s^5 N^{-s-5}/30240, below 1e-15 relative at s = 1.5.
+
+def _inverse(z):
+    """1/z, for a float or a complex array, as conj(z)/|z|^2."""
+    return z.conjugate() * (1.0 / (z.real * z.real + z.imag * z.imag))
+
+
+def _dropped(m: int, x: float) -> float:
+    """A bound on the change of ln zeta at a point of real part x > 1 when
+    its terms n >= m are dropped: they add up to at most d = m^-x (1 +
+    m/(x - 1)), and |zeta| >= 1/zeta(x) >= (x - 1)/x, so ln zeta moves by
+    at most d/((x - 1)/x - d); inf where d reaches (x - 1)/x."""
+    d = m ** -x * (1.0 + m / (x - 1.0))
+    room = (x - 1.0) / x - d
+    return d / room if room > 0.0 else math.inf
+
+
+def _zeta_rows(w: np.ndarray, js, tol: float):
+    """(z, err): z[i] = zeta(js[i] w) - 1 at nodes w that share one real
+    part r, for ascending integers js with js[0] r > 1, real or complex as
+    w is, and per node err = sum_i (a bound on the error of ln zeta(js[i]
+    w))/js[i].  The one evaluation of zeta in the package.
+
+    - zeta(x) - 1, x = jw, is sum_{2<=n<N} n^-x, N = 16, each power
+      n^-jw the previous one times n^-w, plus the Euler-Maclaurin tail
+      N^(1-x)/(x-1) + N^-x/2 + sum_{k<=10} B_2k/(2k)! x(x+1)...(x+2k-2)
+      N^(1-x-2k), whose remainder is at most |(x+21)/(Re x+21)| times the
+      first dropped term (Edwards, "Riemann's Zeta Function", 1974, 6.4).
+      Once dropping the terms n >= N moves ln zeta(x) by at most tol
+      (_dropped), the tail is left out, and the direct sum stops at the
+      least n that keeps that so.
+    - An error d in zeta(x) moves ln zeta(x) by at most d/(|zeta(x)| - d),
+      and |zeta(x)| >= 1/zeta(Re x) >= (Re x - 1)/Re x.
+    Either way the bound on ln zeta also bounds the error of zeta - 1.
     """
+    r = float(w[0].real)
+    n = _EM_N
+    # Euler-Maclaurin for the first em of js, where n >= N add over tol
+    em = sum(_dropped(n, j * r) > tol for j in js)
+    ns = np.arange(2.0, n + 1)[:, None]
+    # n^-w, n <= N: a real power to an ulp; exp(-w ln n) for complex w
+    # keeps the rounding of ln n times |w|, 2^-49 relative at w = 64
+    base = ns ** -w if np.isrealobj(w) else np.exp(-np.log(ns) * w)
+    power = base.copy()
+    z = np.empty((len(js), w.size), base.dtype)  # zeta(jw) - 1
+    last = np.empty((em, w.size), base.dtype)  # N^-jw
+    err = 0.0
+    top = n - 1  # the largest n summed directly
+    i = 0
+    for j in range(1, js[-1] + 1):
+        x = j * r
+        if i >= em:
+            while top > 2 and _dropped(top, x) <= tol:
+                top -= 1
+        if j > 1:
+            power[:top - 1] *= base[:top - 1]
+            if i < em:
+                power[-1] *= base[-1]
+        if j == js[i]:
+            np.add.reduce(power[:top - 1], axis=0, out=z[i])
+            if i < em:
+                last[i] = power[-1]
+            else:
+                err += _dropped(top + 1, x) / j
+            i += 1
+    if em:
+        x = np.array(js[:em], float)[:, None] * w
+        square = x * x
+        rising = x.copy()  # x(x+1)...(x+2k-2)
+        tail = n * _inverse(x - 1.0) + 0.5 + _EULER_MACLAURIN[0] / n * rising
+        for k in range(1, _EM_TERMS + 1):
+            step = x * (4 * k - 1)  # (x+2k-1)(x+2k)
+            step += square
+            step += 2 * k * (2 * k - 1)
+            rising *= step
+            if k < _EM_TERMS:
+                tail += _EULER_MACLAURIN[k] / n ** (2 * k + 1) * rising
+        last *= tail
+        z[:em] += last
+        xr = np.array(js[:em], float)[:, None] * r  # Re x
+        k = 2 * _EM_TERMS + 1
+        rem = (np.abs(x + k) / (xr + k) * abs(_EULER_MACLAURIN[_EM_TERMS])
+               * np.abs(rising) * n ** (-xr - k))
+        room = (xr - 1.0) / xr - rem  # as in _dropped
+        err = err + np.add.reduce(np.where(
+            room > 0.0, rem / np.maximum(room, 1e-300), np.inf) * (r / xr),
+            axis=0)
+    return z, err
+
+
+def zeta_minus_1(s: float) -> float:
+    """zeta(s) - 1 without cancellation, for s >= 1.5: _zeta_rows' one row
+    at s, whose truncation is below 2^-56 times 2^-s < zeta(s) - 1."""
     if s < 1.5:
         raise OutOfDomainError(f"zeta requires s >= 1.5, got {s}")
-    N = float(_ZETA_TERMS)
-    total = 0.0
-    for n in range(_ZETA_TERMS - 1, 1, -1):
-        total += float(n) ** (-s)
-    total += N ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * N ** (-s)
-    total += s / 12.0 * N ** (-s - 1.0)
-    total -= s * (s + 1.0) * (s + 2.0) / 720.0 * N ** (-s - 3.0)
-    return total
+    z, _ = _zeta_rows(np.array([float(s)]), [1], 2.0 ** (-s - 56.0))
+    return float(z[0, 0])
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta for s >= 1.5, to 1e-14 relative."""
+    """Riemann zeta for s >= 1.5; see zeta_minus_1 for its bound."""
     return 1.0 + zeta_minus_1(s)
 
 
@@ -87,21 +175,16 @@ def _mobius(j: int) -> int:
 
 
 def prime_zeta(s: float) -> float:
-    """P(s) = sum over primes of p^-s, via sum_j mu(j)/j * ln zeta(js).
-
-    Valid for s >= 2; absolute error well under 1e-13 (terms below j*s ~ 60
-    are kept, the rest are under 1e-18).
-    """
+    """P(s) = sum over primes of p^-s, for s >= 2: mellin._prime_zeta_1p,
+    sum_j mu(j)/j ln zeta(js), at the node s - 1, whose truncation is
+    below 2^-56 times 2^-s < P(s)."""
     if s < 2.0:
         raise OutOfDomainError(f"prime_zeta requires s >= 2, got {s}")
-    total = 0.0
-    j = 1
-    while j * s <= 64.0:
-        mu = _mobius(j)
-        if mu:
-            total += mu / j * math.log1p(zeta_minus_1(j * s))
-        j += 1
-    return total
+    # imported here, as in phi_mellin
+    from primecycles.mellin import _prime_zeta_1p
+
+    p, _ = _prime_zeta_1p(np.array([s - 1.0 + 0j]), 2.0 ** (-s - 56.0))
+    return float(p[0].real)
 
 
 # -- the Mertens constant by two routes ------------------------------------------
@@ -140,25 +223,41 @@ def mertens_direct(limit: int):
     return feed_primes(MertensSum(limit))[0]
 
 
+# _zeta_rows' tol for mertens_zeta, fixed so that only k_max truncates: it
+# puts the dropped terms' bound below the Euler-Maclaurin rows' 1.76e-24
+_MERTENS_TOL = 2.0 ** -90
+
+
+def _mertens_zeta(k_max: int):
+    """(mertens_zeta(k_max), its tail bound max(2 * 2^-k_max, 0.11 *
+    2^-k_max + the bound of _zeta_rows))."""
+    k_max = _integer(k_max, "k_max", 10)
+    ms = [m for m in range(2, k_max + 1) if _mobius(m)]
+    z, err = _zeta_rows(np.array([1.0]), ms, _MERTENS_TOL)
+    c = EULER_GAMMA + math.fsum(_mobius(m) / m * math.log1p(v)
+                                for m, v in zip(ms, z[:, 0].tolist()))
+    # err holds the bound at the one node
+    tail = 0.11 * 2.0 ** -k_max + float(np.max(err))
+    return c, max(2.0 * 2.0 ** -k_max, tail)
+
+
 def mertens_zeta(k_max: int) -> float:
     """The same constant as gamma - sum_{k>=2} P(k)/k, with prime_zeta's
     series for each P(k) regrouped by m = jk: since sum_{j|m, j<m} mu(j) =
     -mu(m), it is gamma + sum_{m>=2} mu(m) ln zeta(m)/m, truncated at k_max.
 
-    The tail is at most sum_{m>k_max} (zeta(m) - 1)/m < 0.11 * 2^-k_max,
-    inside the stated 2 * 2^-k_max; k_max = 60 reaches full double
-    precision.  It takes ln zeta(m) once for each squarefree m, 36 times at
-    k_max = 60, where the sums over k read it 168 times: 0.44 ms a call
-    against 0.71 ms for those sums with each ln zeta(m) cached, for the
-    same double (2-vCPU Xeon, medians of 21 alternating runs).
+    Its zeta(m) - 1 are the rows of one _zeta_rows call at w = 1, one for
+    each squarefree m, 36 at k_max = 60, and math.fsum adds the terms.
+    The tail past k_max is at most sum_{m>k_max} (zeta(m) - 1)/m < 0.11 *
+    2^-k_max, and the rows' bound is under 1.8e-24, so the error before
+    rounding is below the tail bound make_constants states, max(2 *
+    2^-k_max, 0.11 * 2^-k_max + the rows' bound): 2 * 2^-k_max up to
+    k_max = 79.  Rounding is not in it: at k_max = 60 the result,
+    0.2614972128476428, is one ulp above the double nearest the constant,
+    0.26149721284764277.  0.42 ms a call (2-vCPU Xeon, the median over 8
+    processes of each one's median of 51 calls).
     """
-    k_max = _integer(k_max, "k_max", 10)
-    acc = 0.0
-    for m in range(k_max, 1, -1):
-        mu = _mobius(m)
-        if mu:
-            acc += mu / m * math.log1p(zeta_minus_1(m))
-    return EULER_GAMMA + acc
+    return _mertens_zeta(k_max)[0]
 
 
 @dataclass(frozen=True)
@@ -184,9 +283,8 @@ def make_constants(method: str = "zeta", k_max: int = 60,
     sum of mertens_direct to limit.
     """
     if method == "zeta":
-        c = mertens_zeta(k_max)
+        c, tail = _mertens_zeta(k_max)
         desc = f"prime-zeta series, k_max={k_max}"
-        tail = 2.0 * 2.0 ** (-k_max)
     elif method == "direct":
         if limit is None:
             raise InvalidArgumentError("method 'direct' needs a summation limit")

@@ -1,11 +1,11 @@
 """The nodes of analytic.phi_mellin: its complex log-gamma, the prime zeta
-function P(1+s) = sum_j mu(j)/j ln zeta(j(1+s)) with zeta by Euler-Maclaurin,
-and the trapezoid rule's step and last node, all with the error bounds
-phi_mellin's docstring states.  A module of its own, which phi_mellin
-imports on its first call: a process that finds no cached bytecode
-compiles each module it imports from source, this one in about 2 ms,
-and analytic with this code in it kept about 0.45 MB more resident after
-import.
+function P(1+s) = sum_j mu(j)/j ln zeta(j(1+s)) with each zeta(j(1+s)) - 1
+a row of analytic._zeta_rows, and the trapezoid rule's step and last node,
+all with the error bounds phi_mellin's docstring states.  A module of its
+own, which phi_mellin and prime_zeta import on their first call: a
+process that finds no cached bytecode compiles each module it imports
+from source, this one in about 2 ms, and analytic with this code in it
+kept about 0.45 MB more resident after import.
 
 The code keeps to numpy loops that a verify pass runs anyway: the first
 call of a complex division, an arctan2, a matrix product or arithmetic on
@@ -19,23 +19,21 @@ import math
 
 import numpy as np
 
-from primecycles.analytic import T_MELLIN_FLOOR, _mobius
+from primecycles.analytic import (
+    T_MELLIN_FLOOR,
+    _BERNOULLI,
+    _inverse,
+    _mobius,
+    _zeta_rows,
+)
 from primecycles.errors import InternalConsistencyError
 
 
-# B_2, B_4, ..., B_22
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
-              -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138)
 # ln Gamma: Stirling's series with the first 9 of them at s + 10
 _GAMMA_SHIFT = 10
 _GAMMA_TERMS = 9
 _STIRLING = tuple(b / ((2 * k + 2) * (2 * k + 1))
                   for k, b in enumerate(_BERNOULLI))
-# zeta: the terms n < 16, then Euler-Maclaurin with the first 10 of them
-_EM_N = 16
-_EM_TERMS = 10
-_EULER_MACLAURIN = tuple(b / math.factorial(2 * k + 2)
-                         for k, b in enumerate(_BERNOULLI))
 # the largest L = ln(1/t) the nodes serve, and sigma L there
 _MELLIN_BIG = -math.log(T_MELLIN_FLOOR)
 _MELLIN_SIGMA_L = 4.0
@@ -61,11 +59,6 @@ def _log1p(x: np.ndarray) -> np.ndarray:
     out.real = 0.5 * m
     out.imag = np.log(x + 1.0).imag
     return out
-
-
-def _inverse(z):
-    """1/z, for a float or a complex array, as conj(z)/|z|^2."""
-    return z.conjugate() * (1.0 / (z.real * z.real + z.imag * z.imag))
 
 
 def _stirling(z):
@@ -104,32 +97,13 @@ def _mu_tail(j: int, r: float) -> float:
     return 2.0 ** -x * (1.0 + 2.0 / (x - 1.0)) / ((j + 1) * (1.0 - 2.0 ** -r))
 
 
-def _dropped(m: int, x: float) -> float:
-    """A bound on the change of ln zeta at a point of real part x > 1 when
-    its terms n >= m are dropped: they add up to at most d = m^-x (1 +
-    m/(x - 1)), and |zeta| >= 1/zeta(x) >= (x - 1)/x, so ln zeta moves by
-    at most d/((x - 1)/x - d); inf where d reaches (x - 1)/x."""
-    d = m ** -x * (1.0 + m / (x - 1.0))
-    room = (x - 1.0) / x - d
-    return d / room if room > 0.0 else math.inf
-
-
 def _prime_zeta_1p(s: np.ndarray, tol: float):
     """(P(1+s), bound) at nodes s sharing one real part sigma > 0: P(w) =
     sum_j mu(j)/j ln zeta(jw), w = 1 + s, and per node a bound on its
-    error, from three sources.
-
-    - The sum over j stops at the least J with _mu_tail(J) <= tol.
-    - zeta(x) - 1, x = jw, is sum_{2<=n<N} n^-x, N = 16, each power
-      n^-jw the previous one times n^-w, plus the Euler-Maclaurin tail
-      N^(1-x)/(x-1) + N^-x/2 + sum_{k<=10} B_2k/(2k)! x(x+1)...(x+2k-2)
-      N^(1-x-2k), whose remainder is at most |(x+21)/(Re x+21)| times the
-      first dropped term (Edwards, "Riemann's Zeta Function", 1974, 6.4).
-      Once dropping the terms n >= N moves ln zeta(x) by at most tol/8
-      (_dropped), the tail is left out, and the direct sum stops at the
-      least n that keeps that so.
-    - An error d in zeta(x) moves ln zeta(x) by at most d/(|zeta(x)| - d),
-      and |zeta(x)| >= 1/zeta(Re x) >= (Re x - 1)/Re x.
+    error.  The sum over j stops at the least J with _mu_tail(J) <= tol,
+    and analytic._zeta_rows takes each zeta(jw) - 1 with the terms n >= N
+    dropped where that moves ln zeta by at most tol/8; the bound is the
+    sum of the two bounds.
     """
     w = 1.0 + s
     r = 1.0 + float(s[0].real)
@@ -138,59 +112,10 @@ def _prime_zeta_1p(s: np.ndarray, tol: float):
         j_max += 1
     mu = [_mobius(j) for j in range(1, j_max + 1)]
     js = [j for j in range(1, j_max + 1) if mu[j - 1]]
-    n = _EM_N
-    # Euler-Maclaurin for the first em of js, where n >= N add over tol/8
-    em = sum(_dropped(n, j * r) > tol / 8.0 for j in js)
-    base = np.exp(-np.log(np.arange(2.0, n + 1))[:, None] * w)  # n^-w, n<=N
-    power = base.copy()
-    z = np.empty((len(js), s.size), complex)  # zeta(jw) - 1
-    last = np.empty((em, s.size), complex)  # N^-jw
-    err = _mu_tail(j_max, r)
-    top = n - 1  # the largest n summed directly
-    i = 0
-    for j in range(1, j_max + 1):
-        x = j * r
-        if i >= em:
-            while top > 2 and _dropped(top, x) <= tol / 8.0:
-                top -= 1
-        if j > 1:
-            power[:top - 1] *= base[:top - 1]
-            if i < em:
-                power[-1] *= base[-1]
-        if mu[j - 1]:
-            np.add.reduce(power[:top - 1], axis=0, out=z[i])
-            if i < em:
-                last[i] = power[-1]
-            else:
-                err += _dropped(top + 1, x) / j
-            i += 1
-    if em:
-        x = np.array(js[:em], float)[:, None] * w
-        square = x * x
-        rising = x.copy()  # x(x+1)...(x+2k-2)
-        tail = n * _inverse(x - 1.0) + 0.5 + _EULER_MACLAURIN[0] / n * rising
-        for k in range(1, _EM_TERMS + 1):
-            step = x * (4 * k - 1)  # (x+2k-1)(x+2k)
-            step += square
-            step += 2 * k * (2 * k - 1)
-            rising *= step
-            if k < _EM_TERMS:
-                tail += _EULER_MACLAURIN[k] / n ** (2 * k + 1) * rising
-        last *= tail
-        z[:em] += last
-        xr = np.array(js[:em], float)[:, None] * r  # Re x
-        k = 2 * _EM_TERMS + 1
-        rem = (np.abs(x + k) / (xr + k) * abs(_EULER_MACLAURIN[_EM_TERMS])
-               * np.abs(rising) * n ** (-xr - k))
-        room = (xr - 1.0) / xr - rem  # as in _dropped
-        err = err + np.add.reduce(np.where(
-            room > 0.0, rem / np.maximum(room, 1e-300), np.inf) * (r / xr),
-            axis=0)
-        # free the tables before _log1p's own temporaries
-        del x, square, rising, tail, step, rem
+    z, err = _zeta_rows(w, js, tol / 8.0)
     logs = _log1p(z)
     logs *= np.array([mu[j - 1] / j for j in js])[:, None]
-    return np.add.reduce(logs, axis=0), err
+    return np.add.reduce(logs, axis=0), err + _mu_tail(j_max, r)
 
 
 @functools.cache

@@ -89,6 +89,48 @@ def test_prime_zeta_against_mpmath(s):
     assert abs(prime_zeta(s) - float(mpmath.primezeta(s))) <= 1e-13
 
 
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 4.0, 10.0, 30.0, 50.0, 64.0])
+def test_zeta_minus_1_against_mpmath(s):
+    # 1 + 2^-s takes s log10(2) digits before zeta - 1 has any: at mpmath's
+    # default 15, zeta(30) - 1 is off by 3e-8, and at 30, zeta(64) - 1
+    # keeps 11 digits
+    with mpmath.workdps(40):
+        ref = mpmath.zeta(s) - 1
+        assert abs(zeta_minus_1(s) - ref) <= 2.0 ** -50 * ref
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0, 5.0, 10.0, 20.0, 40.0, 64.0])
+def test_prime_zeta_within_its_bound(monkeypatch, s):
+    # within the bound _prime_zeta_1p returns for prime_zeta's node, plus
+    # rounding: at a complex node the powers n^-s are exp(-s ln n), which
+    # carry the rounding of ln n times s, up to 0.23 s ulps of P
+    bounds, inner = [], mellin._prime_zeta_1p
+
+    def recording(node, tol):
+        p, bound = inner(node, tol)
+        bounds.append(float(np.max(bound)))
+        return p, bound
+
+    monkeypatch.setattr(mellin, "_prime_zeta_1p", recording)
+    got = prime_zeta(s)
+    with mpmath.workdps(30):
+        ref = mpmath.primezeta(s)
+        assert abs(got - ref) <= bounds[0] + s * 2.0 ** -53 * ref
+
+
+def test_mertens_zeta_within_its_stated_bound():
+    # rounding, up to 2^-53, is outside the stated bound
+    with mpmath.workdps(30):
+        ref = mpmath.mertens
+        for k in range(10, 81):
+            assert abs(mertens_zeta(k) - ref) <= 2 * 2.0 ** -k + 2.0 ** -53, k
+    # past k_max = 79 the zeta rows' own bound, under 1.8e-24, outweighs
+    # 2 * 2^-k_max, and the stated bound takes it in
+    assert make_constants(k_max=79).tail_bound == 2 * 2.0 ** -79
+    for k in (80, 100):
+        assert 1.7e-24 < make_constants(k_max=k).tail_bound < 1.9e-24
+
+
 def test_mertens_constant_against_mpmath():
     assert abs(make_constants().mertens_c - float(mpmath.mertens)) <= 1e-13
 
@@ -116,25 +158,39 @@ def test_mertens_direct_smallest_case(refuses_non_integers):
 
 
 def test_mertens_zeta_takes_each_zeta_once(monkeypatch):
-    # the Mobius regrouping reads ln zeta(m) once for each of the 36
-    # squarefree m in [2, 60], and the constant is the same double
-    calls = []
+    # every zeta - 1 in the package is a row of analytic._zeta_rows:
+    # mertens_zeta takes its ln zeta(m) from one call whose rows are the 36
+    # squarefree m in [2, 60], for the same double; zeta and prime_zeta
+    # make one call each, and phi_mellin's nodes one per chunk
+    calls, rows = [], analytic._zeta_rows
 
-    def counting(s):
-        calls.append(s)
-        return zeta_minus_1(s)
+    def counting(w, js, tol):
+        calls.append(list(js))
+        return rows(w, js, tol)
 
-    monkeypatch.setattr(analytic, "zeta_minus_1", counting)
+    monkeypatch.setattr(analytic, "_zeta_rows", counting)
+    monkeypatch.setattr(mellin, "_zeta_rows", counting)
     assert mertens_zeta(60) == 0.2614972128476428
     squarefree = [m for m in range(2, 61)
                   if all(m % (d * d) for d in range(2, 8))]
     assert len(squarefree) == 36
-    assert sorted(calls) == squarefree
+    assert calls == [squarefree]
+    calls.clear()
     assert make_constants().mertens_c == 0.2614972128476428
-    # prime_zeta still sums its own terms
+    assert calls == [squarefree]
+    calls.clear()
+    assert zeta(3.0) == pytest.approx(1.2020569031595943, rel=1e-14)
+    assert calls == [[1]]
     calls.clear()
     assert prime_zeta(2.0) == pytest.approx(0.4522474200410654985, rel=1e-14)
-    assert len(calls) == 20
+    assert len(calls) == 1
+    mellin.mellin_nodes.cache_clear()
+    try:
+        calls.clear()
+        nodes = mellin.mellin_nodes()[2].size
+        assert len(calls) == math.ceil(nodes / mellin._MELLIN_CHUNK)
+    finally:
+        mellin.mellin_nodes.cache_clear()
 
 
 def test_mertens_routes_agree():
@@ -144,13 +200,17 @@ def test_mertens_routes_agree():
         assert abs(est - ref) <= tail + 1e-12
 
 
-def test_mertens_read_off_a_shared_stream():
+def test_mertens_read_off_a_shared_stream(record_streams):
     # a MertensSum cut mid-block from a stream shared with NthPrimes, which
-    # reads on to p_300000 = 4256233, gives mertens_direct's double; the
-    # limit is checked before any prime is streamed
-    limit = SEGMENT_SIZE + 5
+    # reads on to p_300000 = 4256233, gives mertens_direct's double; its
+    # limit, 2097169, is the first prime past the first segment, so the cut
+    # keeps one prime of the second block, and mertens_direct's own stream
+    # reads two blocks; the limit is checked before any prime is streamed
+    limit = 2_097_169
+    assert limit - SEGMENT_SIZE == 17
     acc, kth = analytic.MertensSum(limit), NthPrimes([300_000, 10])
     assert feed_primes(acc, kth) == [mertens_direct(limit), [4_256_233, 29]]
+    assert record_streams[-1] == [limit, 2]
     with pytest.raises(InvalidArgumentError):
         analytic.MertensSum(1)
 
@@ -597,7 +657,7 @@ def test_phi_mellin_refuses_nodes_beyond_its_budget(monkeypatch):
     # too few Euler-Maclaurin terms: the nodes' error bound outgrows the
     # budget, and the route refuses rather than answer
     mellin.mellin_nodes.cache_clear()
-    monkeypatch.setattr(mellin, "_EM_TERMS", 3)
+    monkeypatch.setattr(analytic, "_EM_TERMS", 3)
     try:
         with pytest.raises(InternalConsistencyError, match="budget"):
             analytic.phi_mellin([1e-4])

@@ -314,12 +314,15 @@ def test_feed_primes_without_a_limit_reads_no_block(record_streams):
 
 def test_tables_read_off_a_shared_stream():
     # PrimesUpTo accumulators cut from one longer stream, which an
-    # NthPrimes to p_300000 = 4256233 extends, one of them past a segment
-    # edge, give build_sieve's tables; the limit is checked before any
-    # prime is streamed
-    limits = (100, SEGMENT_SIZE + 5, 10)
+    # NthPrimes to p_300000 = 4256233 extends, give build_sieve's tables;
+    # one is cut at 2097169, the first prime past the first segment, so its
+    # cut keeps one prime of the second block; the limit is checked before
+    # any prime is streamed
+    limits = (100, 2_097_169, 10)
     accs = [primes.PrimesUpTo(limit) for limit in limits]
     tables = primes.feed_primes(*accs, primes.NthPrimes([300_000]))[:3]
+    assert tables[1].primes()[-2:].tolist() == [2_097_143, 2_097_169]
+    assert 2_097_143 < SEGMENT_SIZE < 2_097_169
     for limit, table in zip(limits, tables):
         assert table.limit == limit
         assert table.primes().tolist() == build_sieve(limit).primes().tolist()
