@@ -87,7 +87,8 @@ def _zeta_rows(w: np.ndarray, js, tol: float):
       (_dropped), the tail is left out, and the direct sum stops at the
       least n that keeps that so.
     - An error d in zeta(x) moves ln zeta(x) by at most d/(|zeta(x)| - d),
-      and |zeta(x)| >= 1/zeta(Re x) >= (Re x - 1)/Re x.
+      and |zeta(x)| >= 1/zeta(Re x) >= (Re x - 1)/Re x; err is inf if a
+      remainder reaches that.
     Either way the bound on ln zeta also bounds the error of zeta - 1.
     """
     r = float(w[0].real)
@@ -139,15 +140,20 @@ def _zeta_rows(w: np.ndarray, js, tol: float):
         rem = (np.abs(x + k) / (xr + k) * abs(_EULER_MACLAURIN[_EM_TERMS])
                * np.abs(rising) * n ** (-xr - k))
         room = (xr - 1.0) / xr - rem  # as in _dropped
-        err = err + np.add.reduce(np.where(
-            room > 0.0, rem / np.maximum(room, 1e-300), np.inf) * (r / xr),
-            axis=0)
+        # checked on a list, which keeps a comparison, a maximum and a
+        # where out of numpy's loops: their first call keeps 64 KB more
+        # resident each where no other code runs them
+        if not all(v > 0.0 for v in room.ravel().tolist()):
+            return z, math.inf
+        err = err + np.add.reduce(rem / room * (r / xr), axis=0)
     return z, err
 
 
 def zeta_minus_1(s: float) -> float:
-    """zeta(s) - 1 without cancellation, for s >= 1.5: _zeta_rows' one row
-    at s, whose truncation is below 2^-56 times 2^-s < zeta(s) - 1."""
+    """zeta(s) - 1 without cancellation, for s >= 1.5: the one row of
+    _zeta_rows at s, with tol = 2^-56 2^-s.  Its bound stays under that
+    (checked for s <= 80), so under 2^-56 of zeta(s) - 1 > 2^-s; the rest
+    is rounding, within 3e-16 relative where measured."""
     if s < 1.5:
         raise OutOfDomainError(f"zeta requires s >= 1.5, got {s}")
     z, _ = _zeta_rows(np.array([float(s)]), [1], 2.0 ** (-s - 56.0))
@@ -176,8 +182,10 @@ def _mobius(j: int) -> int:
 
 def prime_zeta(s: float) -> float:
     """P(s) = sum over primes of p^-s, for s >= 2: mellin._prime_zeta_1p,
-    sum_j mu(j)/j ln zeta(js), at the node s - 1, whose truncation is
-    below 2^-56 times 2^-s < P(s)."""
+    sum_j mu(j)/j ln zeta(js), at the node s - 1 with tol = 2^-56 2^-s.
+    Its bound stays under that (checked for s <= 80), so under 2^-56 of
+    P(s) > 2^-s.  At a complex node the powers n^-s are exp(-s ln n),
+    whose rounding grows with s: up to 0.23 s ulps of P where measured."""
     if s < 2.0:
         raise OutOfDomainError(f"prime_zeta requires s >= 2, got {s}")
     # imported here, as in phi_mellin
@@ -237,7 +245,7 @@ def _mertens_zeta(k_max: int):
     c = EULER_GAMMA + math.fsum(_mobius(m) / m * math.log1p(v)
                                 for m, v in zip(ms, z[:, 0].tolist()))
     # err holds the bound at the one node
-    tail = 0.11 * 2.0 ** -k_max + float(np.max(err))
+    tail = 0.11 * 2.0 ** -k_max + float(np.ravel(err)[0])
     return c, max(2.0 * 2.0 ** -k_max, tail)
 
 

@@ -628,6 +628,15 @@ def test_mellin_gamma_and_prime_zeta_against_mpmath(y):
         assert abs(prime_zeta[k] - p) <= 1e-15
 
 
+def test_zeta_rows_bound_is_inf_without_room():
+    # far up the line Euler-Maclaurin's remainder outgrows the room
+    # (Re x - 1)/Re x that the bound on ln zeta needs, and the bound is inf
+    near = analytic._zeta_rows(np.array([1.5 + 3j, 1.5 + 30j]), [1], 1e-20)[1]
+    assert near.tolist() == pytest.approx([3.8e-23, 1.3e-12], rel=0.1)
+    assert analytic._zeta_rows(np.array([1.5 + 300j]), [1], 1e-20)[1] == \
+        math.inf
+
+
 def test_phi_mellin_domain():
     for t in (0.0, -1e-3, analytic.T_MELLIN_FLOOR / 2, analytic.T_MELLIN_CAP,
               1.0, math.nan):
